@@ -1,8 +1,10 @@
 """Stationary distributions, exact TV convergence curves, spectra, and the
 automated inequality/rate checkers for the sweep family.
 
-All checks run on dense matrices, so "verified" means verified to the stated
-floating-point slack, state by state and step by step:
+All checks run on factored kernels K = R C (see ``kernels``): spectra and
+stationary solves on the r x r core C R, distance curves by steps
+v K = (v R) C from the r distinct rows. "Verified" still means verified to
+the stated floating-point slack, state by state and step by step:
 
   * the two total-variation inequality chains linking the block sweep, its
     z-marginal, the out-of-order sweep, the xy-marginal, and the rotated
@@ -70,9 +72,11 @@ class SpectrumSummary:
 
 
 def spectrum(kernel: Kernel, tol: float = UNIT_EIG_TOL) -> SpectrumSummary:
-    """Full dense eigenvalue summary. The slem is the largest modulus among
-    eigenvalues with |lambda - 1| > tol."""
-    eigs = np.linalg.eigvals(kernel.matrix)
+    """Eigenvalue summary of all s eigenvalues: the core's r plus s - r
+    structural zeros. The slem is the largest modulus among eigenvalues with
+    |lambda - 1| > tol."""
+    core_eigs = kernel.core_eigenvalues
+    eigs = np.concatenate([core_eigs, np.zeros(kernel.codec.size - core_eigs.size)])
     moduli = np.sort(np.abs(eigs))[::-1]
     non_unit = eigs[np.abs(eigs - 1.0) > tol]
     slem = float(np.abs(non_unit).max()) if non_unit.size else 0.0
@@ -81,26 +85,28 @@ def spectrum(kernel: Kernel, tol: float = UNIT_EIG_TOL) -> SpectrumSummary:
 
 
 def stationary(kernel: Kernel) -> np.ndarray:
-    """Unique probability vector v with v M = v.
+    """Unique probability vector v with v K = v.
 
-    Solves (M^T - I) v = 0 with a normalization row appended, after checking
-    that the unit eigenvalue is simple (it always is for kernels built from
-    strictly positive pmfs).
+    With K = R C, mu = v R is stationary for the core C R and v = mu C. So
+    this solves (core^T - I) mu = 0 with a normalization row appended, after
+    checking that the unit eigenvalue is simple (it always is for kernels
+    built from strictly positive pmfs), and lifts mu to v = mu C. The
+    residual is checked against the full kernel.
     """
-    m = kernel.matrix
-    n = m.shape[0]
-    unit_mult = int(np.count_nonzero(np.abs(np.linalg.eigvals(m) - 1.0) <= UNIT_EIG_TOL))
+    core = kernel.core
+    r = core.shape[0]
+    unit_mult = int(np.count_nonzero(np.abs(kernel.core_eigenvalues - 1.0) <= UNIT_EIG_TOL))
     if unit_mult != 1:
         raise ValueError(
             f"unit eigenvalue has multiplicity {unit_mult}; kernel is not ergodic"
         )
-    a = np.vstack([m.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
+    a = np.vstack([core.T - np.eye(r), np.ones((1, r))])
+    b = np.zeros(r + 1)
     b[-1] = 1.0
-    v, *_ = np.linalg.lstsq(a, b, rcond=None)
-    v = np.maximum(v, 0.0)
+    mu, *_ = np.linalg.lstsq(a, b, rcond=None)
+    v = np.maximum(mu @ kernel.rows, 0.0)
     v /= v.sum()
-    residual = float(np.abs(v @ m - v).sum())
+    residual = float(np.abs(kernel.step(v) - v).sum())
     if residual > STATIONARY_RESIDUAL_TOL:
         raise RuntimeError(f"stationary solve residual {residual:.3g} exceeds tolerance")
     return v
@@ -128,8 +134,8 @@ def _as_vector(kernel: Kernel, init) -> np.ndarray:
 
 
 def tv_curve(kernel: Kernel, init, target: np.ndarray, nmax: int) -> np.ndarray:
-    """Exact distance-to-target curve: entry n is tv(init M^n, target) for
-    n = 0..nmax, via iterated vector-matrix products."""
+    """Exact distance-to-target curve: entry n is tv(init K^n, target) for
+    n = 0..nmax, via iterated factored steps."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     target = np.asarray(target, dtype=float)
@@ -137,7 +143,7 @@ def tv_curve(kernel: Kernel, init, target: np.ndarray, nmax: int) -> np.ndarray:
     curve = np.empty(nmax + 1)
     curve[0] = tv(v, target)
     for n in range(1, nmax + 1):
-        v = v @ kernel.matrix
+        v = kernel.step(v)
         curve[n] = tv(v, target)
     return curve
 
@@ -228,35 +234,36 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     pi_xy = flatten_to_codec(pmf, k_xy.codec)
     pi_zxy = flatten_to_codec(pmf, k_rot.codec)
 
-    # tv arrays indexed [n, start]; powers built by iterated products
-    def power_curves(mat: np.ndarray, rows0: np.ndarray, target: np.ndarray, top: int):
+    # tv arrays indexed [n, start]; powers built by iterated factored steps
+    def power_curves(kernel: Kernel, rows0: np.ndarray, target: np.ndarray, top: int):
         out = np.empty((top + 1, rows0.shape[0]))
-        cur = rows0.copy()
+        cur = rows0
         out[0] = _tv_rows(cur, target)
         for n in range(1, top + 1):
-            cur = cur @ mat
+            cur = kernel.step(cur)
             out[n] = _tv_rows(cur, target)
         return out
 
-    s = k_block.codec.size
-    tv_block = power_curves(k_block.matrix, np.eye(s), pi_xyz, nmax)
-    tv_z = power_curves(k_z.matrix, np.eye(dims.nz), pi_z, nmax - 1)
+    # One step from state i lands on rows[reads[i]], so the curves from every
+    # state run over the r distinct rows only and are broadcast back to the
+    # states: entry [n - 1, i] is the distance after n steps from state i.
+    tv_block = power_curves(k_block, k_block.rows, pi_xyz, nmax - 1)[:, k_block.reads]
+    tv_z = power_curves(k_z, np.eye(dims.nz), pi_z, nmax - 1)
     nu_z_bank = np.vstack([nu_z(pmf, z).vector for z in range(dims.nz)])
-    tv_nu_z = power_curves(k_ooo.matrix, nu_z_bank, pi_star_yzx, nmax - 2)
+    tv_nu_z = power_curves(k_ooo, nu_z_bank, pi_star_yzx, nmax - 2)
 
-    tv_ooo = power_curves(k_ooo.matrix, np.eye(s), pi_star_yzx, nmax)
-    pairs = [(x, z) for x in range(dims.nx) for z in range(dims.nz)]
-    measures = [nu_xz(pmf, x, z) for x, z in pairs]
+    tv_ooo = power_curves(k_ooo, k_ooo.rows, pi_star_yzx, nmax - 1)[:, k_ooo.reads]
+    measures = [nu_xz(pmf, x, z) for x in range(dims.nx) for z in range(dims.nz)]
     nu_flat_bank = np.vstack([m.flat.vector for m in measures])
     nu_lift_bank = np.vstack([m.lifted.vector for m in measures])
-    tv_nu_xy = power_curves(k_xy.matrix, nu_flat_bank, pi_xy, nmax - 1)
-    tv_nu_rot = power_curves(k_rot.matrix, nu_lift_bank, pi_zxy, nmax - 1)
+    tv_nu_xy = power_curves(k_xy, nu_flat_bank, pi_xy, nmax - 1)
+    tv_nu_rot = power_curves(k_rot, nu_lift_bank, pi_zxy, nmax - 1)
 
     # coordinate maps from kernel states to the index of the bound they obey
-    z_of_block_state = np.array([k_block.codec.decode(i)[2] for i in range(s)])
-    pair_index = {xz: i for i, xz in enumerate(pairs)}
-    ooo_states = [k_ooo.codec.decode(i) for i in range(s)]
-    xz_of_ooo_state = np.array([pair_index[(x, z)] for (y, z, x) in ooo_states])
+    states = np.arange(k_block.codec.size)
+    z_of_block_state = np.unravel_index(states, k_block.codec.sizes)[2]
+    _, z_ooo, x_ooo = np.unravel_index(states, k_ooo.codec.sizes)
+    xz_of_ooo_state = x_ooo * dims.nz + z_ooo  # index of nu_xz(x, z) above
 
     chain1 = np.full((nmax, 3), np.nan)
     chain2 = np.full((nmax, 3), np.nan)
@@ -282,12 +289,12 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
 
     for n in range(1, nmax + 1):
         i = n - 1
-        chain1[i, 0] = tv_block[n].max()
+        chain1[i, 0] = tv_block[n - 1].max()
         chain1[i, 1] = tv_z[n - 1].max()
         if n >= 2:
             chain1[i, 2] = tv_nu_z[n - 2].max()
         if n >= 3:
-            lhs = tv_block[n]
+            lhs = tv_block[n - 1]
             mid = tv_z[n - 1][z_of_block_state]
             record(1, n, k_block.codec, lhs - mid, lhs, mid)
             mid_z = tv_z[n - 1]
@@ -297,7 +304,7 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
                 (lhs - mid).max() <= tol and (mid_z - rhs_z).max() <= tol
             )
 
-        lhs2 = tv_ooo[n]
+        lhs2 = tv_ooo[n - 1]
         mid2 = tv_nu_xy[n - 1][xz_of_ooo_state]
         record(2, n, k_ooo.codec, lhs2 - mid2, lhs2, mid2)
         mid2_pair = tv_nu_xy[n - 1]
@@ -350,8 +357,9 @@ class RateEqualityReport:
 
 
 def nonzero_eigs(kernel: Kernel, zero_tol: float = RATE_TOL) -> np.ndarray:
-    """Eigenvalues with modulus above zero_tol, sorted by (real, imag)."""
-    eigs = np.linalg.eigvals(kernel.matrix)
+    """Core eigenvalues with modulus above zero_tol, sorted by (real, imag);
+    the structural zeros of K never pass."""
+    eigs = kernel.core_eigenvalues
     return np.sort_complex(eigs[np.abs(eigs) > zero_tol])
 
 
@@ -399,8 +407,8 @@ def check_pistar_invariance(pmf: JointPmf3) -> tuple[float, float]:
     k_ooo = ooo_kernel(pmf)
     star_vec = flatten_to_codec(pi_star(pmf), k_ooo.codec)
     pi_vec = flatten_to_codec(pmf, k_ooo.codec)
-    r_star = float(np.abs(star_vec @ k_ooo.matrix - star_vec).sum())
-    r_pi = float(np.abs(pi_vec @ k_ooo.matrix - pi_vec).sum())
+    r_star = float(np.abs(k_ooo.step(star_vec) - star_vec).sum())
+    r_pi = float(np.abs(k_ooo.step(pi_vec) - pi_vec).sum())
     return r_star, r_pi
 
 
@@ -460,7 +468,7 @@ def analyze(pmf: JointPmf3, nmax: int = 50) -> ChainReport:
     target_gap = {}
     for name, (kernel, target_pmf) in kernels.items():
         v = stationary(kernel)
-        residuals[name] = float(np.abs(v @ kernel.matrix - v).sum())
+        residuals[name] = float(np.abs(kernel.step(v) - v).sum())
         target_gap[name] = float(
             np.abs(v - flatten_to_codec(target_pmf, kernel.codec)).sum()
         )

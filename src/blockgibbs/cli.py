@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    exact = sub.add_parser("exact", help="dense kernel construction and checks")
+    exact = sub.add_parser("exact", help="exact kernel construction and checks")
     exact.add_argument("--config", help="JSON config file; flags override it")
     exact.add_argument("--seed", type=int, help="seed for a random pmf (default 0)")
     exact.add_argument("--out", help="output directory (default .)")
@@ -219,6 +219,17 @@ def parse_config(argv) -> RunConfig:
                     "seed": int(_pick(args.seed, file_doc, "seed", 0)),
                     "floor": float(_pick(args.floor, file_doc, "floor", CORPUS_FLOOR)),
                 }
+                try:
+                    size = Dims(*dims).size
+                except ValueError as exc:
+                    errors.append(f"--dims {','.join(map(str, dims))}: {exc}")
+                else:
+                    # random_pmf needs every entry >= floor, so floor * size < 1
+                    if not 0.0 < source["floor"] < 1.0 / size:
+                        errors.append(
+                            f"--floor must lie in (0, {1.0 / size:.6g}) for {size} "
+                            f"states, got {source['floor']}"
+                        )
         elif pmf_file is not None:
             source = {"kind": "file", "path": pmf_file}
         elif inline is not None:

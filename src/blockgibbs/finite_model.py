@@ -26,8 +26,10 @@ AXES = ("X", "Y", "Z")
 SUM_TOL = 1e-14
 RENORM_LIMIT = 1e-6
 
-#: Dense analysis (kernels are size x size matrices) stays tractable only
-#: for modest state spaces; Dims enforces this cap at construction.
+#: Dims enforces this cap at construction. The exact path works on factored
+#: kernels (O(r s) per step for r distinct rows), but ``Kernel.matrix``, the
+#: dense s x s view behind CSV export and the test oracles, is about 134 MB
+#: at the cap.
 DEFAULT_STATE_CAP = 4096
 
 
@@ -51,7 +53,7 @@ class Dims:
     """Sizes of the three coordinate spaces.
 
     The product nx * ny * nz is the number of joint states; it is capped so
-    that dense kernel matrices remain exactly analyzable.
+    that the dense s x s views of the kernels stay small.
     """
 
     nx: int
@@ -82,11 +84,13 @@ class JointPmf3:
     """Joint probability mass function on X x Y x Z.
 
     The tensor is validated (nonnegative, unit mass) and frozen read-only at
-    construction; operations on it are pure functions.
+    construction; operations on it are pure functions. ``conditional``
+    keeps each table it builds here, so each is built once per pmf.
     """
 
     dims: Dims
     p: np.ndarray
+    _conditionals: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float)
@@ -181,12 +185,16 @@ def conditional(
     """Conditional distribution of ``target`` given ``given``.
 
     Raises if a conditioning cell has zero probability; strictly positive
-    pmfs (e.g. from ``random_pmf``) can never hit that path.
+    pmfs (e.g. from ``random_pmf``) can never hit that path. The table is
+    read-only and shared by every call with the same pmf and variables.
     """
     t_axes = _axis_indices(target)
     g_axes = _axis_indices(given)
     if set(t_axes) & set(g_axes):
         raise ValueError("target and given must be disjoint")
+    cached = pmf._conditionals.get((t_axes, g_axes))
+    if cached is not None:
+        return cached
 
     union = sorted(t_axes + g_axes)
     joint = marginal(pmf, [AXES[i] for i in union]).table
@@ -200,9 +208,11 @@ def conditional(
         cell = ", ".join(f"{AXES[a]}={i}" for a, i in zip(g_axes, bad))
         raise ValueError(f"conditioning cell ({cell}) has zero probability")
     table = joint / denom.reshape(denom.shape + (1,) * len(t_axes))
-    return ConditionalTable(
+    result = ConditionalTable(
         tuple(AXES[i] for i in t_axes), tuple(AXES[i] for i in g_axes), table
     )
+    pmf._conditionals[(t_axes, g_axes)] = result
+    return result
 
 
 def pi_star(pmf: JointPmf3) -> JointPmf3:

@@ -1,8 +1,7 @@
-"""Explicit transition matrices for the two-block sweep family.
+"""Transition kernels for the two-block sweep family, in factored form.
 
-Every kernel is a dense row-stochastic matrix over an enumerated product
-state space. Rows index the current state, columns the next state, and a
-codec fixes the tuple ordering per chain:
+Rows index the current state, columns the next state, and a codec fixes the
+tuple ordering per chain:
 
   block          codec (X, Y, Z):
       P[(x,y,z), (x',y',z')] = P(x',y' | z) * P(z' | x',y')
@@ -19,11 +18,21 @@ plus single-site sweeps in any of the six update orders (``gibbs_kernel``).
 The block, rotated, and out-of-order sweeps compose the same three
 single-coordinate update operators in cyclically shifted orders, which is
 why their nonzero spectra coincide.
+
+A sweep's rows read only part of the current state: z for block, (x, y)
+for rotated, (z, x) for out-of-order, and all but the first-updated
+coordinate for a single-site sweep. Each kernel is therefore stored as
+K = R C: the r distinct rows C (r x s) and the 0/1 selector R that maps each
+state to the row it reads. The nonzero spectrum of K is the spectrum of the
+r x r core C R (Liu, Wong & Kong 1994), and one step v K = (v R) C costs
+O(r s). The block kernel's core is the z-marginal kernel and the rotated
+kernel's core is the xy-marginal kernel.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -99,23 +108,73 @@ class StateCodec:
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Row-stochastic transition matrix plus the codec describing its rows."""
+    """Row-stochastic transition kernel K = R C plus the codec describing
+    its rows.
+
+    ``rows`` holds the r distinct rows C (r x s) and ``reads`` maps each of
+    the s states to the row it reads, so K[i] = rows[reads[i]]; every row
+    is read by at least one state. Without ``reads`` the rows are a dense
+    s x s matrix and the index is the identity.
+    """
 
     codec: StateCodec
-    matrix: np.ndarray
+    rows: np.ndarray
+    reads: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        c = np.asarray(self.rows, dtype=float)
         n = self.codec.size
-        if m.shape != (n, n):
-            raise ValueError(f"matrix shape {m.shape} does not match codec size {n}")
-        if (m < 0).any():
+        if c.ndim != 2 or c.shape[1] != n:
+            raise ValueError(f"rows shape {c.shape} does not match codec size {n}")
+        r = c.shape[0]
+        reads = np.arange(r) if self.reads is None else np.asarray(self.reads)
+        if reads.shape != (n,) or not np.issubdtype(reads.dtype, np.integer):
+            raise ValueError(f"reads must be {n} integer row indices")
+        if reads.min() < 0 or reads.max() >= r:
+            raise ValueError(f"reads must index rows in [0, {r})")
+        if (np.bincount(reads, minlength=r) == 0).any():
+            raise ValueError("every row must be read by at least one state")
+        if (c < 0).any():
             raise ValueError("kernel entries must be nonnegative")
-        if np.abs(m.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        if np.abs(c.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("every kernel row must sum to 1")
-        m = m.copy()
+        c = c.copy()
+        c.setflags(write=False)
+        reads = reads.astype(np.intp)
+        reads.setflags(write=False)
+        object.__setattr__(self, "rows", c)
+        object.__setattr__(self, "reads", reads)
+        # column order and segment starts that sum a vector over each
+        # row's readers: (v R)[j] = sum of v[i] with reads[i] == j
+        order = np.argsort(reads, kind="stable")
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_starts", np.searchsorted(reads[order], np.arange(r)))
+
+    def _select(self, v: np.ndarray) -> np.ndarray:
+        """v R: the mass of v (or of each row of a bank) on each row."""
+        return np.add.reduceat(np.asarray(v)[..., self._order], self._starts, axis=-1)
+
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """v K = (v R) C for a vector or each row of a bank of vectors."""
+        return self._select(v) @ self.rows
+
+    @functools.cached_property
+    def core(self) -> np.ndarray:
+        """The r x r core C R; K's nonzero spectrum is the core's."""
+        return self._select(self.rows)
+
+    @functools.cached_property
+    def core_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the core. K's eigenvalues are these plus s - r
+        structural zeros."""
+        return np.linalg.eigvals(self.core)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense s x s view rows[reads]."""
+        m = self.rows[self.reads]
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
 
     def to_csv(self, path) -> None:
         """Dense dump with state labels on the header row and first column."""
@@ -160,11 +219,22 @@ def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
 
 
 def _kernel_from_einsum(
-    codec: StateCodec, subscripts: str, operands: Iterable[np.ndarray]
+    codec: StateCodec, read_labels: Iterable[str], inputs: str, operands: Iterable[np.ndarray]
 ) -> Kernel:
-    t = np.einsum(subscripts, *operands)
-    n = codec.size
-    return Kernel(codec, t.reshape(n, n))
+    """Factored kernel whose rows read only the current coordinates
+    ``read_labels``. ``inputs`` are the einsum subscripts of the operands,
+    current coordinates in lower case x, y, z and next ones in a, b, c."""
+    read = set(read_labels)
+    keep = [i for i, lab in enumerate(codec.labels) if lab in read]
+    output = "".join(_CUR[codec.labels[i]] for i in keep) + "".join(
+        _NXT[lab] for lab in codec.labels
+    )
+    rows = np.einsum(f"{inputs}->{output}", *operands)
+    coords = np.unravel_index(np.arange(codec.size), codec.sizes)
+    reads = np.ravel_multi_index(
+        [coords[i] for i in keep], [codec.sizes[i] for i in keep]
+    )
+    return Kernel(codec, rows.reshape(-1, codec.size), reads)
 
 
 def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
@@ -172,14 +242,14 @@ def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
     in the given order, always conditioning on the freshest values.
 
     The codec is (X, Y, Z) regardless of the update order; any of the six
-    orders leaves the input pmf invariant.
+    orders leaves the input pmf invariant. Rows never read the current value
+    of the first-updated coordinate.
     """
     order = tuple(ordering)
     if sorted(order) != sorted(AXES):
         raise ValueError(f"ordering must be a permutation of {AXES}, got {order!r}")
-    ones = np.ones(pmf.dims.shape)
-    operands = [ones]
-    subs = ["xyz"]
+    operands = []
+    subs = []
     drawn: set[str] = set()
     for label in order:
         others = tuple(a for a in AXES if a != label)
@@ -190,29 +260,28 @@ def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
         operands.append(cond.table)
         drawn.add(label)
     codec = StateCodec.for_labels(pmf, ("X", "Y", "Z"))
-    return _kernel_from_einsum(codec, ",".join(subs) + "->xyzabc", operands)
+    return _kernel_from_einsum(codec, order[1:], ",".join(subs), operands)
 
 
 def block_kernel(pmf: JointPmf3) -> Kernel:
-    """Joint (X, Y) refresh given Z, then Z refresh. Rows depend only on z."""
+    """Joint (X, Y) refresh given Z, then Z refresh. Rows depend only on z:
+    nz distinct rows."""
     c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z, x', y')
     c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x', y', z')
     codec = StateCodec.for_labels(pmf, ("X", "Y", "Z"))
-    ones = np.ones(pmf.dims.shape)
-    return _kernel_from_einsum(codec, "xyz,zab,abc->xyzabc", [ones, c_xy, c_z])
+    return _kernel_from_einsum(codec, ("Z",), "zab,abc", [c_xy, c_z])
 
 
 def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
     """Z refresh first, then the joint (X, Y) refresh given the new z.
 
     This is the one reordering of the block sweep that stays valid; rows
-    depend only on (x, y).
+    depend only on (x, y): nx * ny distinct rows.
     """
     c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x, y, z')
     c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z', x', y')
     codec = StateCodec.for_labels(pmf, ("Z", "X", "Y"))
-    ones = np.ones((pmf.dims.nz, pmf.dims.nx, pmf.dims.ny))
-    return _kernel_from_einsum(codec, "zxy,xyc,cab->zxycab", [ones, c_z, c_xy])
+    return _kernel_from_einsum(codec, ("X", "Y"), "xyc,cab", [c_z, c_xy])
 
 
 def ooo_kernel(pmf: JointPmf3) -> Kernel:
@@ -220,14 +289,14 @@ def ooo_kernel(pmf: JointPmf3) -> Kernel:
     given z'. Splitting the joint (X, Y) refresh across iterations is what
     changes the invariant distribution.
 
-    Rows never read the current y, so rows with equal (z, x) are identical.
+    Rows never read the current y, so there are nz * nx distinct rows, one
+    per (z, x).
     """
     c_y = conditional(pmf, ("Y",), ("X", "Z")).table  # (x, z, y')
     c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x, y', z')
     c_x = conditional(pmf, ("X",), ("Z",)).table  # (z', x')
     codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
-    ones = np.ones((pmf.dims.ny, pmf.dims.nz, pmf.dims.nx))
-    return _kernel_from_einsum(codec, "yzx,xzb,xbc,ca->yzxbca", [ones, c_y, c_z, c_x])
+    return _kernel_from_einsum(codec, ("Z", "X"), "xzb,xbc,ca", [c_y, c_z, c_x])
 
 
 def marginal_xy_kernel(pmf: JointPmf3) -> Kernel:
@@ -236,9 +305,7 @@ def marginal_xy_kernel(pmf: JointPmf3) -> Kernel:
     c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x, y, z)
     c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z, x', y')
     codec = StateCodec.for_labels(pmf, ("X", "Y"))
-    m = np.einsum("xyz,zab->xyab", c_z, c_xy)
-    n = codec.size
-    return Kernel(codec, m.reshape(n, n))
+    return _kernel_from_einsum(codec, ("X", "Y"), "xyz,zab", [c_z, c_xy])
 
 
 def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
@@ -247,8 +314,7 @@ def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
     c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z, x', y')
     c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x', y', z')
     codec = StateCodec.for_labels(pmf, ("Z",))
-    m = np.einsum("zab,abc->zc", c_xy, c_z)
-    return Kernel(codec, m)
+    return _kernel_from_einsum(codec, ("Z",), "zab,abc", [c_xy, c_z])
 
 
 def nu_z(pmf: JointPmf3, z: int) -> InitialMeasure:
@@ -262,10 +328,9 @@ def nu_z(pmf: JointPmf3, z: int) -> InitialMeasure:
     if not 0 <= z < pmf.dims.nz:
         raise ValueError(f"z index {z} out of range [0, {pmf.dims.nz})")
     c_x = conditional(pmf, ("X",), ("Z",)).table  # (z, x)
-    v = np.zeros(codec.size)
-    for x in range(pmf.dims.nx):
-        v[codec.encode((0, z, x))] = c_x[z, x]
-    return InitialMeasure(codec, v)
+    v = np.zeros(codec.sizes)
+    v[0, z] = c_x[z]
+    return InitialMeasure(codec, v.ravel())
 
 
 def nu_xz(pmf: JointPmf3, x: int, z: int) -> NuXZ:
@@ -283,11 +348,11 @@ def nu_xz(pmf: JointPmf3, x: int, z: int) -> NuXZ:
     c_y = conditional(pmf, ("Y",), ("X", "Z")).table  # (x, z, y)
 
     flat_codec = StateCodec.for_labels(pmf, ("X", "Y"))
-    flat = np.zeros(flat_codec.size)
+    flat = np.zeros(flat_codec.sizes)
+    flat[x] = c_y[x, z]
     lift_codec = StateCodec.for_labels(pmf, ("Z", "X", "Y"))
-    lifted = np.zeros(lift_codec.size)
-    for y in range(pmf.dims.ny):
-        mass = c_y[x, z, y]
-        flat[flat_codec.encode((x, y))] = mass
-        lifted[lift_codec.encode((0, x, y))] = mass
-    return NuXZ(InitialMeasure(flat_codec, flat), InitialMeasure(lift_codec, lifted))
+    lifted = np.zeros(lift_codec.sizes)
+    lifted[0, x] = c_y[x, z]
+    return NuXZ(
+        InitialMeasure(flat_codec, flat.ravel()), InitialMeasure(lift_codec, lifted.ravel())
+    )

@@ -43,8 +43,10 @@ class RemData:
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or y.size < 2:
             raise ValueError("y must be a 1-D vector with at least 2 observations")
-        if not self.V > 0:
-            raise ValueError("V must be positive")
+        if not np.isfinite(y).all():
+            raise ValueError(f"y must be finite; y[{int(np.argmin(np.isfinite(y)))}] is not")
+        if not (math.isfinite(self.V) and self.V > 0):
+            raise ValueError(f"V must be finite and positive, got {self.V!r}")
         y = y.copy()
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -62,8 +64,9 @@ class RemHyper:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("a and b must be positive")
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +101,6 @@ def ig_params(theta: np.ndarray, hyper: RemHyper) -> tuple[float, float]:
         raise ValueError("need at least 2 components")
     shape = hyper.a + (m - 1) / 2.0
     rate = hyper.b + 0.5 * float(((theta - theta.mean()) ** 2).sum())
-    if rate < hyper.b:
-        logger.warning("ig rate %r below prior rate %r; flooring", rate, hyper.b)
-        rate = hyper.b
     return shape, rate
 
 

@@ -76,6 +76,31 @@ def test_parse_simulate_requires_n(model_file):
         parse_config(["simulate", "--config", model_file])
 
 
+def test_parse_checks_random_floor_against_state_count(capsys):
+    # the default floor 0.005 is too large for 216 states: 1/216 < 0.005
+    with pytest.raises(ConfigError, match=r"--floor must lie in \(0, 0.00462963\)"):
+        parse_config(["exact", "--dims", "6,6,6"])
+    with pytest.raises(ConfigError, match="--dims 0,6,6"):
+        parse_config(["exact", "--dims", "0,6,6"])
+    assert main(["exact", "--dims", "6,6,6", "--out", "unused"]) == 2
+    assert "--floor" in capsys.readouterr().err
+    cfg = parse_config(["exact", "--dims", "6,6,6", "--floor", "0.004"])
+    assert cfg.pmf_source["floor"] == 0.004
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [({"y": [1.2, float("nan"), 0.7, 2.1]}, "y"), ({"b": float("inf")}, "b")],
+)
+def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(MODEL, **override)))  # writes NaN / Infinity
+    code = main(["simulate", "--config", str(path), "--n", "200", "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["exact", "--bogus"])

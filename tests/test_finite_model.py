@@ -117,6 +117,15 @@ def test_conditional_of_product_is_factor(product_222):
         np.testing.assert_allclose(table[y, z], [0.3, 0.7], atol=1e-15)
 
 
+def test_conditional_built_once_per_pmf(pmf_322, anti_pmf):
+    first = conditional(pmf_322, ("Y", "X"), ("Z",))
+    assert conditional(pmf_322, ("X", "Y"), ("Z",)) is first  # label order is canonical
+    assert not first.table.flags.writeable
+    assert conditional(pmf_322, ("Z",), ("X", "Y")) is not first
+    other = conditional(anti_pmf, ("X", "Y"), ("Z",))
+    assert other is not first and other.table.shape == (1, 2, 2)
+
+
 def test_conditional_row_normalization(anti_pmf):
     # P(Y | X=0, Z=0) = (0.4, 0.1) / 0.5 = (0.8, 0.2)
     table = conditional(anti_pmf, ("Y",), ("X", "Z")).table  # (x, z, y)

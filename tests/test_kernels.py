@@ -77,6 +77,16 @@ def test_kernel_rejects_bad_matrices(pmf_322):
         Kernel(codec, np.array([[0.5, 0.4], [0.5, 0.5]]))  # row sums 0.9
     with pytest.raises(ValueError):
         Kernel(codec, np.array([[1.5, -0.5], [0.0, 1.0]]))  # negative entry
+    rows = np.array([[0.5, 0.5], [0.1, 0.9]])
+    with pytest.raises(ValueError, match="integer row indices"):
+        Kernel(codec, rows, np.array([0, 1, 1]))  # one index per state
+    with pytest.raises(ValueError, match="index rows"):
+        Kernel(codec, rows, np.array([0, 2]))
+    with pytest.raises(ValueError, match="read by at least one"):
+        Kernel(codec, rows, np.array([1, 1]))
+    shared = Kernel(codec, rows[:1], np.array([0, 0]))
+    np.testing.assert_array_equal(shared.matrix, [[0.5, 0.5], [0.5, 0.5]])
+    np.testing.assert_array_equal(shared.core, [[1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,18 @@ def test_domain_type_validation():
         RemState(A=1.0, mu=0.0, theta=np.zeros(2), variant="sideways")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_name_their_field(bad):
+    with pytest.raises(ValueError, match=r"y must be finite; y\[1\]"):
+        RemData(np.array([1.0, bad, 2.0]), V=1.0)
+    with pytest.raises(ValueError, match="V must be finite"):
+        RemData(np.array([1.0, 2.0]), V=bad)
+    with pytest.raises(ValueError, match="a must be finite"):
+        RemHyper(bad, 1.0)
+    with pytest.raises(ValueError, match="b must be finite"):
+        RemHyper(1.0, bad)
+
+
 # ---------------------------------------------------------------------------
 # step parameter formulas (hand-worked values)
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .random_effects import (
     RemData,
     RemHyper,
     RemState,
+    Trajectory,
     block_step,
     default_init,
     estimate,
@@ -62,6 +63,6 @@ from .random_effects import (
     theta_params,
     trajectory_to_csv,
 )
-from .streams import STEP_A, STEP_MU, KeyedStream, MedianStream, StreamKey, theta_step
+from .streams import STEP_A, STEP_MU, KeyedStream, MedianStream, StreamKey
 
 __version__ = "0.1.0"

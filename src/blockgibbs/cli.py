@@ -31,6 +31,8 @@ from .corpus import CORPUS_FLOOR
 from .finite_model import Dims, JointPmf3, random_pmf
 from .random_effects import (
     ModelConfig,
+    RemState,
+    Trajectory,
     default_init,
     estimate,
     run_chain,
@@ -62,6 +64,7 @@ class RunConfig:
     pmf_source: dict = field(default_factory=dict)
     checks: tuple[str, ...] = CHECK_NAMES
     nmax: int = 50
+    pmf: JointPmf3 | None = None  # a file or inline pmf, loaded while parsing
     # simulate mode
     model: ModelConfig | None = None
     shifted_check: bool = False
@@ -234,6 +237,15 @@ def parse_config(argv) -> RunConfig:
             source = {"kind": "file", "path": pmf_file}
         elif inline is not None:
             source = {"kind": "inline", "doc": inline}
+        pmf = None
+        if len(sources) == 1 and source.get("kind") in ("file", "inline"):
+            where = f"--pmf {pmf_file}" if pmf_file is not None else "inline pmf"
+            try:
+                pmf = _load_pmf(source)
+            except OSError:
+                pass  # the run reports an unreadable file as an i/o failure
+            except (ValueError, TypeError, KeyError) as exc:
+                errors.append(f"invalid pmf in {where}: {exc}")
 
         nmax = int(_pick(args.nmax, file_doc, "nmax", 50))
         if nmax < 3:
@@ -241,7 +253,8 @@ def parse_config(argv) -> RunConfig:
         if errors:
             raise ConfigError(errors)
         return RunConfig(
-            mode="exact", out_dir=out_dir, pmf_source=source, checks=selected, nmax=nmax
+            mode="exact", out_dir=out_dir, pmf_source=source, checks=selected, nmax=nmax,
+            pmf=pmf,
         )
 
     # simulate
@@ -344,7 +357,7 @@ def _write_tv_curves(report: ChainReport, path) -> None:
 
 
 def _run_exact(cfg: RunConfig) -> int:
-    pmf = _load_pmf(cfg.pmf_source)
+    pmf = cfg.pmf if cfg.pmf is not None else _load_pmf(cfg.pmf_source)
     report = analyze(pmf, nmax=cfg.nmax)
     verdicts = _check_verdicts(report)
     selected = {name: verdicts[name] for name in cfg.checks}
@@ -382,18 +395,21 @@ def _run_exact(cfg: RunConfig) -> int:
 
 def _run_simulate(cfg: RunConfig) -> int:
     model = cfg.model
-    init = default_init(model.data)
-    trajectory = run_chain(
-        model.variant, init, model.data, model.hyper, model.n, model.seed
-    )
+    data, hyper = model.data, model.hyper
+    init = default_init(data)
+    # The shifted check needs a block run one sweep longer than n; a block
+    # model's trajectory is its first n + 1 states, so it runs only once.
+    extra = 1 if cfg.shifted_check and model.variant == "block" else 0
+    chain = run_chain(model.variant, init, data, hyper, model.n + extra, model.seed)
+    trajectory = Trajectory(*(column[: model.n + 1] for column in chain))
 
     estimates = {}
-    for name, g in (
-        ("A", lambda s: s.A),
-        ("mu", lambda s: s.mu),
-        ("A_times_mu", lambda s: s.A * s.mu),
+    for name, values in (
+        ("A", trajectory.A),
+        ("mu", trajectory.mu),
+        ("A_times_mu", trajectory.A * trajectory.mu),
     ):
-        mean, se = estimate(trajectory, g, model.burn_in)
+        mean, se = estimate(values, model.burn_in)
         estimates[name] = {"mean": mean, "se": se}
     doc = {
         "config": model.to_json_dict(),
@@ -402,22 +418,18 @@ def _run_simulate(cfg: RunConfig) -> int:
     if model.variant == "block":
         shifted = shifted_view(trajectory)
         shifted_estimates = {}
-        for name, g in (("A", lambda s: s.A), ("A_times_mu", lambda s: s.A * s.mu)):
-            mean, se = estimate(shifted, g, min(model.burn_in, len(shifted) - 100))
+        for name, values in (("A", shifted.A), ("A_times_mu", shifted.A * shifted.mu)):
+            mean, se = estimate(values, min(model.burn_in, shifted.A.size - 100))
             shifted_estimates[name] = {"mean": mean, "se": se}
         doc["shifted_view_estimates"] = shifted_estimates
 
     ok = True
     if cfg.shifted_check:
-        base = run_chain("block", init, model.data, model.hyper, model.n + 1, model.seed)
+        base = chain if extra else run_chain("block", init, data, hyper, model.n + 1, model.seed)
         shifted = shifted_view(base)
-        ooo = run_chain(
-            "ooo", shifted[0], model.data, model.hyper, model.n, model.seed
-        )
-        identical = len(shifted) == len(ooo) and all(
-            s.A == t.A and s.mu == t.mu and (s.theta == t.theta).all()
-            for s, t in zip(shifted, ooo)
-        )
+        start = RemState(shifted.A[0], shifted.mu[0], shifted.theta[0])
+        ooo = run_chain("ooo", start, data, hyper, model.n, model.seed)
+        identical = all(np.array_equal(s, t) for s, t in zip(shifted, ooo))
         doc["shifted_check"] = {"n": model.n, "identical": identical}
         ok = identical
 

@@ -96,6 +96,12 @@ class JointPmf3:
         p = np.asarray(self.p, dtype=float)
         if p.shape != self.dims.shape:
             raise ValueError(f"tensor shape {p.shape} does not match dims {self.dims.shape}")
+        finite = np.isfinite(p).ravel()
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(
+                f"probabilities must be finite; flat index {bad} is {float(p.flat[bad])!r}"
+            )
         if (p < 0).any():
             raise ValueError("probabilities must be nonnegative")
         total = float(p.sum())

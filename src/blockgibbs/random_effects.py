@@ -4,25 +4,24 @@ Model: y_i = theta_i + e_i with theta_i iid N(mu, A), e_i iid N(0, V), V
 known, a flat prior on mu, and A inverse gamma with density proportional to
 w^(-a-1) exp(-b/w).
 
-The block sweep draws A, then mu, then each theta_i; the out-of-order sweep
-draws mu, then each theta_i, then A. Both are driven by keyed substreams
-(one per draw), with the out-of-order A draw keyed one iteration ahead, so
-the out-of-order trajectory is bit-for-bit the shifted view
-(mu_n, theta_n, A_{n+1}) of the block trajectory. ``shifted_view`` builds
-that re-indexing directly for comparison.
+The block sweep draws A, then mu, then theta; the out-of-order sweep draws
+mu, then theta, then A. Given (mu, A) the theta_i are independent, so theta
+is one vector draw and a sweep makes three keyed draws (see ``streams``).
+The out-of-order A draw is keyed one iteration ahead, so the out-of-order
+trajectory is bit-for-bit the shifted view (mu_n, theta_n, A_{n+1}) of the
+block trajectory, which ``shifted_view`` slices out of its arrays.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .streams import STEP_A, STEP_MU, KeyedStream, StreamKey, theta_step
+from .streams import STEP_A, STEP_MU, STEP_THETA, KeyedStream, StreamKey
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +71,7 @@ class RemHyper:
 @dataclass(frozen=True, eq=False)
 class RemState:
     """One sampler state (A, mu, theta) tagged with the sweep order that
-    produced it."""
+    produced it. A must be finite and positive, mu and theta finite."""
 
     A: float
     mu: float
@@ -80,50 +79,61 @@ class RemState:
     variant: str = "block"
 
     def __post_init__(self) -> None:
-        if not self.A > 0:
-            raise ValueError("A must be positive")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        theta = np.asarray(self.theta, dtype=float)
+        theta = np.array(self.theta, dtype=float)
         if theta.ndim != 1:
             raise ValueError("theta must be a 1-D vector")
-        theta = theta.copy()
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
+        # name the bad fields in the order this variant draws them
+        bad = [] if math.isfinite(self.mu) else [f"mu={float(self.mu)!r}"]
+        # a finite sum proves every entry finite; the full test finds the bad one
+        if not math.isfinite(np.add.reduce(theta)) and not np.isfinite(theta).all():
+            i = int(np.argmin(np.isfinite(theta)))
+            bad.append(f"theta[{i}]={float(theta[i])!r}")
+        if not (math.isfinite(self.A) and self.A > 0):
+            bad.insert(0 if self.variant == "block" else len(bad), f"A={float(self.A)!r}")
+        if bad:
+            raise ValueError(
+                f"invalid state {', '.join(bad)}: A must be finite and positive, "
+                "mu and theta finite"
+            )
+
+
+class Trajectory(NamedTuple):
+    """A chain as read-only arrays A[n + 1], mu[n + 1] and theta[n + 1, m]."""
+
+    A: np.ndarray
+    mu: np.ndarray
+    theta: np.ndarray
 
 
 def ig_params(theta: np.ndarray, hyper: RemHyper) -> tuple[float, float]:
     """Inverse gamma parameters for the A draw:
     shape = a + (m - 1) / 2, rate = b + sum((theta_i - mean)^2) / 2."""
-    theta = np.asarray(theta, dtype=float)
     m = theta.size
     if m < 2:
         raise ValueError("need at least 2 components")
-    shape = hyper.a + (m - 1) / 2.0
-    rate = hyper.b + 0.5 * float(((theta - theta.mean()) ** 2).sum())
-    return shape, rate
+    d = theta - np.add.reduce(theta) / m
+    return hyper.a + (m - 1) / 2.0, hyper.b + 0.5 * float(np.add.reduce(d * d))
 
 
 def mu_params(theta: np.ndarray, A: float) -> tuple[float, float]:
     """Normal parameters for the mu draw: mean(theta) and A / m."""
-    theta = np.asarray(theta, dtype=float)
-    return float(theta.mean()), A / theta.size
+    return float(np.add.reduce(theta)) / theta.size, A / theta.size
 
 
-def theta_params(mu: float, A: float, data: RemData, i: int) -> tuple[float, float]:
-    """Normal parameters for the i-th theta draw (0-based index into y):
-    mean (V mu + A y_i) / (A + V), variance A V / (A + V).
-
-    The mean is a convex combination of mu and y_i with weight A / (A + V)
-    on the observation.
+def theta_params(mu: float, A: float, data: RemData) -> tuple[np.ndarray, float]:
+    """Normal parameters for the theta draw: one mean per coordinate,
+    (V mu + A y_i) / (A + V), a convex combination of mu and y_i with weight
+    A / (A + V) on the observation, and the common variance A V / (A + V).
     """
     if A < A_FLOOR:
         logger.warning("flooring A=%r at %r in theta draw", A, A_FLOOR)
         A = A_FLOOR
     V = data.V
-    mean = (V * mu + A * data.y[i]) / (A + V)
-    var = A * V / (A + V)
-    return float(mean), float(var)
+    return (V * mu + A * data.y) / (A + V), A * V / (A + V)
 
 
 def sample_ig(shape: float, rate: float, key: StreamKey, stream) -> float:
@@ -134,41 +144,35 @@ def sample_ig(shape: float, rate: float, key: StreamKey, stream) -> float:
     return rate / stream.gamma(key, shape)
 
 
+def _draw_theta(mu: float, A: float, data: RemData, iteration: int, stream) -> np.ndarray:
+    mean, var = theta_params(mu, A, data)
+    return stream.normal(StreamKey(iteration, STEP_THETA), mean, math.sqrt(var), size=data.m)
+
+
 def block_step(
     state: RemState, data: RemData, hyper: RemHyper, iteration: int, stream
 ) -> RemState:
-    """One block sweep: A from theta, then mu given the new A, then each
-    theta_i given the new (mu, A)."""
+    """One block sweep: A from theta, then mu given the new A, then theta
+    given the new (mu, A)."""
     shape, rate = ig_params(state.theta, hyper)
     a_new = sample_ig(shape, rate, StreamKey(iteration, STEP_A), stream)
     mean, var = mu_params(state.theta, a_new)
     mu_new = stream.normal(StreamKey(iteration, STEP_MU), mean, math.sqrt(var))
-    theta_new = np.empty(data.m)
-    for i in range(data.m):
-        mean_i, var_i = theta_params(mu_new, a_new, data, i)
-        theta_new[i] = stream.normal(
-            StreamKey(iteration, theta_step(i + 1)), mean_i, math.sqrt(var_i)
-        )
-    return RemState(a_new, mu_new, theta_new, "block")
+    return RemState(a_new, mu_new, _draw_theta(mu_new, a_new, data, iteration, stream), "block")
 
 
 def ooo_step(
     state: RemState, data: RemData, hyper: RemHyper, iteration: int, stream
 ) -> RemState:
-    """One out-of-order sweep: mu given the current A, then each theta_i
-    given (new mu, current A), then A from the new theta.
+    """One out-of-order sweep: mu given the current A, then theta given
+    (new mu, current A), then A from the new theta.
 
     The A draw is keyed at iteration + 1: it is "the next iteration's" A in
     the shifted correspondence with the block sweep.
     """
     mean, var = mu_params(state.theta, state.A)
     mu_new = stream.normal(StreamKey(iteration, STEP_MU), mean, math.sqrt(var))
-    theta_new = np.empty(data.m)
-    for i in range(data.m):
-        mean_i, var_i = theta_params(mu_new, state.A, data, i)
-        theta_new[i] = stream.normal(
-            StreamKey(iteration, theta_step(i + 1)), mean_i, math.sqrt(var_i)
-        )
+    theta_new = _draw_theta(mu_new, state.A, data, iteration, stream)
     shape, rate = ig_params(theta_new, hyper)
     a_new = sample_ig(shape, rate, StreamKey(iteration + 1, STEP_A), stream)
     return RemState(a_new, mu_new, theta_new, "ooo")
@@ -194,13 +198,14 @@ def run_chain(
     *,
     stream: KeyedStream | None = None,
     first_iteration: int = 1,
-) -> list[RemState]:
+) -> Trajectory:
     """Apply n sweeps and return all n + 1 states, the initial one included.
 
     Passing an explicit ``stream`` allows chunked continuation (with
     ``first_iteration`` advanced) and key auditing; results are identical to
     a monolithic run because draws are keyed by iteration, not by position
-    in the stream.
+    in the stream. A sweep that produces an invalid state raises, naming
+    its iteration and the bad field.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -211,37 +216,38 @@ def run_chain(
     step = _STEPS[variant]
     if stream is None:
         stream = KeyedStream(seed)
-    state = replace(init, variant=variant)
-    trajectory = [state]
-    for k in range(n):
-        state = step(state, data, hyper, first_iteration + k, stream)
-        trajectory.append(state)
-    return trajectory
+    A, mu, theta = np.empty(n + 1), np.empty(n + 1), np.empty((n + 1, data.m))
+    state = init
+    A[0], mu[0], theta[0] = state.A, state.mu, state.theta
+    for k in range(1, n + 1):
+        iteration = first_iteration + k - 1
+        try:
+            state = step(state, data, hyper, iteration, stream)
+        except ValueError as exc:
+            raise ValueError(f"iteration {iteration}: {exc}") from exc
+        A[k], mu[k], theta[k] = state.A, state.mu, state.theta
+    for column in (A, mu, theta):
+        column.setflags(write=False)
+    return Trajectory(A, mu, theta)
 
 
-def shifted_view(trajectory: Sequence[RemState]) -> list[RemState]:
+def shifted_view(trajectory: Trajectory) -> Trajectory:
     """Re-index a block trajectory as (mu_n, theta_n, A_{n+1}).
 
-    The result has one fewer element and is exactly what the out-of-order
-    sweep simulates: its element k equals the out-of-order state T_k when
-    the out-of-order run starts from element 0 and shares the seed.
+    The result has one fewer state and is exactly what the out-of-order
+    sweep simulates: its state k equals the out-of-order state T_k when
+    the out-of-order run starts from state 0 and shares the seed.
     """
-    if len(trajectory) < 2:
+    if trajectory.A.size < 2:
         raise ValueError("trajectory must have at least 2 states")
-    return [
-        RemState(trajectory[k + 1].A, s.mu, s.theta, "ooo")
-        for k, s in enumerate(trajectory[:-1])
-    ]
+    return Trajectory(trajectory.A[1:], trajectory.mu[:-1], trajectory.theta[:-1])
 
 
-def estimate(
-    trajectory: Sequence[RemState],
-    g: Callable[[RemState], float],
-    burn_in: int,
-) -> tuple[float, float]:
-    """Ergodic average of g over the post-burn-in states, with a batch-means
-    standard error using floor(sqrt(n)) batches."""
-    values = np.asarray([g(s) for s in trajectory[burn_in:]], dtype=float)
+def estimate(values: np.ndarray, burn_in: int) -> tuple[float, float]:
+    """Ergodic average of per-state values (one per trajectory state) after
+    burn-in, with a batch-means standard error using floor(sqrt(n))
+    batches."""
+    values = np.asarray(values, dtype=float)[burn_in:]
     n = values.size
     if n < 100:
         raise ValueError(f"need at least 100 post-burn-in states, have {n}")
@@ -252,17 +258,18 @@ def estimate(
     return float(used.mean()), float(batch_means.std(ddof=1) / math.sqrt(a))
 
 
-def trajectory_to_csv(trajectory: Sequence[RemState], path) -> None:
-    """Stream states to CSV with columns iter, A, mu, theta_1..theta_m."""
-    m = trajectory[0].theta.size
+def trajectory_to_csv(trajectory: Trajectory, path) -> None:
+    """Stream states to CSV with columns iter, A, mu, theta_1..theta_m:
+    floats at 17 significant digits, CRLF line ends, formatted 1024 rows at
+    a time so memory stays bounded."""
+    m = trajectory.theta.shape[1]
+    row = "%d" + ",%.17g" * (m + 2) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "A", "mu"] + [theta_step(i + 1) for i in range(m)])
-        for k, s in enumerate(trajectory):
-            writer.writerow(
-                [k, format(s.A, ".17g"), format(s.mu, ".17g")]
-                + [format(t, ".17g") for t in s.theta]
-            )
+        fh.write(",".join(["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, m + 1)]))
+        fh.write("\r\n")
+        for start in range(0, trajectory.A.size, 1024):
+            values = np.column_stack([c[start : start + 1024] for c in trajectory]).tolist()
+            fh.writelines(row % (start + k, *v) for k, v in enumerate(values))
 
 
 @dataclass

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from blockgibbs import product_pmf
+from blockgibbs import cli, product_pmf, run_chain
 from blockgibbs.cli import ConfigError, main, parse_config
 
 MODEL = {"y": [1.2, -0.3, 0.7, 2.1, -1.0, 0.4], "V": 1.0, "a": 2.0, "b": 2.0}
@@ -168,6 +168,17 @@ def test_exact_report_is_byte_identical(tmp_path):
     assert (out1 / "tv_curves.csv").read_bytes() == (out2 / "tv_curves.csv").read_bytes()
 
 
+def test_exact_non_finite_pmf_exits_2_at_parse_time(tmp_path, capsys):
+    pmf_path = tmp_path / "nan.json"
+    pmf_path.write_text('{"dims": [2, 1, 1], "p": [NaN, 0.5]}')
+    with pytest.raises(ConfigError, match="flat index 0 is nan"):
+        parse_config(["exact", "--pmf", str(pmf_path)])
+    out = tmp_path / "out"
+    assert main(["exact", "--pmf", str(pmf_path), "--out", str(out)]) == 2
+    assert f"invalid pmf in --pmf {pmf_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_missing_pmf_file_is_io_error(tmp_path, capsys):
     code = main(["exact", "--pmf", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1
@@ -202,6 +213,29 @@ def test_simulate_shifted_check_passes(tmp_path, model_file):
     assert code == 0
     doc = json.loads((out / "estimates.json").read_text())
     assert doc["shifted_check"] == {"n": 400, "identical": True}
+
+
+def test_simulate_shifted_check_leaves_the_trajectory_unchanged(
+    tmp_path, model_file, monkeypatch
+):
+    # the check's longer block run supplies the trajectory's n + 1 states
+    calls = []
+
+    def counted(variant, init, data, hyper, n, seed, **kwargs):
+        calls.append((variant, n))
+        return run_chain(variant, init, data, hyper, n, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_chain", counted)
+    args = ["simulate", "--config", model_file, "--n", "300", "--seed", "11"]
+    out1, out2 = tmp_path / "plain", tmp_path / "checked"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--shifted-check", "--out", str(out2)]) == 0
+    assert calls == [("block", 300), ("block", 301), ("ooo", 300)]
+    assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+    plain = json.loads((out1 / "estimates.json").read_text())
+    checked = json.loads((out2 / "estimates.json").read_text())
+    assert checked.pop("shifted_check") == {"n": 300, "identical": True}
+    assert checked == plain
 
 
 def test_simulate_deterministic(tmp_path, model_file):

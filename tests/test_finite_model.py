@@ -51,6 +51,12 @@ def test_pmf_rejects_negative_and_bad_mass():
         JointPmf3(Dims(2, 1, 1), np.array([[[1.2]], [[-0.2]]]))
     with pytest.raises(ValueError):
         JointPmf3(Dims(2, 1, 1), np.array([[[0.6]], [[0.6]]]))  # mass 1.2
+    # a NaN mass sum passes both drift checks, so finiteness is checked first
+    for bad, index in ((np.nan, 0), (np.inf, 2), (-np.inf, 3)):
+        p = np.full((2, 2, 1), 0.25)
+        p.flat[index] = bad
+        with pytest.raises(ValueError, match=f"must be finite; flat index {index} is"):
+            JointPmf3(Dims(2, 2, 1), p)
 
 
 def test_pmf_renormalizes_small_drift_with_warning():

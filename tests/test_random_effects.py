@@ -6,6 +6,8 @@ the trajectory-level shifted re-indexing bit for bit.
 """
 
 import csv
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from blockgibbs import (
     RemHyper,
     RemState,
     StreamKey,
+    Trajectory,
     block_step,
     default_init,
     estimate,
@@ -36,6 +39,11 @@ from blockgibbs import (
 from blockgibbs.random_effects import ModelConfig, trajectory_to_csv
 
 
+#: sha256 of trajectory.csv for a 20-sweep block run (seed 2024) on the
+#: fixture data; see test_trajectory_csv_golden_digest.
+GOLDEN_SHA256 = "b80b89a5c2e91f827ad3caa57988536ab95c77dc1723ce2b90e15da009035db9"
+
+
 @pytest.fixture()
 def data():
     return RemData(np.array([1.2, -0.3, 0.7, 2.1, -1.0, 0.4]), V=1.0)
@@ -46,8 +54,38 @@ def hyper():
     return RemHyper(2.0, 2.0)
 
 
-def states_equal(s: RemState, t: RemState) -> bool:
-    return s.A == t.A and s.mu == t.mu and (s.theta == t.theta).all()
+def trajectories_equal(s: Trajectory, t: Trajectory) -> bool:
+    return all(np.array_equal(a, b) for a, b in zip(s, t))
+
+
+class RecordingStream(KeyedStream):
+    """Audited keyed stream that also lists every key it binds, in order."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.keys = []
+
+    def _bind(self, key):
+        self.keys.append((key.iteration, key.step))
+        return super()._bind(key)
+
+
+class PoisonedStream(MedianStream):
+    """Median stream whose draw under one key returns NaN (a whole vector
+    draw, or one coordinate of it)."""
+
+    def __init__(self, iteration, step, coordinate=None):
+        self.target = (iteration, step)
+        self.coordinate = coordinate
+
+    def normal(self, key, mean, sd, size=None):
+        value = super().normal(key, mean, sd, size)
+        if (key.iteration, key.step) != self.target:
+            return value
+        if size is None:
+            return math.nan
+        value[self.coordinate] = math.nan
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +102,46 @@ def test_domain_type_validation():
         RemState(A=0.0, mu=0.0, theta=np.zeros(2))
     with pytest.raises(ValueError):
         RemState(A=1.0, mu=0.0, theta=np.zeros(2), variant="sideways")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"A": math.nan}, r"A=nan"),
+        ({"A": -1.0}, r"A=-1\.0"),
+        ({"mu": math.inf}, r"mu=inf"),
+        ({"theta": np.array([0.0, -math.inf, math.nan])}, r"theta\[1\]=-inf"),
+    ],
+)
+def test_invalid_state_names_its_field(fields, message):
+    state = dict(A=1.0, mu=0.0, theta=np.zeros(3))
+    with pytest.raises(ValueError, match=f"invalid state {message}"):
+        RemState(**dict(state, **fields))
+
+
+@pytest.mark.parametrize(
+    "variant, poison, message",
+    [
+        # block draws A, mu, theta: the NaN mu spoils theta after it
+        ("block", (3, "mu", None), r"iteration 3: invalid state mu=nan, theta\[0\]=nan"),
+        ("block", (2, "theta", 4), r"iteration 2: invalid state theta\[4\]=nan:"),
+        # ooo draws mu, theta, A: the NaN theta spoils the A drawn after it
+        ("ooo", (4, "theta", 2), r"iteration 4: invalid state theta\[2\]=nan, A=nan"),
+    ],
+)
+def test_invalid_state_raises_at_the_sweep_that_made_it(data, hyper, variant, poison, message):
+    with pytest.raises(ValueError, match=message):
+        run_chain(variant, default_init(data), data, hyper, n=6, seed=0,
+                  stream=PoisonedStream(*poison))
+
+
+def test_a_floor_warning_fires_once_per_sweep(data, hyper, caplog):
+    # A below A_FLOOR (reachable only from an initial state) floors the theta
+    # draw's A; the warning is per sweep, not per coordinate
+    init = RemState(1e-310, 0.0, data.y)
+    with caplog.at_level(logging.WARNING, logger="blockgibbs.random_effects"):
+        ooo_step(init, data, hyper, 1, MedianStream())
+    assert [r.getMessage().startswith("flooring A") for r in caplog.records] == [True]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -109,18 +187,18 @@ def test_mu_params_worked_example():
 
 
 def test_theta_params_worked_example(data):
-    # A = V, mu = 0: mean y_i / 2, variance V / 2
-    for i in range(data.m):
-        mean, var = theta_params(0.0, A=1.0, data=data, i=i)
-        assert mean == pytest.approx(data.y[i] / 2)
-        assert var == pytest.approx(0.5)
+    # A = V, mu = 0: means y_i / 2, variance V / 2
+    mean, var = theta_params(0.0, A=1.0, data=data)
+    assert mean.shape == (data.m,)
+    np.testing.assert_allclose(mean, data.y / 2)
+    assert var == pytest.approx(0.5)
 
 
 def test_theta_params_limits(data):
-    big = theta_params(0.0, A=1e14, data=data, i=0)
-    assert big[0] == pytest.approx(data.y[0], rel=1e-10)
-    small = theta_params(5.0, A=1e-14, data=data, i=0)
-    assert small[0] == pytest.approx(5.0, rel=1e-10)
+    big = theta_params(0.0, A=1e14, data=data)
+    np.testing.assert_allclose(big[0], data.y, rtol=1e-10)
+    small = theta_params(5.0, A=1e-14, data=data)
+    np.testing.assert_allclose(small[0], 5.0, rtol=1e-10)
     assert small[1] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -133,9 +211,9 @@ def test_theta_params_limits(data):
 )
 def test_theta_params_convexity_bounds(mu, A, V, i):
     data = RemData(np.array([1.2, -0.3, 0.7, 2.1, -1.0, 0.4]), V=V)
-    mean, var = theta_params(mu, A, data, i)
+    mean, var = theta_params(mu, A, data)
     lo, hi = sorted((mu, float(data.y[i])))
-    assert lo - 1e-9 <= mean <= hi + 1e-9
+    assert lo - 1e-9 <= mean[i] <= hi + 1e-9
     assert 0.0 < var < min(A, V) + 1e-12
 
 
@@ -186,7 +264,8 @@ def test_block_step_median_composition(data, hyper):
     shape, rate = ig_params(init.theta, hyper)
     a_hand = rate / gammainccinv(shape, 0.5)
     mu_hand = mu_params(init.theta, a_hand)[0]
-    theta_hand = [theta_params(mu_hand, a_hand, data, i)[0] for i in range(data.m)]
+    V = data.V
+    theta_hand = [(V * mu_hand + a_hand * y) / (a_hand + V) for y in data.y]
     assert out.A == a_hand
     assert out.mu == mu_hand
     np.testing.assert_array_equal(out.theta, theta_hand)
@@ -198,9 +277,8 @@ def test_ooo_step_median_composition(data, hyper):
     out = ooo_step(init, data, hyper, 1, MedianStream())
 
     mu_hand = mu_params(init.theta, init.A)[0]
-    theta_hand = np.array(
-        [theta_params(mu_hand, init.A, data, i)[0] for i in range(data.m)]
-    )
+    V = data.V
+    theta_hand = np.array([(V * mu_hand + init.A * y) / (init.A + V) for y in data.y])
     shape, rate = ig_params(theta_hand, hyper)
     assert out.mu == mu_hand
     np.testing.assert_array_equal(out.theta, theta_hand)
@@ -209,25 +287,22 @@ def test_ooo_step_median_composition(data, hyper):
 
 
 def test_ooo_key_audit(data, hyper):
-    stream = KeyedStream(3)
+    # three draws per sweep, with A keyed one iteration ahead
+    stream = RecordingStream(3)
     run_chain("ooo", default_init(data), data, hyper, n=4, seed=3, stream=stream)
-    want = (
-        {StreamKey(i, "mu") for i in range(1, 5)}
-        | {StreamKey(i, f"theta_{j}") for i in range(1, 5) for j in range(1, 7)}
-        | {StreamKey(i, "A") for i in range(2, 6)}
-    )
-    assert stream.consumed == want
+    assert stream.keys == [
+        key for i in range(1, 5) for key in ((i, "mu"), (i, "theta"), (i + 1, "A"))
+    ]
+    assert stream.consumed == {"mu": 4, "theta": 4, "A": 5}
 
 
 def test_block_key_audit(data, hyper):
-    stream = KeyedStream(3)
+    stream = RecordingStream(3)
     run_chain("block", default_init(data), data, hyper, n=4, seed=3, stream=stream)
-    want = {
-        StreamKey(i, step)
-        for i in range(1, 5)
-        for step in ["A", "mu"] + [f"theta_{j}" for j in range(1, 7)]
-    }
-    assert stream.consumed == want
+    assert stream.keys == [
+        (i, step) for i in range(1, 5) for step in ("A", "mu", "theta")
+    ]
+    assert stream.consumed == {"A": 4, "mu": 4, "theta": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -237,35 +312,45 @@ def test_run_chain_deterministic_and_positive(data, hyper):
     init = default_init(data)
     a = run_chain("block", init, data, hyper, n=50, seed=9)
     b = run_chain("block", init, data, hyper, n=50, seed=9)
-    assert len(a) == 51
-    assert all(states_equal(s, t) for s, t in zip(a, b))
-    assert all(s.A > 0 for s in a)
+    assert a.A.shape == a.mu.shape == (51,) and a.theta.shape == (51, data.m)
+    assert trajectories_equal(a, b)
+    assert (a.A > 0).all()
+    assert not any(column.flags.writeable for column in a)
+    with pytest.raises(ValueError):
+        a.theta[1, 0] = 0.0
 
 
 def test_run_chain_chunked_equals_monolithic(data, hyper):
     init = default_init(data)
     whole = run_chain("ooo", init, data, hyper, n=40, seed=13)
-    first = run_chain("ooo", init, data, hyper, n=25, seed=13)
+    # one audited stream across both chunks: the second starts above every
+    # label's mark (the first chunk drew A up to iteration 26)
+    stream = KeyedStream(13)
+    first = run_chain("ooo", init, data, hyper, n=25, seed=13, stream=stream)
+    last = RemState(first.A[-1], first.mu[-1], first.theta[-1])
     second = run_chain(
-        "ooo", first[-1], data, hyper, n=15, seed=13, first_iteration=26
+        "ooo", last, data, hyper, n=15, seed=13, stream=stream, first_iteration=26
     )
-    stitched = first + second[1:]
-    assert len(stitched) == len(whole)
-    assert all(states_equal(s, t) for s, t in zip(whole, stitched))
+    stitched = Trajectory(*(np.concatenate((a, b[1:])) for a, b in zip(first, second)))
+    assert stitched.A.size == whole.A.size
+    assert trajectories_equal(whole, stitched)
+    # running any sweep again on that stream reuses its keys
+    with pytest.raises(ValueError, match="already consumed"):
+        run_chain("ooo", last, data, hyper, n=1, seed=13, stream=stream, first_iteration=40)
 
 
 def test_shifted_view_reindexes(data, hyper):
     traj = run_chain("block", default_init(data), data, hyper, n=5, seed=1)
     view = shifted_view(traj)
-    assert len(view) == 5
-    for k, s in enumerate(view):
-        assert s.A == traj[k + 1].A
-        assert s.mu == traj[k].mu
-        assert (s.theta == traj[k].theta).all()
-        assert s.variant == "ooo"
-    assert len(shifted_view(traj[:2])) == 1
+    assert view.A.size == 5 and view.theta.shape == (5, data.m)
+    np.testing.assert_array_equal(view.A, traj.A[1:])
+    np.testing.assert_array_equal(view.mu, traj.mu[:-1])
+    np.testing.assert_array_equal(view.theta, traj.theta[:-1])
+    # a slice of the trajectory's arrays, not a copy
+    assert all(np.shares_memory(v, t) for v, t in zip(view, traj))
+    assert shifted_view(Trajectory(*(c[:2] for c in traj))).A.size == 1
     with pytest.raises(ValueError):
-        shifted_view(traj[:1])
+        shifted_view(Trajectory(*(c[:1] for c in traj)))
 
 
 @pytest.mark.parametrize("seed", [0, 42, 777])
@@ -273,9 +358,10 @@ def test_shifted_view_is_the_ooo_run_bit_for_bit(data, hyper, seed):
     init = default_init(data)
     base = run_chain("block", init, data, hyper, n=201, seed=seed)
     view = shifted_view(base)
-    ooo = run_chain("ooo", view[0], data, hyper, n=200, seed=seed)
-    assert len(view) == len(ooo) == 201
-    assert all(states_equal(s, t) for s, t in zip(view, ooo))
+    start = RemState(view.A[0], view.mu[0], view.theta[0])
+    ooo = run_chain("ooo", start, data, hyper, n=200, seed=seed)
+    assert view.A.size == ooo.A.size == 201
+    assert trajectories_equal(view, ooo)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +369,18 @@ def test_shifted_view_is_the_ooo_run_bit_for_bit(data, hyper, seed):
 # ---------------------------------------------------------------------------
 def test_estimate_constant_function(data, hyper):
     traj = run_chain("block", default_init(data), data, hyper, n=200, seed=2)
-    mean, se = estimate(traj, lambda s: 3.25, burn_in=0)
+    mean, se = estimate(np.full(traj.A.size, 3.25), burn_in=0)
     assert mean == 3.25
     assert se == 0.0
     with pytest.raises(ValueError):
-        estimate(traj, lambda s: s.A, burn_in=150)
+        estimate(traj.A, burn_in=150)
 
 
 def test_posterior_mean_of_mu_is_data_mean(data, hyper):
     # flat prior on mu: E[mu | y, A] is the data mean for every A, so the
     # long-run average must match it within Monte Carlo error
     traj = run_chain("block", default_init(data), data, hyper, n=20_000, seed=31)
-    mean, se = estimate(traj, lambda s: s.mu, burn_in=500)
+    mean, se = estimate(traj.mu, burn_in=500)
     assert abs(mean - data.y.mean()) < 3 * se
 
 
@@ -303,9 +389,9 @@ def test_single_variable_marginals_agree_between_sweeps(data, hyper):
     n = 20_000
     block = run_chain("block", init, data, hyper, n=n, seed=17)
     ooo = run_chain("ooo", init, data, hyper, n=n, seed=18)
-    for g in (lambda s: s.A, lambda s: s.mu):
-        mb, seb = estimate(block, g, burn_in=1000)
-        mo, seo = estimate(ooo, g, burn_in=1000)
+    for column in ("A", "mu"):
+        mb, seb = estimate(getattr(block, column), burn_in=1000)
+        mo, seo = estimate(getattr(ooo, column), burn_in=1000)
         assert abs(mb - mo) < 3 * math.hypot(seb, seo)
 
 
@@ -320,7 +406,34 @@ def test_trajectory_csv(tmp_path, data, hyper):
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, 7)]
     assert [row[0] for row in rows[1:]] == ["0", "1", "2", "3"]
-    assert float(rows[2][1]) == traj[1].A
+    assert float(rows[2][1]) == traj.A[1]
+
+
+def test_trajectory_csv_matches_the_csv_module(tmp_path, data, hyper):
+    # reference: csv.writer's default dialect, one row per state, .17g floats;
+    # rows beyond the writer's 1024-row blocks are numbered on
+    traj = run_chain("block", default_init(data), data, hyper, n=1100, seed=8)
+    path = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, 7)])
+        for k in range(traj.A.size):
+            writer.writerow(
+                [k, format(traj.A[k], ".17g"), format(traj.mu[k], ".17g")]
+                + [format(t, ".17g") for t in traj.theta[k]]
+            )
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_trajectory_csv_golden_digest(tmp_path, data, hyper):
+    # pins the key layout (A, mu, theta vector per sweep) and the CSV format:
+    # any change to either changes every trajectory for a given seed
+    traj = run_chain("block", default_init(data), data, hyper, n=20, seed=2024)
+    path = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
 
 
 def test_model_config_round_trip(data, hyper):

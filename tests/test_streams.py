@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import gammainccinv
 
-from blockgibbs import KeyedStream, MedianStream, StreamKey, theta_step
+from blockgibbs import KeyedStream, MedianStream, StreamKey
 
 
 def test_stream_key_labels():
+    # three labels per sweep: A, mu, and one vector draw for all of theta
     assert StreamKey(3, "A").code() == 0
     assert StreamKey(3, "mu").code() == 1
-    assert StreamKey(3, theta_step(1)).code() == 2
-    assert StreamKey(3, theta_step(12)).code() == 13
+    assert StreamKey(3, "theta").code() == 2
     with pytest.raises(ValueError):
-        StreamKey(3, "theta_0")
+        StreamKey(3, "theta_1")
     with pytest.raises(ValueError):
         StreamKey(3, "sigma")
     with pytest.raises(ValueError):
@@ -36,11 +36,16 @@ def test_different_keys_and_seeds_differ():
 
 def test_state_reset_equals_fresh_generator():
     # the reused-generator fast path must reproduce a per-key generator
-    key = StreamKey(7, theta_step(3))
+    key = StreamKey(7, "theta")
     fast = KeyedStream(42).gamma(key, 2.5)
     philox_key = np.array([42, (7 << 16) | key.code()], dtype=np.uint64)
     fresh = np.random.Generator(np.random.Philox(key=philox_key)).standard_gamma(2.5)
     assert fast == fresh
+    # a vector normal draw is mean + sd * z for the key's first size variates
+    mean = np.arange(5.0)
+    vec = KeyedStream(42).normal(key, mean, 2.0, size=5)
+    z = np.random.Generator(np.random.Philox(key=philox_key)).standard_normal(5)
+    np.testing.assert_array_equal(vec, mean + 2.0 * z)
 
 
 def test_audit_rejects_key_reuse():
@@ -50,6 +55,17 @@ def test_audit_rejects_key_reuse():
         s.normal(StreamKey(1, "mu"), 0.0, 1.0)
     # a separate draw is still fine
     s.normal(StreamKey(2, "mu"), 0.0, 1.0)
+
+
+def test_audit_rejects_a_lower_iteration():
+    s = KeyedStream(0)
+    s.normal(StreamKey(5, "mu"), 0.0, 1.0)
+    with pytest.raises(ValueError, match="out of order"):
+        s.normal(StreamKey(3, "mu"), 0.0, 1.0)
+    # each label keeps its own mark
+    s.gamma(StreamKey(1, "A"), 2.0)
+    s.normal(StreamKey(1, "theta"), np.zeros(3), 1.0, size=3)
+    assert s.consumed == {"mu": 5, "A": 1, "theta": 1}
 
 
 def test_audit_can_be_disabled():
@@ -67,4 +83,7 @@ def test_gamma_validates_shape():
 def test_median_stream_values():
     ms = MedianStream()
     assert ms.normal(StreamKey(1, "mu"), 2.5, 10.0) == 2.5
+    np.testing.assert_array_equal(
+        ms.normal(StreamKey(1, "theta"), np.array([1.0, -2.0]), 3.0, size=2), [1.0, -2.0]
+    )
     assert ms.gamma(StreamKey(1, "A"), 3.0) == pytest.approx(gammainccinv(3.0, 0.5))

@@ -19,10 +19,8 @@ from .analysis import (
 from .corpus import anti_example_pmf, seeded_corpus
 from .finite_model import (
     AXES,
-    ConditionalTable,
     Dims,
     JointPmf3,
-    MarginalTable,
     conditional,
     marginal,
     pi_star,

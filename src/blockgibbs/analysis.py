@@ -22,7 +22,7 @@ here; no explicit multiplicative bound function is constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class SpectrumSummary:
     moduli: np.ndarray
     slem: float
     unit_multiplicity: int
-    eigenvalues: np.ndarray = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -81,7 +80,7 @@ def spectrum(kernel: Kernel, tol: float = UNIT_EIG_TOL) -> SpectrumSummary:
     non_unit = eigs[np.abs(eigs - 1.0) > tol]
     slem = float(np.abs(non_unit).max()) if non_unit.size else 0.0
     unit_multiplicity = int(np.count_nonzero(np.abs(eigs - 1.0) <= tol))
-    return SpectrumSummary(moduli, slem, unit_multiplicity, np.sort_complex(eigs))
+    return SpectrumSummary(moduli, slem, unit_multiplicity)
 
 
 def stationary(kernel: Kernel) -> np.ndarray:
@@ -266,54 +265,43 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     xz_of_ooo_state = x_ooo * dims.nz + z_ooo  # index of nu_xz(x, z) above
 
     chain1 = np.full((nmax, 3), np.nan)
-    chain2 = np.full((nmax, 3), np.nan)
-    chain1_ok: list = [None] * nmax
-    chain2_ok: list = [None] * nmax
-    max_violation = -np.inf
-    violations: list = []
+    chain1[:, 0] = tv_block.max(axis=1)
+    chain1[:, 1] = tv_z.max(axis=1)
+    chain1[1:, 2] = tv_nu_z.max(axis=1)
+    chain2 = np.column_stack([a.max(axis=1) for a in (tv_ooo, tv_nu_xy, tv_nu_rot)])
 
-    def record(chain: int, n: int, codec, gaps: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
-        nonlocal max_violation
-        max_violation = max(max_violation, float(gaps.max()))
-        if gaps.max() > tol and len(violations) < 20:
-            bad = int(np.argmax(gaps))
-            violations.append(
-                {
-                    "chain": chain,
-                    "n": n,
-                    "state": codec.state_label(bad) if codec is not None else bad,
-                    "lhs": float(lhs[bad]),
-                    "rhs": float(rhs[bad]),
-                }
-            )
+    # The four checked (chain, codec of the starts, lhs, rhs) pairs in the
+    # order each n records them; lhs and rhs are [n, start] arrays from the
+    # pair's first checked n (3 for chain 1, 1 for chain 2) to nmax. Starts
+    # without a codec are nu_xz indices.
+    pairs = (
+        (1, k_block.codec, tv_block[2:], tv_z[2:, z_of_block_state]),
+        (1, k_z.codec, tv_z[2:], tv_nu_z[1:]),
+        (2, k_ooo.codec, tv_ooo, tv_nu_xy[:, xz_of_ooo_state]),
+        (2, None, tv_nu_xy, tv_nu_rot),
+    )
+    # largest gap lhs - rhs per (n, pair), -inf where a pair is not checked
+    worst = np.full((nmax, len(pairs)), -np.inf)
+    for p, (_, _, lhs, rhs) in enumerate(pairs):
+        worst[nmax - len(lhs):, p] = (lhs - rhs).max(axis=1)
+    ok = worst <= tol
 
-    for n in range(1, nmax + 1):
-        i = n - 1
-        chain1[i, 0] = tv_block[n - 1].max()
-        chain1[i, 1] = tv_z[n - 1].max()
-        if n >= 2:
-            chain1[i, 2] = tv_nu_z[n - 2].max()
-        if n >= 3:
-            lhs = tv_block[n - 1]
-            mid = tv_z[n - 1][z_of_block_state]
-            record(1, n, k_block.codec, lhs - mid, lhs, mid)
-            mid_z = tv_z[n - 1]
-            rhs_z = tv_nu_z[n - 2]
-            record(1, n, k_z.codec, mid_z - rhs_z, mid_z, rhs_z)
-            chain1_ok[i] = bool(
-                (lhs - mid).max() <= tol and (mid_z - rhs_z).max() <= tol
-            )
-
-        lhs2 = tv_ooo[n - 1]
-        mid2 = tv_nu_xy[n - 1][xz_of_ooo_state]
-        record(2, n, k_ooo.codec, lhs2 - mid2, lhs2, mid2)
-        mid2_pair = tv_nu_xy[n - 1]
-        rhs2_pair = tv_nu_rot[n - 1]
-        record(2, n, None, mid2_pair - rhs2_pair, mid2_pair, rhs2_pair)
-        chain2_ok[i] = bool(
-            (lhs2 - mid2).max() <= tol and (mid2_pair - rhs2_pair).max() <= tol
+    violations = []
+    for i, p in np.argwhere(worst > tol)[:20]:
+        chain, codec, lhs, rhs = pairs[p]
+        row = i - (nmax - len(lhs))
+        start = int(np.argmax(lhs[row] - rhs[row]))
+        violations.append(
+            {
+                "chain": chain,
+                "n": int(i) + 1,
+                "state": codec.state_label(start) if codec is not None else start,
+                "lhs": float(lhs[row, start]),
+                "rhs": float(rhs[row, start]),
+            }
         )
-        chain2[i] = (lhs2.max(), mid2_pair.max(), rhs2_pair.max())
+    chain1_ok = [None, None] + ok[2:, :2].all(axis=1).tolist()
+    chain2_ok = ok[:, 2:].all(axis=1).tolist()
 
     return Prop1Report(
         nmax=nmax,
@@ -325,7 +313,7 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
         chain2_ok=chain2_ok,
         chain1_verdict=all(ok for ok in chain1_ok if ok is not None),
         chain2_verdict=all(chain2_ok),
-        max_violation=float(max_violation),
+        max_violation=float(worst.max()),
         violations=violations,
     )
 
@@ -423,7 +411,7 @@ def check_marginal_agreement(pmf: JointPmf3) -> dict[str, float]:
     out: dict[str, float] = {}
     for subset in MARGINAL_SUBSETS:
         key = "".join(subset)
-        out[key] = tv(marginal(pmf, subset).table, marginal(star, subset).table)
+        out[key] = tv(marginal(pmf, subset), marginal(star, subset))
     return out
 
 

@@ -11,6 +11,7 @@ tolerances here are machine-precision ones, not statistical ones.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -44,10 +45,6 @@ def _axis_indices(labels: Iterable[str]) -> tuple[int, ...]:
     return tuple(i for i, a in enumerate(AXES) if a in subset)
 
 
-def _canonical(labels: Iterable[str]) -> tuple[str, ...]:
-    return tuple(AXES[i] for i in _axis_indices(labels))
-
-
 @dataclass(frozen=True)
 class Dims:
     """Sizes of the three coordinate spaces.
@@ -59,15 +56,14 @@ class Dims:
     nx: int
     ny: int
     nz: int
-    cap: int = field(default=DEFAULT_STATE_CAP, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, n in zip(("nx", "ny", "nz"), (self.nx, self.ny, self.nz)):
             if not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
-        if self.size > self.cap:
+        if self.size > DEFAULT_STATE_CAP:
             raise ValueError(
-                f"state space has {self.size} cells, exceeding the cap of {self.cap}"
+                f"state space has {self.size} cells, exceeding the cap of {DEFAULT_STATE_CAP}"
             )
 
     @property
@@ -84,13 +80,15 @@ class JointPmf3:
     """Joint probability mass function on X x Y x Z.
 
     The tensor is validated (nonnegative, unit mass) and frozen read-only at
-    construction; operations on it are pure functions. ``conditional``
-    keeps each table it builds here, so each is built once per pmf.
+    construction; operations on it are pure functions. What is derived from
+    it alone (conditional tables, ``pi_star``, the five sweep kernels) is
+    built on first use and kept in ``_derived``, so each is built once per
+    pmf and every caller shares the same read-only object.
     """
 
     dims: Dims
     p: np.ndarray
-    _conditionals: dict = field(default_factory=dict, init=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float)
@@ -129,106 +127,77 @@ class JointPmf3:
         return cls(dims, p)
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalTable:
-    """Probability table over a subset of the variables, axes in canonical order."""
+def _once_per_pmf(build):
+    """Decorate a function of a pmf alone: its result is built on the first
+    call, kept on the pmf, and returned again by every later call."""
 
-    variables: tuple[str, ...]
-    table: np.ndarray
+    @functools.wraps(build)
+    def kept(pmf: JointPmf3):
+        if build not in pmf._derived:
+            # threads that both built it still return the one kept object
+            pmf._derived.setdefault(build, build(pmf))
+        return pmf._derived[build]
 
-    def __post_init__(self) -> None:
-        if self.variables != _canonical(self.variables):
-            raise ValueError("variables must be in canonical (X, Y, Z) order")
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != len(self.variables):
-            raise ValueError("table rank does not match variable count")
-        if abs(float(t.sum()) - 1.0) > 1e-12:
-            raise ValueError("marginal table must sum to 1")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+    return kept
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalTable:
-    """Conditional probability table.
-
-    ``table`` axes are (given..., target...), each group in canonical order,
-    and every conditioning row sums to 1.
-    """
-
-    target: tuple[str, ...]
-    given: tuple[str, ...]
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.target != _canonical(self.target) or self.given != _canonical(self.given):
-            raise ValueError("variable groups must be in canonical (X, Y, Z) order")
-        if set(self.target) & set(self.given):
-            raise ValueError("target and given must be disjoint")
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != len(self.target) + len(self.given):
-            raise ValueError("table rank does not match variable counts")
-        row_sums = t.sum(axis=tuple(range(len(self.given), t.ndim)))
-        if np.abs(row_sums - 1.0).max() > 1e-12:
-            raise ValueError("every conditional row must sum to 1")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-
-def marginal(pmf: JointPmf3, variables: Iterable[str]) -> MarginalTable:
-    """Sum the joint tensor over the complement of ``variables``."""
+def marginal(pmf: JointPmf3, variables: Iterable[str]) -> np.ndarray:
+    """Read-only table of the pmf summed over the complement of
+    ``variables``. Its axes are in canonical (X, Y, Z) order, whatever the
+    order of ``variables``."""
     keep = _axis_indices(variables)
     drop = tuple(i for i in range(3) if i not in keep)
-    table = pmf.p.sum(axis=drop) if drop else np.asarray(pmf.p)
-    return MarginalTable(tuple(AXES[i] for i in keep), table)
+    if not drop:
+        return pmf.p
+    table = pmf.p.sum(axis=drop)
+    table.setflags(write=False)
+    return table
 
 
-def conditional(
-    pmf: JointPmf3, target: Iterable[str], given: Iterable[str]
-) -> ConditionalTable:
-    """Conditional distribution of ``target`` given ``given``.
+def conditional(pmf: JointPmf3, target: Iterable[str], given: Iterable[str]) -> np.ndarray:
+    """Conditional table of ``target`` given ``given``.
 
-    Raises if a conditioning cell has zero probability; strictly positive
-    pmfs (e.g. from ``random_pmf``) can never hit that path. The table is
-    read-only and shared by every call with the same pmf and variables.
+    Its axes are (given..., target...), each group in canonical (X, Y, Z)
+    order whatever the order of the labels, and every conditioning row sums
+    to 1. Raises if a conditioning cell has zero probability; strictly
+    positive pmfs (e.g. from ``random_pmf``) can never hit that path. The
+    table is read-only and kept on the pmf, so every call with the same pmf
+    and variables returns the same array.
     """
     t_axes = _axis_indices(target)
     g_axes = _axis_indices(given)
     if set(t_axes) & set(g_axes):
         raise ValueError("target and given must be disjoint")
-    cached = pmf._conditionals.get((t_axes, g_axes))
-    if cached is not None:
-        return cached
+    key = (t_axes, g_axes)
+    if key in pmf._derived:
+        return pmf._derived[key]
 
     union = sorted(t_axes + g_axes)
-    joint = marginal(pmf, [AXES[i] for i in union]).table
+    joint = marginal(pmf, [AXES[i] for i in union])
     # reorder union axes to (given..., target...)
     perm = [union.index(i) for i in g_axes] + [union.index(i) for i in t_axes]
     joint = np.transpose(joint, perm)
 
-    denom = marginal(pmf, [AXES[i] for i in g_axes]).table
+    denom = marginal(pmf, [AXES[i] for i in g_axes])
     if (denom == 0).any():
         bad = np.argwhere(denom == 0)[0]
         cell = ", ".join(f"{AXES[a]}={i}" for a, i in zip(g_axes, bad))
         raise ValueError(f"conditioning cell ({cell}) has zero probability")
-    table = joint / denom.reshape(denom.shape + (1,) * len(t_axes))
-    result = ConditionalTable(
-        tuple(AXES[i] for i in t_axes), tuple(AXES[i] for i in g_axes), table
-    )
-    pmf._conditionals[(t_axes, g_axes)] = result
-    return result
+    # C order, so that the kernels built from it sum in one fixed order
+    table = np.ascontiguousarray(joint / denom.reshape(denom.shape + (1,) * len(t_axes)))
+    table.setflags(write=False)
+    return pmf._derived.setdefault(key, table)
 
 
+@_once_per_pmf
 def pi_star(pmf: JointPmf3) -> JointPmf3:
     """Distribution actually preserved by the out-of-order sweep.
 
     q(x, y, z) = P(X=x | Z=z) * P(Y=y, Z=z). It agrees with the input on
-    every marginal except those coupling X and Y jointly.
+    every marginal except those coupling X and Y jointly. Built once per pmf.
     """
-    cx_given_z = conditional(pmf, ("X",), ("Z",)).table  # axes (z, x)
-    m_yz = marginal(pmf, ("Y", "Z")).table  # axes (y, z)
+    cx_given_z = conditional(pmf, ("X",), ("Z",))  # axes (z, x)
+    m_yz = marginal(pmf, ("Y", "Z"))  # axes (y, z)
     q = np.einsum("zx,yz->xyz", cx_given_z, m_yz)
     q /= q.sum()
     return JointPmf3(pmf.dims, q)

@@ -27,6 +27,10 @@ state to the row it reads. The nonzero spectrum of K is the spectrum of the
 r x r core C R (Liu, Wong & Kong 1994), and one step v K = (v R) C costs
 O(r s). The block kernel's core is the z-marginal kernel and the rotated
 kernel's core is the xy-marginal kernel.
+
+The five kernel factories build their kernel once per pmf and keep it on
+the pmf, so every caller shares one read-only kernel, its core and its
+core eigenvalues.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .finite_model import AXES, JointPmf3, conditional, marginal
+from .finite_model import AXES, JointPmf3, _once_per_pmf, conditional, marginal
 
 #: Row-stochasticity tolerance for kernels and initial measures.
 ROW_SUM_TOL = 1e-12
@@ -160,14 +164,19 @@ class Kernel:
 
     @functools.cached_property
     def core(self) -> np.ndarray:
-        """The r x r core C R; K's nonzero spectrum is the core's."""
-        return self._select(self.rows)
+        """The r x r core C R (read-only); K's nonzero spectrum is the
+        core's."""
+        core = self._select(self.rows)
+        core.setflags(write=False)
+        return core
 
     @functools.cached_property
     def core_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the core. K's eigenvalues are these plus s - r
-        structural zeros."""
-        return np.linalg.eigvals(self.core)
+        """Eigenvalues of the core (read-only). K's eigenvalues are these
+        plus s - r structural zeros."""
+        eigs = np.linalg.eigvals(self.core)
+        eigs.setflags(write=False)
+        return eigs
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -214,8 +223,7 @@ class NuXZ(NamedTuple):
 def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
     """Marginal of the pmf on the codec's variables, flattened to its state
     order. For a three-variable codec this is the full joint."""
-    table = marginal(pmf, codec.labels).table
-    return codec.flatten_canonical(table)
+    return codec.flatten_canonical(marginal(pmf, codec.labels))
 
 
 def _kernel_from_einsum(
@@ -253,37 +261,39 @@ def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
     drawn: set[str] = set()
     for label in order:
         others = tuple(a for a in AXES if a != label)
-        cond = conditional(pmf, (label,), others)
         subs.append(
             "".join(_NXT[u] if u in drawn else _CUR[u] for u in others) + _NXT[label]
         )
-        operands.append(cond.table)
+        operands.append(conditional(pmf, (label,), others))
         drawn.add(label)
     codec = StateCodec.for_labels(pmf, ("X", "Y", "Z"))
     return _kernel_from_einsum(codec, order[1:], ",".join(subs), operands)
 
 
+@_once_per_pmf
 def block_kernel(pmf: JointPmf3) -> Kernel:
     """Joint (X, Y) refresh given Z, then Z refresh. Rows depend only on z:
     nz distinct rows."""
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z, x', y')
-    c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x', y', z')
+    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
+    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x', y', z')
     codec = StateCodec.for_labels(pmf, ("X", "Y", "Z"))
     return _kernel_from_einsum(codec, ("Z",), "zab,abc", [c_xy, c_z])
 
 
+@_once_per_pmf
 def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
     """Z refresh first, then the joint (X, Y) refresh given the new z.
 
     This is the one reordering of the block sweep that stays valid; rows
     depend only on (x, y): nx * ny distinct rows.
     """
-    c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x, y, z')
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z', x', y')
+    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y, z')
+    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z', x', y')
     codec = StateCodec.for_labels(pmf, ("Z", "X", "Y"))
     return _kernel_from_einsum(codec, ("X", "Y"), "xyc,cab", [c_z, c_xy])
 
 
+@_once_per_pmf
 def ooo_kernel(pmf: JointPmf3) -> Kernel:
     """Out-of-order sweep: Y given (x, z), then Z given (x, y'), then X
     given z'. Splitting the joint (X, Y) refresh across iterations is what
@@ -292,27 +302,29 @@ def ooo_kernel(pmf: JointPmf3) -> Kernel:
     Rows never read the current y, so there are nz * nx distinct rows, one
     per (z, x).
     """
-    c_y = conditional(pmf, ("Y",), ("X", "Z")).table  # (x, z, y')
-    c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x, y', z')
-    c_x = conditional(pmf, ("X",), ("Z",)).table  # (z', x')
+    c_y = conditional(pmf, ("Y",), ("X", "Z"))  # (x, z, y')
+    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y', z')
+    c_x = conditional(pmf, ("X",), ("Z",))  # (z', x')
     codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
     return _kernel_from_einsum(codec, ("Z", "X"), "xzb,xbc,ca", [c_y, c_z, c_x])
 
 
+@_once_per_pmf
 def marginal_xy_kernel(pmf: JointPmf3) -> Kernel:
     """Projection of the block sweep onto (X, Y); reversible with respect to
     the (X, Y)-marginal of the pmf."""
-    c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x, y, z)
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z, x', y')
+    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y, z)
+    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
     codec = StateCodec.for_labels(pmf, ("X", "Y"))
     return _kernel_from_einsum(codec, ("X", "Y"), "xyz,zab", [c_z, c_xy])
 
 
+@_once_per_pmf
 def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
     """Projection of the block sweep onto Z; reversible with respect to the
     Z-marginal of the pmf."""
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",)).table  # (z, x', y')
-    c_z = conditional(pmf, ("Z",), ("X", "Y")).table  # (x', y', z')
+    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
+    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x', y', z')
     codec = StateCodec.for_labels(pmf, ("Z",))
     return _kernel_from_einsum(codec, ("Z",), "zab,abc", [c_xy, c_z])
 
@@ -327,7 +339,7 @@ def nu_z(pmf: JointPmf3, z: int) -> InitialMeasure:
     codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
     if not 0 <= z < pmf.dims.nz:
         raise ValueError(f"z index {z} out of range [0, {pmf.dims.nz})")
-    c_x = conditional(pmf, ("X",), ("Z",)).table  # (z, x)
+    c_x = conditional(pmf, ("X",), ("Z",))  # (z, x)
     v = np.zeros(codec.sizes)
     v[0, z] = c_x[z]
     return InitialMeasure(codec, v.ravel())
@@ -345,7 +357,7 @@ def nu_xz(pmf: JointPmf3, x: int, z: int) -> NuXZ:
         raise ValueError(f"x index {x} out of range [0, {pmf.dims.nx})")
     if not 0 <= z < pmf.dims.nz:
         raise ValueError(f"z index {z} out of range [0, {pmf.dims.nz})")
-    c_y = conditional(pmf, ("Y",), ("X", "Z")).table  # (x, z, y)
+    c_y = conditional(pmf, ("Y",), ("X", "Z"))  # (x, z, y)
 
     flat_codec = StateCodec.for_labels(pmf, ("X", "Y"))
     flat = np.zeros(flat_codec.sizes)

@@ -11,6 +11,7 @@ import pytest
 
 from blockgibbs import (
     Dims,
+    JointPmf3,
     Kernel,
     StateCodec,
     analyze,
@@ -20,11 +21,13 @@ from blockgibbs import (
     check_prop1,
     check_rate_equality,
     flatten_to_codec,
+    marginal_xy_kernel,
     marginal_z_kernel,
     ooo_kernel,
     pi_star,
     product_pmf,
     random_pmf,
+    rotated_block_kernel,
     spectrum,
     stationary,
     tv,
@@ -221,6 +224,54 @@ def test_prop1_requires_nmax_three(pmf_322):
         check_prop1(pmf_322, nmax=2)
 
 
+def test_prop1_negative_tol_records_every_pair(pmf_322):
+    # tol = -1 is below every gap, so each checked (lhs, rhs) pair is a
+    # violation: per n, chain 1's (block, z-marginal) and (z-marginal, nu_z)
+    # pairs from n = 3, then chain 2's (ooo, nu_xz) and (nu_xz, lifted nu_xz)
+    # pairs from n = 1; the list stops at 20 entries (n = 6)
+    report = check_prop1(pmf_322, nmax=8, tol=-1.0)
+    expected = [
+        (2, 1, "y0_z0_x0", 0.24265642959406386, 0.6076522076395303),
+        (2, 1, 4, 0.7075183811362975, 0.827658469952883),
+        (2, 2, "y0_z1_x0", 0.008991175515929284, 0.01674575597739969),
+        (2, 2, 1, 0.01674575597739969, 0.04499967541031174),
+        (1, 3, "x0_y0_z1", 0.006598060905015661, 0.01773049837008775),
+        (1, 3, "z1", 0.01773049837008775, 0.08873886068662144),
+        (2, 3, "y0_z1_x0", 0.0017964848950826305, 0.003345891492924427),
+        (2, 3, 1, 0.003345891492924427, 0.008991175515929296),
+        (1, 4, "x0_y0_z1", 0.0013183278128311143, 0.0035426482830546446),
+        (1, 4, "z1", 0.0035426482830546446, 0.01773049837008782),
+        (2, 4, "y0_z1_x0", 0.00035894727808864074, 0.0006685269926024126),
+        (2, 4, 1, 0.0006685269926024126, 0.0017964848950826422),
+        (1, 5, "x0_y0_z1", 0.00026340893894487337, 0.0007078400502606719),
+        (1, 5, "z1", 0.0007078400502606719, 0.0035426482830546654),
+        (2, 5, "y0_z1_x0", 7.171958350439891e-05, 0.00013357526410617826),
+        (2, 5, 1, 0.00013357526410617826, 0.00035894727808867153),
+        (1, 6, "x0_y0_z1", 5.263051301863638e-05, 0.0001414302230197395),
+        (1, 6, "z1", 0.0001414302230197395, 0.0007078400502606979),
+        (2, 6, "y0_z1_x0", 1.4329955879436793e-05, 2.6689051270158137e-05),
+        (2, 6, 1, 2.6689051270158137e-05, 7.171958350440238e-05),
+    ]
+    assert [(v["chain"], v["n"], v["state"]) for v in report.violations] == [
+        e[:3] for e in expected
+    ]
+    for v, (*_, lhs, rhs) in zip(report.violations, expected):
+        assert v["lhs"] == pytest.approx(lhs, rel=1e-9)
+        assert v["rhs"] == pytest.approx(rhs, rel=1e-9)
+    assert report.chain1_ok == [None, None] + [False] * 6
+    assert report.chain2_ok == [False] * 8
+    assert not report.chain1_verdict and not report.chain2_verdict
+    # the largest gap over all n, including those past the 20-entry cap
+    assert report.max_violation == pytest.approx(-4.934019630919995e-07, rel=1e-6)
+
+    # the tolerance moves only the verdicts and the violation list
+    default = check_prop1(pmf_322, nmax=8)
+    assert default.verdict and default.violations == []
+    assert default.max_violation == report.max_violation
+    np.testing.assert_array_equal(default.chain1, report.chain1)
+    np.testing.assert_array_equal(default.chain2, report.chain2)
+
+
 # ---------------------------------------------------------------------------
 # check_rate_equality
 # ---------------------------------------------------------------------------
@@ -293,3 +344,34 @@ def test_analyze_report_serializes(pmf_322):
     assert doc["rates"]["verdict"] is True
     assert max(report.stationary_residuals.values()) <= 1e-12
     assert max(report.stationary_target_gap.values()) <= 1e-10
+
+
+def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
+    # every check reads the same five kernels and pi_star off the pmf: one
+    # construction and one core eigensolve per kernel, one pi_star
+    counts = {"eigvals": 0, "kernels": 0, "pmfs": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(Kernel, "__post_init__", counting("kernels", Kernel.__post_init__))
+    monkeypatch.setattr(JointPmf3, "__post_init__", counting("pmfs", JointPmf3.__post_init__))
+    analyze(pmf_322, nmax=10)
+    assert counts == {"eigvals": 5, "kernels": 5, "pmfs": 1}
+
+    factories = (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
+                 marginal_z_kernel)
+    for factory in factories + (pi_star,):
+        assert factory(pmf_322) is factory(pmf_322)
+    for factory in factories:
+        kernel = factory(pmf_322)
+        assert not kernel.core.flags.writeable
+        assert not kernel.core_eigenvalues.flags.writeable
+    # kept per pmf object, not per value
+    twin = JointPmf3(pmf_322.dims, pmf_322.p)
+    assert block_kernel(twin) is not block_kernel(pmf_322)

@@ -2,14 +2,28 @@
 codes, and report determinism."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
-from blockgibbs import cli, product_pmf, run_chain
+from blockgibbs import anti_example_pmf, cli, product_pmf, run_chain
 from blockgibbs.cli import ConfigError, main, parse_config
 
 MODEL = {"y": [1.2, -0.3, 0.7, 2.1, -1.0, 0.4], "V": 1.0, "a": 2.0, "b": 2.0}
+
+#: sha256 of (report.json, tv_curves.csv) for two exact runs; see
+#: test_exact_outputs_golden_digest.
+GOLDEN_EXACT_SHA256 = {
+    "dims-3,3,2-seed-7": (
+        "bd3c2b17a2700d58753b654b032ae4da632cd67adb453c63845d7841c8cda096",
+        "8dbf1ad96e2314a53e12545fbf29ae9e37ed634bbed0aafc1f1471cdb0be1ddf",
+    ),
+    "anti-example": (
+        "37cb0101e9c2b64fc7235ced7ade955c806d4dc1387d29e09f626327fc07cb41",
+        "06c1d792bfe243d0563291aba6bbceacab309044118c11d423b13a3ee9e9c24c",
+    ),
+}
 
 
 @pytest.fixture()
@@ -166,6 +180,26 @@ def test_exact_report_is_byte_identical(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "tv_curves.csv").read_bytes() == (out2 / "tv_curves.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXACT_SHA256))
+def test_exact_outputs_golden_digest(tmp_path, case):
+    # pins every number and verdict of the exact path's two artifacts for a
+    # seeded random pmf and for the counterexample (given inline, so that no
+    # file path enters report.json)
+    out = tmp_path / "out"
+    if case == "anti-example":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"pmf": anti_example_pmf().to_json_dict()}))
+        argv = ["exact", "--config", str(cfg_path)]
+    else:
+        argv = ["exact", "--dims", "3,3,2", "--seed", "7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("report.json", "tv_curves.csv")
+    )
+    assert digests == GOLDEN_EXACT_SHA256[case]
 
 
 def test_exact_non_finite_pmf_exits_2_at_parse_time(tmp_path, capsys):

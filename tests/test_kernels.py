@@ -196,7 +196,7 @@ def test_ooo_anti_example_erases_xy_dependence(anti_pmf):
         y, _, x = k.codec.decode(flat)
         xy[x, y] += mass
     np.testing.assert_allclose(xy, 0.25, atol=1e-14)
-    assert abs(tv(xy, marginal(anti_pmf, ("X", "Y")).table) - 0.3) < 1e-12
+    assert abs(tv(xy, marginal(anti_pmf, ("X", "Y"))) - 0.3) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def test_single_z_collapses_marginals(anti_pmf):
 def test_nu_z_mass_and_support(pmf_322):
     m = nu_z(pmf_322, 1)
     assert abs(m.vector.sum() - 1.0) < 1e-15
-    cond = conditional(pmf_322, ("X",), ("Z",)).table
+    cond = conditional(pmf_322, ("X",), ("Z",))
     for flat, mass in enumerate(m.vector):
         y, z, x = m.codec.decode(flat)
         if mass > 0:

@@ -35,10 +35,16 @@ from .kernels import (
     marginal_xy_kernel,
     marginal_z_kernel,
     nu_xz,
+    nu_xz_banks,
     nu_z,
+    nu_z_bank,
     ooo_kernel,
     rotated_block_kernel,
 )
+
+# ``nu_z`` and ``nu_xz`` stay bound here although ``check_prop1`` reads
+# whole start banks: perfbench/tracing.py rebinds ``analysis.nu_z`` and
+# ``analysis.nu_xz`` to time the ``kernels.nu`` layer.
 
 #: |eigenvalue - 1| below this counts as the unit eigenvalue.
 UNIT_EIG_TOL = 1e-9
@@ -64,7 +70,7 @@ class SpectrumSummary:
 
     def to_json_dict(self) -> dict:
         return {
-            "moduli": [float(m) for m in self.moduli],
+            "moduli": self.moduli.tolist(),
             "slem": float(self.slem),
             "unit_multiplicity": int(self.unit_multiplicity),
         }
@@ -147,10 +153,6 @@ def tv_curve(kernel: Kernel, init, target: np.ndarray, nmax: int) -> np.ndarray:
     return curve
 
 
-def _tv_rows(mat: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(mat - target[None, :]).sum(axis=1)
-
-
 @dataclass
 class Prop1Report:
     """Per-step record of the two total-variation inequality chains.
@@ -181,9 +183,10 @@ class Prop1Report:
         return self.chain1_verdict and self.chain2_verdict
 
     def to_json_dict(self) -> dict:
-        def cell(x: float):
-            return None if np.isnan(x) else float(x)
-
+        # undefined terms (NaN) become null
+        chain1, chain2 = (
+            np.where(np.isnan(a), None, a).tolist() for a in (self.chain1, self.chain2)
+        )
         return {
             "nmax": self.nmax,
             "tol": self.tol,
@@ -194,13 +197,13 @@ class Prop1Report:
             "violations": self.violations,
             "rows": [
                 {
-                    "n": int(n),
-                    "chain1": [cell(x) for x in self.chain1[i]],
+                    "n": n,
+                    "chain1": chain1[i],
                     "chain1_ok": self.chain1_ok[i],
-                    "chain2": [cell(x) for x in self.chain2[i]],
+                    "chain2": chain2[i],
                     "chain2_ok": self.chain2_ok[i],
                 }
-                for i, n in enumerate(self.n_values)
+                for i, n in enumerate(self.n_values.tolist())
             ],
         }
 
@@ -233,14 +236,16 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     pi_xy = flatten_to_codec(pmf, k_xy.codec)
     pi_zxy = flatten_to_codec(pmf, k_rot.codec)
 
-    # tv arrays indexed [n, start]; powers built by iterated factored steps
+    # tv arrays indexed [n, start]; powers built by iterated factored steps,
+    # each step's L1 distances summed straight into the curve and halved once
     def power_curves(kernel: Kernel, rows0: np.ndarray, target: np.ndarray, top: int):
         out = np.empty((top + 1, rows0.shape[0]))
         cur = rows0
-        out[0] = _tv_rows(cur, target)
+        np.add.reduce(np.abs(cur - target), axis=1, out=out[0])
         for n in range(1, top + 1):
             cur = kernel.step(cur)
-            out[n] = _tv_rows(cur, target)
+            np.add.reduce(np.abs(cur - target), axis=1, out=out[n])
+        out *= 0.5
         return out
 
     # One step from state i lands on rows[reads[i]], so the curves from every
@@ -248,13 +253,10 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     # states: entry [n - 1, i] is the distance after n steps from state i.
     tv_block = power_curves(k_block, k_block.rows, pi_xyz, nmax - 1)[:, k_block.reads]
     tv_z = power_curves(k_z, np.eye(dims.nz), pi_z, nmax - 1)
-    nu_z_bank = np.vstack([nu_z(pmf, z).vector for z in range(dims.nz)])
-    tv_nu_z = power_curves(k_ooo, nu_z_bank, pi_star_yzx, nmax - 2)
+    tv_nu_z = power_curves(k_ooo, nu_z_bank(pmf), pi_star_yzx, nmax - 2)
 
     tv_ooo = power_curves(k_ooo, k_ooo.rows, pi_star_yzx, nmax - 1)[:, k_ooo.reads]
-    measures = [nu_xz(pmf, x, z) for x in range(dims.nx) for z in range(dims.nz)]
-    nu_flat_bank = np.vstack([m.flat.vector for m in measures])
-    nu_lift_bank = np.vstack([m.lifted.vector for m in measures])
+    nu_flat_bank, nu_lift_bank = nu_xz_banks(pmf)
     tv_nu_xy = power_curves(k_xy, nu_flat_bank, pi_xy, nmax - 1)
     tv_nu_rot = power_curves(k_rot, nu_lift_bank, pi_zxy, nmax - 1)
 
@@ -262,7 +264,7 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     states = np.arange(k_block.codec.size)
     z_of_block_state = np.unravel_index(states, k_block.codec.sizes)[2]
     _, z_ooo, x_ooo = np.unravel_index(states, k_ooo.codec.sizes)
-    xz_of_ooo_state = x_ooo * dims.nz + z_ooo  # index of nu_xz(x, z) above
+    xz_of_ooo_state = x_ooo * dims.nz + z_ooo  # row of nu_xz(x, z) in its banks
 
     chain1 = np.full((nmax, 3), np.nan)
     chain1[:, 0] = tv_block.max(axis=1)

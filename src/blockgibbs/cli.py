@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -70,6 +72,10 @@ class RunConfig:
     shifted_check: bool = False
 
 
+#: JSON spellings of the literals, looked up only for bools and None
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} in report")
@@ -78,30 +84,36 @@ def _format_float(x: float) -> str:
 
 def _write_json(obj, path) -> None:
     """JSON writer with floats fixed at 17 significant digits so identical
-    runs produce byte-identical files."""
+    runs produce byte-identical files. Items go one per line under a
+    two-space indent; keys and strings are escaped to ASCII exactly as
+    ``json.dumps`` escapes them."""
 
     def render(node, indent: str) -> str:
-        pad = indent + "  "
+        if isinstance(node, (float, np.floating)):
+            return _format_float(float(node))
         if isinstance(node, dict):
             if not node:
                 return "{}"
-            items = ",\n".join(
-                f'{pad}{json.dumps(str(k))}: {render(v, pad)}' for k, v in node.items()
+            pad = indent + "  "
+            items = f",\n{pad}".join(
+                [f"{_quote(str(k))}: {render(v, pad)}" for k, v in node.items()]
             )
-            return "{\n" + items + "\n" + indent + "}"
+            return f"{{\n{pad}{items}\n{indent}}}"
         if isinstance(node, (list, tuple)):
             if not node:
                 return "[]"
-            items = ",\n".join(f"{pad}{render(v, pad)}" for v in node)
-            return "[\n" + items + "\n" + indent + "]"
+            pad = indent + "  "
+            # Python floats, most list items, skip the type dispatch
+            items = f",\n{pad}".join(
+                [_format_float(v) if type(v) is float else render(v, pad) for v in node]
+            )
+            return f"[\n{pad}{items}\n{indent}]"
         if isinstance(node, bool) or node is None:
-            return json.dumps(node)
+            return _LITERALS[node]
         if isinstance(node, (int, np.integer)):
             return str(int(node))
-        if isinstance(node, (float, np.floating)):
-            return _format_float(float(node))
         if isinstance(node, str):
-            return json.dumps(node)
+            return _quote(node)
         raise TypeError(f"cannot serialize {type(node)!r}")
 
     with open(path, "w") as fh:
@@ -114,7 +126,10 @@ def _color(text: str, ok: bool) -> str:
     return f"\x1b[32m{text}\x1b[0m" if ok else f"\x1b[31m{text}\x1b[0m"
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first parse and shared by every
+    later one in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="blockgibbs",
         description="Exact kernel checks and random effects simulations for "
@@ -177,17 +192,51 @@ def _pick(flag_value, file_doc: dict, key: str, default):
     return default
 
 
+def _config_int(value, key: str, errors: list):
+    """An integer setting; a config file may also give it as an integral
+    float or a numeric string. Anything else (a fraction, a bool, text) is
+    an error naming the key, and the result is None."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    errors.append(f"{key} must be an integer, got {value!r}")
+    return None
+
+
+def _config_float(value, key: str, errors: list):
+    """A real-valued setting, given as a number or a numeric string; None
+    after an error naming the key."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    errors.append(f"{key} must be a number, got {value!r}")
+    return None
+
+
 def parse_config(argv) -> RunConfig:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     errors: list[str] = []
     file_doc = _load_json_file(args.config, errors) if args.config else {}
     out_dir = _pick(args.out, file_doc, "out", ".")
+    if not isinstance(out_dir, str):
+        errors.append(f"out must be a directory path, got {out_dir!r}")
 
     if args.mode == "exact":
-        checks = args.check or file_doc.get("check") or ["all"]
+        checks = _pick(args.check, file_doc, "check", [])
         if isinstance(checks, str):
             checks = [checks]
+        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+            errors.append(f"check must be a check name or a list of them, got {checks!r}")
+            checks = []
+        checks = checks or ["all"]
         unknown = [c for c in checks if c not in CHECK_NAMES + ("all",)]
         if unknown:
             errors.append(f"unknown checks: {unknown}")
@@ -207,20 +256,21 @@ def parse_config(argv) -> RunConfig:
 
         source: dict = {}
         if dims is not None and len(sources) == 1:
-            try:
-                if isinstance(dims, str):
-                    dims = [int(t) for t in dims.split(",")]
-                dims = tuple(int(t) for t in dims)
-                if len(dims) != 3:
-                    raise ValueError
-            except ValueError:
+            parts = dims.split(",") if isinstance(dims, str) else dims
+            parsed = []
+            if isinstance(parts, list) and len(parts) == 3:
+                parsed = [_config_int(t, "dims", []) for t in parts]  # one message below
+            if len(parsed) != 3 or None in parsed:
                 errors.append(f"--dims must be three comma-separated integers, got {dims!r}")
             else:
+                dims = tuple(parsed)
                 source = {
                     "kind": "random",
                     "dims": dims,
-                    "seed": int(_pick(args.seed, file_doc, "seed", 0)),
-                    "floor": float(_pick(args.floor, file_doc, "floor", CORPUS_FLOOR)),
+                    "seed": _config_int(_pick(args.seed, file_doc, "seed", 0), "seed", errors),
+                    "floor": _config_float(
+                        _pick(args.floor, file_doc, "floor", CORPUS_FLOOR), "floor", errors
+                    ),
                 }
                 try:
                     size = Dims(*dims).size
@@ -228,11 +278,13 @@ def parse_config(argv) -> RunConfig:
                     errors.append(f"--dims {','.join(map(str, dims))}: {exc}")
                 else:
                     # random_pmf needs every entry >= floor, so floor * size < 1
-                    if not 0.0 < source["floor"] < 1.0 / size:
+                    if source["floor"] is not None and not 0.0 < source["floor"] < 1.0 / size:
                         errors.append(
                             f"--floor must lie in (0, {1.0 / size:.6g}) for {size} "
                             f"states, got {source['floor']}"
                         )
+        elif pmf_file is not None and not isinstance(pmf_file, str):
+            errors.append(f"pmf_file must be a file path, got {pmf_file!r}")
         elif pmf_file is not None:
             source = {"kind": "file", "path": pmf_file}
         elif inline is not None:
@@ -247,8 +299,8 @@ def parse_config(argv) -> RunConfig:
             except (ValueError, TypeError, KeyError) as exc:
                 errors.append(f"invalid pmf in {where}: {exc}")
 
-        nmax = int(_pick(args.nmax, file_doc, "nmax", 50))
-        if nmax < 3:
+        nmax = _config_int(_pick(args.nmax, file_doc, "nmax", 50), "nmax", errors)
+        if nmax is not None and nmax < 3:
             errors.append(f"--nmax must be >= 3, got {nmax}")
         if errors:
             raise ConfigError(errors)
@@ -269,9 +321,17 @@ def parse_config(argv) -> RunConfig:
         ):
             if value is not None:
                 merged[key] = value
-        model = ModelConfig.from_json_dict(merged)
+        seen = len(errors)
+        for key in ("n", "burn_in", "seed"):
+            if merged.get(key) is not None:
+                merged[key] = _config_int(merged[key], key, errors)
+        if len(errors) == seen:
+            model = ModelConfig.from_json_dict(merged)
     except (ValueError, TypeError) as exc:
         errors.append(str(exc))
+    shifted_check = _pick(args.shifted_check, file_doc, "shifted_check", False)
+    if not isinstance(shifted_check, bool):
+        errors.append(f"shifted_check must be true or false, got {shifted_check!r}")
     if model is not None:
         if model.n is None:
             errors.append("number of sweeps required: give --n or put \"n\" in the config")
@@ -296,7 +356,7 @@ def parse_config(argv) -> RunConfig:
         mode="simulate",
         out_dir=out_dir,
         model=model,
-        shifted_check=bool(_pick(args.shifted_check, file_doc, "shifted_check", False)),
+        shifted_check=shifted_check,
     )
 
 
@@ -321,10 +381,11 @@ def _check_verdicts(report: ChainReport) -> dict[str, bool]:
 
 
 def _write_tv_curves(report: ChainReport, path) -> None:
-    def cell(x):
-        return "" if isinstance(x, float) and math.isnan(x) else format(x, ".17g")
+    def cell(x: float) -> str:
+        return "" if math.isnan(x) else format(x, ".17g")
 
     p = report.prop1
+    chain1, chain2 = p.chain1.tolist(), p.chain2.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -340,17 +401,17 @@ def _write_tv_curves(report: ChainReport, path) -> None:
                 "chain2_ok",
             ]
         )
-        for i, n in enumerate(p.n_values):
+        for i, n in enumerate(p.n_values.tolist()):
             writer.writerow(
                 [
-                    int(n),
-                    cell(p.chain1[i, 0]),
-                    cell(p.chain1[i, 1]),
-                    cell(p.chain1[i, 2]),
+                    n,
+                    cell(chain1[i][0]),
+                    cell(chain1[i][1]),
+                    cell(chain1[i][2]),
                     "" if p.chain1_ok[i] is None else str(bool(p.chain1_ok[i])).lower(),
-                    cell(p.chain2[i, 0]),
-                    cell(p.chain2[i, 1]),
-                    cell(p.chain2[i, 2]),
+                    cell(chain2[i][0]),
+                    cell(chain2[i][1]),
+                    cell(chain2[i][2]),
                     str(bool(p.chain2_ok[i])).lower(),
                 ]
             )

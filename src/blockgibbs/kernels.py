@@ -30,13 +30,16 @@ kernel's core is the xy-marginal kernel.
 
 The five kernel factories build their kernel once per pmf and keep it on
 the pmf, so every caller shares one read-only kernel, its core and its
-core eigenvalues.
+core eigenvalues. The start measures ``nu_z`` and ``nu_xz`` are rows of two
+banks kept the same way (``nu_z_bank``, ``nu_xz_banks``), each built in one
+array operation.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -75,7 +78,7 @@ class StateCodec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def encode(self, state: Sequence[int]) -> int:
         if len(state) != len(self.sizes):
@@ -149,14 +152,20 @@ class Kernel:
         object.__setattr__(self, "rows", c)
         object.__setattr__(self, "reads", reads)
         # column order and segment starts that sum a vector over each
-        # row's readers: (v R)[j] = sum of v[i] with reads[i] == j
-        order = np.argsort(reads, kind="stable")
+        # row's readers: (v R)[j] = sum of v[i] with reads[i] == j. With the
+        # identity index every segment holds one entry, which the sum would
+        # return unchanged, so v R is v itself.
+        order = None
+        if not np.array_equal(reads, np.arange(n)):
+            order = np.argsort(reads, kind="stable")
+            object.__setattr__(self, "_starts", np.searchsorted(reads[order], np.arange(r)))
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_starts", np.searchsorted(reads[order], np.arange(r)))
 
     def _select(self, v: np.ndarray) -> np.ndarray:
         """v R: the mass of v (or of each row of a bank) on each row."""
-        return np.add.reduceat(np.asarray(v)[..., self._order], self._starts, axis=-1)
+        if self._order is None:
+            return np.asarray(v)
+        return np.add.reduceat(np.asarray(v).take(self._order, axis=-1), self._starts, axis=-1)
 
     def step(self, v: np.ndarray) -> np.ndarray:
         """v K = (v R) C for a vector or each row of a bank of vectors."""
@@ -329,42 +338,67 @@ def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
     return _kernel_from_einsum(codec, ("Z",), "zab,abc", [c_xy, c_z])
 
 
-def nu_z(pmf: JointPmf3, z: int) -> InitialMeasure:
-    """Start measure pinning Z = z with X drawn from P(X | Z=z).
+@_once_per_pmf
+def nu_z_bank(pmf: JointPmf3) -> np.ndarray:
+    """The nz start measures pinning Z = z with X drawn from P(X | Z=z), one
+    per row (read-only), on the out-of-order codec (Y, Z, X).
 
-    Lives on the out-of-order codec (Y, Z, X). The Y slot is a dummy fixed
-    at index 0: the out-of-order kernel never reads it, so any choice gives
-    the same distribution after one step.
+    The Y slot is a dummy fixed at index 0: the out-of-order kernel never
+    reads it, so any choice gives the same distribution after one step.
     """
-    codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
+    nx, ny, nz = pmf.dims.shape
+    c_x = conditional(pmf, ("X",), ("Z",))  # (z, x)
+    bank = np.zeros((nz, ny, nz, nx))
+    z = np.arange(nz)
+    bank[z, 0, z] = c_x
+    bank = bank.reshape(nz, -1)
+    bank.setflags(write=False)
+    return bank
+
+
+@_once_per_pmf
+def nu_xz_banks(pmf: JointPmf3) -> tuple[np.ndarray, np.ndarray]:
+    """The nx * nz start measures pinning X = x with Y drawn from
+    P(Y | X=x, Z=z), row x * nz + z (read-only), in two forms: flat on codec
+    (X, Y), and lifted to the rotated codec (Z, X, Y) with a dummy Z slot at
+    index 0 (the rotated kernel never reads the current z).
+
+    One rotated step from a lifted row has the same (X, Y) distribution as
+    one xy-marginal step from the flat row, exactly.
+    """
+    nx, ny, nz = pmf.dims.shape
+    c_y = conditional(pmf, ("Y",), ("X", "Z"))  # (x, z, y)
+    flat = np.zeros((nx, nz, nx, ny))
+    x = np.arange(nx)
+    flat[x, :, x] = c_y
+    flat = flat.reshape(nx * nz, nx * ny)
+    # the lifted codec's z = 0 states come first, in the flat codec's order
+    lifted = np.zeros((nx * nz, nz * nx * ny))
+    lifted[:, : nx * ny] = flat
+    flat.setflags(write=False)
+    lifted.setflags(write=False)
+    return flat, lifted
+
+
+def nu_z(pmf: JointPmf3, z: int) -> InitialMeasure:
+    """Row z of ``nu_z_bank``: Z = z pinned, X drawn from P(X | Z=z), on
+    the out-of-order codec (Y, Z, X) with a dummy Y slot at index 0."""
     if not 0 <= z < pmf.dims.nz:
         raise ValueError(f"z index {z} out of range [0, {pmf.dims.nz})")
-    c_x = conditional(pmf, ("X",), ("Z",))  # (z, x)
-    v = np.zeros(codec.sizes)
-    v[0, z] = c_x[z]
-    return InitialMeasure(codec, v.ravel())
+    codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
+    return InitialMeasure(codec, nu_z_bank(pmf)[z])
 
 
 def nu_xz(pmf: JointPmf3, x: int, z: int) -> NuXZ:
-    """Start measure pinning X = x with Y drawn from P(Y | X=x, Z=z).
-
-    Returned both flat on codec (X, Y) and lifted to the rotated codec
-    (Z, X, Y) with a dummy Z slot at index 0 (the rotated kernel never reads
-    the current z). One rotated step from the lift has the same (X, Y)
-    distribution as one xy-marginal step from the flat form, exactly.
-    """
+    """Row x * nz + z of both ``nu_xz_banks``: X = x pinned, Y drawn from
+    P(Y | X=x, Z=z), flat on codec (X, Y) and lifted to (Z, X, Y)."""
     if not 0 <= x < pmf.dims.nx:
         raise ValueError(f"x index {x} out of range [0, {pmf.dims.nx})")
     if not 0 <= z < pmf.dims.nz:
         raise ValueError(f"z index {z} out of range [0, {pmf.dims.nz})")
-    c_y = conditional(pmf, ("Y",), ("X", "Z"))  # (x, z, y)
-
-    flat_codec = StateCodec.for_labels(pmf, ("X", "Y"))
-    flat = np.zeros(flat_codec.sizes)
-    flat[x] = c_y[x, z]
-    lift_codec = StateCodec.for_labels(pmf, ("Z", "X", "Y"))
-    lifted = np.zeros(lift_codec.sizes)
-    lifted[0, x] = c_y[x, z]
+    flat, lifted = nu_xz_banks(pmf)
+    i = x * pmf.dims.nz + z
     return NuXZ(
-        InitialMeasure(flat_codec, flat.ravel()), InitialMeasure(lift_codec, lifted.ravel())
+        InitialMeasure(StateCodec.for_labels(pmf, ("X", "Y")), flat[i]),
+        InitialMeasure(StateCodec.for_labels(pmf, ("Z", "X", "Y")), lifted[i]),
     )

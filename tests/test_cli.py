@@ -4,7 +4,9 @@ codes, and report determinism."""
 import csv
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from blockgibbs import anti_example_pmf, cli, product_pmf, run_chain
@@ -12,12 +14,16 @@ from blockgibbs.cli import ConfigError, main, parse_config
 
 MODEL = {"y": [1.2, -0.3, 0.7, 2.1, -1.0, 0.4], "V": 1.0, "a": 2.0, "b": 2.0}
 
-#: sha256 of (report.json, tv_curves.csv) for two exact runs; see
+#: sha256 of (report.json, tv_curves.csv) for three exact runs; see
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
         "bd3c2b17a2700d58753b654b032ae4da632cd67adb453c63845d7841c8cda096",
         "8dbf1ad96e2314a53e12545fbf29ae9e37ed634bbed0aafc1f1471cdb0be1ddf",
+    ),
+    "dims-4,4,4-seed-11": (
+        "0839f34d7078a92c30940d799b6435f4b45a87f95f64693a3af2fef8710428a0",
+        "93b3b1f35592588131ec1645a4f10e301fe1e895526b1312ab31cbaab021d16a",
     ),
     "anti-example": (
         "37cb0101e9c2b64fc7235ced7ade955c806d4dc1387d29e09f626327fc07cb41",
@@ -115,6 +121,57 @@ def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "mode, override, key",
+    [
+        ("exact", {"nmax": "abc"}, "nmax"),
+        ("exact", {"nmax": 7.9}, "nmax"),
+        ("exact", {"nmax": True}, "nmax"),
+        ("exact", {"seed": "x"}, "seed"),
+        ("exact", {"floor": "abc"}, "floor"),
+        ("exact", {"check": 5}, "check"),
+        ("exact", {"check": ["rates", ["prop1"]]}, "check"),
+        ("exact", {"dims": [2.5, 2, 2]}, "--dims"),
+        ("exact", {"dims": 5}, "--dims"),
+        ("exact", {"dims": None, "pmf_file": 5}, "pmf_file"),
+        ("exact", {"out": 5}, "out"),
+        ("simulate", {"shifted_check": "no"}, "shifted_check"),
+        ("simulate", {"n": 300.5}, "n"),
+        ("simulate", {"seed": "x"}, "seed"),
+    ],
+)
+def test_invalid_config_values_exit_2_naming_the_key(
+    tmp_path, capsys, monkeypatch, mode, override, key
+):
+    base = {"dims": [2, 2, 2]} if mode == "exact" else dict(MODEL, n=300)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(base, **override)))
+    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+        parse_config([mode, "--config", str(path)])
+    monkeypatch.chdir(tmp_path)  # the default output directory
+    assert main([mode, "--config", str(path)]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_integers_may_be_integral_floats_or_numeric_strings(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "nmax": 7.0, "seed": "3", "floor": "0.01"}))
+    cfg = parse_config(["exact", "--config", str(path)])
+    assert (cfg.nmax, cfg.pmf_source["seed"], cfg.pmf_source["floor"]) == (7, 3, 0.01)
+
+
+def test_parser_reuse_leaves_no_state_behind(tmp_path):
+    # one parser serves every call in a process: a repeatable flag or an
+    # output directory from one call must not leak into the next
+    assert parse_config(["exact", "--dims", "2,2,2", "--check", "prop1"]).checks == ("prop1",)
+    assert parse_config(["exact", "--dims", "2,2,2"]).checks == cli.CHECK_NAMES
+    a = parse_config(["exact", "--dims", "2,2,2", "--out", str(tmp_path / "a")])
+    b = parse_config(["exact", "--dims", "2,2,2", "--out", str(tmp_path / "b")])
+    assert (a.out_dir, b.out_dir) == (str(tmp_path / "a"), str(tmp_path / "b"))
+    assert parse_config(["exact", "--dims", "2,2,2"]).out_dir == "."
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["exact", "--bogus"])
@@ -182,18 +239,76 @@ def test_exact_report_is_byte_identical(tmp_path):
     assert (out1 / "tv_curves.csv").read_bytes() == (out2 / "tv_curves.csv").read_bytes()
 
 
+def _reference_json(obj) -> str:
+    # the report renderer as first written: json.dumps for keys, strings and
+    # literals, recursion with a two-space indent, .17g floats
+    def render(node, indent: str) -> str:
+        pad = indent + "  "
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            items = ",\n".join(
+                f'{pad}{json.dumps(str(k))}: {render(v, pad)}' for k, v in node.items()
+            )
+            return "{\n" + items + "\n" + indent + "}"
+        if isinstance(node, (list, tuple)):
+            if not node:
+                return "[]"
+            items = ",\n".join(f"{pad}{render(v, pad)}" for v in node)
+            return "[\n" + items + "\n" + indent + "]"
+        if isinstance(node, bool) or node is None:
+            return json.dumps(node)
+        if isinstance(node, (int, np.integer)):
+            return str(int(node))
+        if isinstance(node, (float, np.floating)):
+            x = float(node)
+            if not math.isfinite(x):
+                raise ValueError(f"non-finite value {x!r} in report")
+            return format(x, ".17g")
+        if isinstance(node, str):
+            return json.dumps(node)
+        raise TypeError(f"cannot serialize {type(node)!r}")
+
+    return render(obj, "") + "\n"
+
+
+def test_write_json_matches_the_reference_renderer(tmp_path):
+    doc = {
+        "empty_dict": {},
+        "empty_list": [],
+        'key with "quotes" and \\ backslash': 'value "quoted"\n\ttabbed',
+        "non-ascii ü → ∞": "μ ≠ 😀",
+        "nested": {"a": [1, [2, [], {}], {"b": {"c": [None, True, False]}}], "t": (3, 4)},
+        "numpy": [np.int64(-7), np.float64(0.1), np.float32(0.5), np.bool_(True).item()],
+        "ints": [0, -1, 2**63, True, False],
+        "floats": [0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 1e-17, 1e22, -123456.789e-300],
+        7: "non-string key",
+    }
+    path = tmp_path / "doc.json"
+    cli._write_json(doc, path)
+    assert path.read_text() == _reference_json(doc)
+    assert json.loads(path.read_text())["floats"] == doc["floats"]
+    for bad in (float("nan"), float("inf"), -np.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._write_json({"rows": [1.0, bad]}, tmp_path / "bad.json")
+    with pytest.raises(TypeError):
+        cli._write_json({"x": object()}, tmp_path / "bad.json")
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_EXACT_SHA256))
 def test_exact_outputs_golden_digest(tmp_path, case):
-    # pins every number and verdict of the exact path's two artifacts for a
-    # seeded random pmf and for the counterexample (given inline, so that no
-    # file path enters report.json)
+    # pins every number and verdict of the exact path's two artifacts for
+    # seeded random pmfs (4x4x4 is the largest corpus shape) and for the
+    # counterexample (given inline, so that no file path enters report.json)
     out = tmp_path / "out"
     if case == "anti-example":
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"pmf": anti_example_pmf().to_json_dict()}))
         argv = ["exact", "--config", str(cfg_path)]
     else:
-        argv = ["exact", "--dims", "3,3,2", "--seed", "7"]
+        _, dims, _, seed = case.split("-")
+        argv = ["exact", "--dims", dims, "--seed", seed]
     assert main(argv + ["--out", str(out)]) == 0
     digests = tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()

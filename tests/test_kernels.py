@@ -31,6 +31,7 @@ from blockgibbs import (
     rotated_block_kernel,
     tv,
 )
+from blockgibbs.kernels import nu_xz_banks, nu_z_bank
 from conftest import stationary_by_eig
 
 
@@ -87,6 +88,18 @@ def test_kernel_rejects_bad_matrices(pmf_322):
     shared = Kernel(codec, rows[:1], np.array([0, 0]))
     np.testing.assert_array_equal(shared.matrix, [[0.5, 0.5], [0.5, 0.5]])
     np.testing.assert_array_equal(shared.core, [[1.0]])
+
+
+def test_step_sums_over_readers_unless_the_index_is_the_identity(pmf_322):
+    # the identity index has nothing to sum; a permuted index reads every
+    # row once too, but not from its own state
+    codec = StateCodec.for_labels(pmf_322, ("Z",))
+    rows = np.array([[0.5, 0.5], [0.1, 0.9]])
+    v = np.array([[0.3, 0.7], [1.0, 0.0]])
+    np.testing.assert_array_equal(Kernel(codec, rows).step(v), v @ rows)
+    swapped = Kernel(codec, rows, np.array([1, 0]))
+    np.testing.assert_array_equal(swapped.step(v), np.ascontiguousarray(v[:, ::-1]) @ rows)
+    np.testing.assert_array_equal(swapped.core, rows[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +308,20 @@ def test_nu_xz_mass_and_lift_identity(pmf_322):
         nu_xz(pmf_322, 3, 0)
     with pytest.raises(ValueError):
         nu_xz(pmf_322, 0, 2)
+
+
+def test_start_measures_are_rows_of_the_kept_banks(pmf_322):
+    nx, _, nz = pmf_322.dims.shape
+    z_bank = nu_z_bank(pmf_322)
+    flat, lifted = nu_xz_banks(pmf_322)
+    assert z_bank is nu_z_bank(pmf_322) and flat is nu_xz_banks(pmf_322)[0]
+    assert not (z_bank.flags.writeable or flat.flags.writeable or lifted.flags.writeable)
+    for z in range(nz):
+        np.testing.assert_array_equal(nu_z(pmf_322, z).vector, z_bank[z])
+    for x, z in itertools.product(range(nx), range(nz)):
+        measures = nu_xz(pmf_322, x, z)
+        np.testing.assert_array_equal(measures.flat.vector, flat[x * nz + z])
+        np.testing.assert_array_equal(measures.lifted.vector, lifted[x * nz + z])
 
 
 def test_nu_xz_product_y_component(product_222):

@@ -29,9 +29,7 @@ from .finite_model import (
     tv,
 )
 from .kernels import (
-    InitialMeasure,
     Kernel,
-    NuXZ,
     StateCodec,
     block_kernel,
     flatten_to_codec,

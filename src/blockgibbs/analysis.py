@@ -28,23 +28,16 @@ import numpy as np
 
 from .finite_model import JointPmf3, marginal, pi_star, tv
 from .kernels import (
-    InitialMeasure,
     Kernel,
     block_kernel,
     flatten_to_codec,
     marginal_xy_kernel,
     marginal_z_kernel,
     nu_xz,
-    nu_xz_banks,
     nu_z,
-    nu_z_bank,
     ooo_kernel,
     rotated_block_kernel,
 )
-
-# ``nu_z`` and ``nu_xz`` stay bound here although ``check_prop1`` reads
-# whole start banks: perfbench/tracing.py rebinds ``analysis.nu_z`` and
-# ``analysis.nu_xz`` to time the ``kernels.nu`` layer.
 
 #: |eigenvalue - 1| below this counts as the unit eigenvalue.
 UNIT_EIG_TOL = 1e-9
@@ -117,40 +110,22 @@ def stationary(kernel: Kernel) -> np.ndarray:
     return v
 
 
-def _as_vector(kernel: Kernel, init) -> np.ndarray:
-    """Accept an InitialMeasure, a flat state index, a state tuple, or a raw
-    probability vector."""
-    if isinstance(init, InitialMeasure):
-        if init.codec != kernel.codec:
-            raise ValueError("initial measure codec does not match kernel codec")
-        return np.array(init.vector, dtype=float)
-    if isinstance(init, (int, np.integer)):
-        v = np.zeros(kernel.codec.size)
-        v[int(init)] = 1.0
-        return v
-    if isinstance(init, tuple):
-        v = np.zeros(kernel.codec.size)
-        v[kernel.codec.encode(init)] = 1.0
-        return v
-    v = np.asarray(init, dtype=float)
-    if v.shape != (kernel.codec.size,):
-        raise ValueError("initial vector length does not match kernel size")
-    return v.copy()
-
-
-def tv_curve(kernel: Kernel, init, target: np.ndarray, nmax: int) -> np.ndarray:
-    """Exact distance-to-target curve: entry n is tv(init K^n, target) for
-    n = 0..nmax, via iterated factored steps."""
+def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int) -> np.ndarray:
+    """Exact distance-to-target curves by iterated factored steps: entry
+    [n] is tv(start K^n, target) for a probability vector ``start``, and
+    entry [n, i] is tv(start[i] K^n, target) for a bank of them, one per
+    row, for n = 0..nmax. Each step's L1 distances are summed straight into
+    the curves, which are halved once at the end."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    target = np.asarray(target, dtype=float)
-    v = _as_vector(kernel, init)
-    curve = np.empty(nmax + 1)
-    curve[0] = tv(v, target)
+    cur = np.asarray(start, dtype=float)
+    out = np.empty((nmax + 1,) + cur.shape[:-1])
+    np.add.reduce(np.abs(cur - target), axis=-1, out=out[0, ...])
     for n in range(1, nmax + 1):
-        v = kernel.step(v)
-        curve[n] = tv(v, target)
-    return curve
+        cur = kernel.step(cur)
+        np.add.reduce(np.abs(cur - target), axis=-1, out=out[n, ...])
+    out *= 0.5
+    return out
 
 
 @dataclass
@@ -236,35 +211,24 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     pi_xy = flatten_to_codec(pmf, k_xy.codec)
     pi_zxy = flatten_to_codec(pmf, k_rot.codec)
 
-    # tv arrays indexed [n, start]; powers built by iterated factored steps,
-    # each step's L1 distances summed straight into the curve and halved once
-    def power_curves(kernel: Kernel, rows0: np.ndarray, target: np.ndarray, top: int):
-        out = np.empty((top + 1, rows0.shape[0]))
-        cur = rows0
-        np.add.reduce(np.abs(cur - target), axis=1, out=out[0])
-        for n in range(1, top + 1):
-            cur = kernel.step(cur)
-            np.add.reduce(np.abs(cur - target), axis=1, out=out[n])
-        out *= 0.5
-        return out
+    # tv arrays indexed [n, start]. One step from state i lands on
+    # rows[reads[i]], so the curves from every state run over the r distinct
+    # rows only and are broadcast back to the states: entry [n - 1, i] is
+    # the distance after n steps from state i.
+    tv_block = tv_curve(k_block, k_block.rows, pi_xyz, nmax - 1)[:, k_block.reads]
+    tv_z = tv_curve(k_z, np.eye(dims.nz), pi_z, nmax - 1)
+    tv_nu_z = tv_curve(k_ooo, nu_z(pmf), pi_star_yzx, nmax - 2)
 
-    # One step from state i lands on rows[reads[i]], so the curves from every
-    # state run over the r distinct rows only and are broadcast back to the
-    # states: entry [n - 1, i] is the distance after n steps from state i.
-    tv_block = power_curves(k_block, k_block.rows, pi_xyz, nmax - 1)[:, k_block.reads]
-    tv_z = power_curves(k_z, np.eye(dims.nz), pi_z, nmax - 1)
-    tv_nu_z = power_curves(k_ooo, nu_z_bank(pmf), pi_star_yzx, nmax - 2)
-
-    tv_ooo = power_curves(k_ooo, k_ooo.rows, pi_star_yzx, nmax - 1)[:, k_ooo.reads]
-    nu_flat_bank, nu_lift_bank = nu_xz_banks(pmf)
-    tv_nu_xy = power_curves(k_xy, nu_flat_bank, pi_xy, nmax - 1)
-    tv_nu_rot = power_curves(k_rot, nu_lift_bank, pi_zxy, nmax - 1)
+    tv_ooo = tv_curve(k_ooo, k_ooo.rows, pi_star_yzx, nmax - 1)[:, k_ooo.reads]
+    nu_flat_bank, nu_lift_bank = nu_xz(pmf)
+    tv_nu_xy = tv_curve(k_xy, nu_flat_bank, pi_xy, nmax - 1)
+    tv_nu_rot = tv_curve(k_rot, nu_lift_bank, pi_zxy, nmax - 1)
 
     # coordinate maps from kernel states to the index of the bound they obey
     states = np.arange(k_block.codec.size)
     z_of_block_state = np.unravel_index(states, k_block.codec.sizes)[2]
     _, z_ooo, x_ooo = np.unravel_index(states, k_ooo.codec.sizes)
-    xz_of_ooo_state = x_ooo * dims.nz + z_ooo  # row of nu_xz(x, z) in its banks
+    xz_of_ooo_state = x_ooo * dims.nz + z_ooo  # row of (x, z) in the nu_xz banks
 
     chain1 = np.full((nmax, 3), np.nan)
     chain1[:, 0] = tv_block.max(axis=1)

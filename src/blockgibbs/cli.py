@@ -325,6 +325,15 @@ def parse_config(argv) -> RunConfig:
         for key in ("n", "burn_in", "seed"):
             if merged.get(key) is not None:
                 merged[key] = _config_int(merged[key], key, errors)
+        for key in ("V", "a", "b"):
+            if key in merged:
+                merged[key] = _config_float(merged[key], key, errors)
+        if "y" in merged:
+            y = merged["y"]
+            if isinstance(y, list):
+                merged["y"] = [_config_float(v, f"y[{i}]", errors) for i, v in enumerate(y)]
+            else:
+                errors.append(f"y must be a list of numbers, got {y!r}")
         if len(errors) == seen:
             model = ModelConfig.from_json_dict(merged)
     except (ValueError, TypeError) as exc:

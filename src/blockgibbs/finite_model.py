@@ -122,7 +122,13 @@ class JointPmf3:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointPmf3":
-        dims = Dims(*(int(n) for n in doc["dims"]))
+        dims = doc["dims"]
+        # int() would truncate 2.5 to 2 and take true as 1
+        whole = (isinstance(n, int) and not isinstance(n, bool)
+                 or isinstance(n, float) and n.is_integer() for n in dims)
+        if not all(whole):
+            raise ValueError(f"dims must be whole numbers, got {dims!r}")
+        dims = Dims(*(int(n) for n in dims))
         p = np.asarray(doc["p"], dtype=float).reshape(dims.shape, order="C")
         return cls(dims, p)
 

@@ -30,9 +30,9 @@ kernel's core is the xy-marginal kernel.
 
 The five kernel factories build their kernel once per pmf and keep it on
 the pmf, so every caller shares one read-only kernel, its core and its
-core eigenvalues. The start measures ``nu_z`` and ``nu_xz`` are rows of two
-banks kept the same way (``nu_z_bank``, ``nu_xz_banks``), each built in one
-array operation.
+core eigenvalues. The prop1 start measures are kept the same way, as
+banks with one probability vector per row: ``nu_z`` (one row per z) and
+``nu_xz`` (one row per (x, z)), each built in one array operation.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .finite_model import AXES, JointPmf3, _once_per_pmf, conditional, marginal
 
-#: Row-stochasticity tolerance for kernels and initial measures.
+#: Row-stochasticity tolerance for kernel rows.
 ROW_SUM_TOL = 1e-12
 
 # einsum letters: current state coordinates and next state coordinates
@@ -204,31 +204,6 @@ class Kernel:
                 writer.writerow([labels[i]] + [format(v, ".17g") for v in row])
 
 
-@dataclass(frozen=True, eq=False)
-class InitialMeasure:
-    """Probability vector over a codec's state space."""
-
-    codec: StateCodec
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=float)
-        if v.shape != (self.codec.size,):
-            raise ValueError("vector length does not match codec size")
-        if (v < 0).any() or abs(float(v.sum()) - 1.0) > ROW_SUM_TOL:
-            raise ValueError("initial measure must be a probability vector")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-
-
-class NuXZ(NamedTuple):
-    """Pinned-(x, z) start measure in both of its working forms."""
-
-    flat: InitialMeasure  # over codec (X, Y)
-    lifted: InitialMeasure  # over codec (Z, X, Y); the Z slot is a dummy
-
-
 def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
     """Marginal of the pmf on the codec's variables, flattened to its state
     order. For a three-variable codec this is the full joint."""
@@ -339,9 +314,9 @@ def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
 
 
 @_once_per_pmf
-def nu_z_bank(pmf: JointPmf3) -> np.ndarray:
-    """The nz start measures pinning Z = z with X drawn from P(X | Z=z), one
-    per row (read-only), on the out-of-order codec (Y, Z, X).
+def nu_z(pmf: JointPmf3) -> np.ndarray:
+    """The nz start measures, row z pinning Z = z with X drawn from
+    P(X | Z=z) (read-only), on the out-of-order codec (Y, Z, X).
 
     The Y slot is a dummy fixed at index 0: the out-of-order kernel never
     reads it, so any choice gives the same distribution after one step.
@@ -357,7 +332,7 @@ def nu_z_bank(pmf: JointPmf3) -> np.ndarray:
 
 
 @_once_per_pmf
-def nu_xz_banks(pmf: JointPmf3) -> tuple[np.ndarray, np.ndarray]:
+def nu_xz(pmf: JointPmf3) -> tuple[np.ndarray, np.ndarray]:
     """The nx * nz start measures pinning X = x with Y drawn from
     P(Y | X=x, Z=z), row x * nz + z (read-only), in two forms: flat on codec
     (X, Y), and lifted to the rotated codec (Z, X, Y) with a dummy Z slot at
@@ -378,27 +353,3 @@ def nu_xz_banks(pmf: JointPmf3) -> tuple[np.ndarray, np.ndarray]:
     flat.setflags(write=False)
     lifted.setflags(write=False)
     return flat, lifted
-
-
-def nu_z(pmf: JointPmf3, z: int) -> InitialMeasure:
-    """Row z of ``nu_z_bank``: Z = z pinned, X drawn from P(X | Z=z), on
-    the out-of-order codec (Y, Z, X) with a dummy Y slot at index 0."""
-    if not 0 <= z < pmf.dims.nz:
-        raise ValueError(f"z index {z} out of range [0, {pmf.dims.nz})")
-    codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
-    return InitialMeasure(codec, nu_z_bank(pmf)[z])
-
-
-def nu_xz(pmf: JointPmf3, x: int, z: int) -> NuXZ:
-    """Row x * nz + z of both ``nu_xz_banks``: X = x pinned, Y drawn from
-    P(Y | X=x, Z=z), flat on codec (X, Y) and lifted to (Z, X, Y)."""
-    if not 0 <= x < pmf.dims.nx:
-        raise ValueError(f"x index {x} out of range [0, {pmf.dims.nx})")
-    if not 0 <= z < pmf.dims.nz:
-        raise ValueError(f"z index {z} out of range [0, {pmf.dims.nz})")
-    flat, lifted = nu_xz_banks(pmf)
-    i = x * pmf.dims.nz + z
-    return NuXZ(
-        InitialMeasure(StateCodec.for_labels(pmf, ("X", "Y")), flat[i]),
-        InitialMeasure(StateCodec.for_labels(pmf, ("Z", "X", "Y")), lifted[i]),
-    )

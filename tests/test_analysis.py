@@ -33,7 +33,6 @@ from blockgibbs import (
     tv,
     tv_curve,
 )
-from blockgibbs.kernels import InitialMeasure
 
 
 def stationary_by_power_iteration(matrix, tol=1e-14, max_iter=200_000):
@@ -91,22 +90,29 @@ def test_tv_curve_from_stationary_is_zero(pmf_322):
 def test_tv_curve_rank_one_hits_target_after_one_step(product_222):
     k = block_kernel(product_222)
     target = flatten_to_codec(product_222, k.codec)
-    curve = tv_curve(k, 0, target, 5)
+    curve = tv_curve(k, np.eye(k.codec.size)[0], target, 5)
     assert curve[0] > 0.1
     assert curve[1:].max() < 1e-14
 
 
-def test_tv_curve_init_forms_agree(pmf_322):
+def test_tv_curve_of_a_bank_is_the_curves_of_its_rows(pmf_322):
+    # a bank's curve [n, i] is the curve of row i given alone: bit for bit
+    # at n = 0, where both reduce the same row the same way. A step of a
+    # bank is a matrix-matrix product and a step of one row a vector-matrix
+    # product, which BLAS may sum in different orders, so later entries
+    # agree to rounding: eight steps of 12-term sums stay far inside 1e-14.
     k = ooo_kernel(pmf_322)
     target = flatten_to_codec(pi_star(pmf_322), k.codec)
-    state = (1, 0, 2)
-    flat = k.codec.encode(state)
-    vec = np.zeros(k.codec.size)
-    vec[flat] = 1.0
-    measure = InitialMeasure(k.codec, vec)
-    curves = [tv_curve(k, init, target, 8) for init in (state, flat, vec, measure)]
-    for c in curves[1:]:
-        np.testing.assert_array_equal(c, curves[0])
+    bank = np.vstack([np.eye(k.codec.size)[: k.codec.size // 2], target, k.rows])
+    curves = tv_curve(k, bank, target, 8)
+    assert curves.shape == (9, bank.shape[0])
+    for i, row in enumerate(bank):
+        alone = tv_curve(k, row, target, 8)
+        assert alone.shape == (9,) and alone[0] == curves[0, i]
+        np.testing.assert_allclose(curves[:, i], alone, rtol=0, atol=1e-14)
+    for nmax in (0, -1):
+        with pytest.raises(ValueError, match="nmax"):
+            tv_curve(k, bank, target, nmax)
 
 
 @pytest.mark.parametrize("index", [1, 2, 3, 7])
@@ -114,7 +120,7 @@ def test_tv_curves_are_nonincreasing(corpus, index):
     pmf = corpus[index]
     for factory, target_pmf in ((block_kernel, pmf), (ooo_kernel, pi_star(pmf))):
         k = factory(pmf)
-        curve = tv_curve(k, 0, flatten_to_codec(target_pmf, k.codec), 60)
+        curve = tv_curve(k, np.eye(k.codec.size)[0], flatten_to_codec(target_pmf, k.codec), 60)
         assert (np.diff(curve) <= 1e-12).all()
 
 
@@ -143,8 +149,9 @@ def test_slem_matches_tv_decay_exponent(corpus):
         if slem <= 0.1:
             continue
         target = flatten_to_codec(pmf, k.codec)
-        start = int(np.argmax(tv_curve(k, 0, target, 1)))  # any fixed start works
-        curve = tv_curve(k, start, target, 400)
+        states = np.eye(k.codec.size)
+        start = int(np.argmax(tv_curve(k, states[0], target, 1)))  # any fixed start works
+        curve = tv_curve(k, states[start], target, 400)
         window = np.where((curve > 1e-10) & (curve < 1e-3))[0]
         slope = np.polyfit(window, np.log(curve[window]), 1)[0]
         assert abs(np.exp(slope) - slem) / slem < 0.05
@@ -159,7 +166,7 @@ def test_consecutive_tv_ratio_converges_to_slem(corpus):
         if slem < 1e-3:
             continue
         target = flatten_to_codec(pmf, k.codec)
-        curve = tv_curve(k, 0, target, 400)
+        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 400)
         above = np.where(curve > 1e-10)[0]
         n = above[-1] - 1
         while curve[n + 1] <= 1e-10:

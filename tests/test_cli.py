@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,12 @@ def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
         ("simulate", {"shifted_check": "no"}, "shifted_check"),
         ("simulate", {"n": 300.5}, "n"),
         ("simulate", {"seed": "x"}, "seed"),
+        ("simulate", {"V": "x"}, "V"),
+        ("simulate", {"a": None}, "a"),
+        ("simulate", {"b": True}, "b"),
+        ("simulate", {"y": [1.2, -0.3, True]}, "y[2]"),
+        ("simulate", {"y": [1.2, "x", 0.7]}, "y[1]"),
+        ("simulate", {"y": "abc"}, "y"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(
@@ -146,7 +153,7 @@ def test_invalid_config_values_exit_2_naming_the_key(
     base = {"dims": [2, 2, 2]} if mode == "exact" else dict(MODEL, n=300)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(base, **override)))
-    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be"):
         parse_config([mode, "--config", str(path)])
     monkeypatch.chdir(tmp_path)  # the default output directory
     assert main([mode, "--config", str(path)]) == 2
@@ -326,6 +333,30 @@ def test_exact_non_finite_pmf_exits_2_at_parse_time(tmp_path, capsys):
     assert main(["exact", "--pmf", str(pmf_path), "--out", str(out)]) == 2
     assert f"invalid pmf in --pmf {pmf_path}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", [[2.5, 1, 1], [True, 2, 1], [2, 1, 1.0000001]])
+@pytest.mark.parametrize("form", ["--pmf", "inline"])
+def test_exact_pmf_dims_must_be_whole_numbers(tmp_path, capsys, dims, form):
+    doc = {"dims": dims, "p": [0.5, 0.5]}
+    if form == "--pmf":
+        path = tmp_path / "pmf.json"
+        path.write_text(json.dumps(doc))
+        argv, where = ["exact", "--pmf", str(path)], f"--pmf {path}"
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pmf": doc}))
+        argv, where = ["exact", "--config", str(path)], "inline pmf"
+    with pytest.raises(ConfigError, match="dims must be whole numbers"):
+        parse_config(argv)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"invalid pmf in {where}: dims must be whole numbers" in capsys.readouterr().err
+    assert not out.exists()
+    # an integral float still gives its whole number, as before
+    doc["dims"] = [2.0, 1, 1]
+    path.write_text(json.dumps(doc if form == "--pmf" else {"pmf": doc}))
+    assert parse_config(argv).pmf.dims.shape == (2, 1, 1)
 
 
 def test_exact_missing_pmf_file_is_io_error(tmp_path, capsys):

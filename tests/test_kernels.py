@@ -31,7 +31,6 @@ from blockgibbs import (
     rotated_block_kernel,
     tv,
 )
-from blockgibbs.kernels import nu_xz_banks, nu_z_bank
 from conftest import stationary_by_eig
 
 
@@ -253,82 +252,98 @@ def test_single_z_collapses_marginals(anti_pmf):
 # start measures
 # ---------------------------------------------------------------------------
 def test_nu_z_mass_and_support(pmf_322):
-    m = nu_z(pmf_322, 1)
-    assert abs(m.vector.sum() - 1.0) < 1e-15
+    bank = nu_z(pmf_322)
+    codec = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))
+    assert bank.shape == (pmf_322.dims.nz, codec.size)
     cond = conditional(pmf_322, ("X",), ("Z",))
-    for flat, mass in enumerate(m.vector):
-        y, z, x = m.codec.decode(flat)
-        if mass > 0:
-            assert (y, z) == (0, 1)
-        if (y, z) == (0, 1):
-            assert mass == cond[1, x]
-    with pytest.raises(ValueError):
-        nu_z(pmf_322, 2)
+    for z, row in enumerate(bank):
+        assert abs(row.sum() - 1.0) < 1e-15
+        for flat, mass in enumerate(row):
+            y, zz, x = codec.decode(flat)
+            if mass > 0:
+                assert (y, zz) == (0, z)
+            if (y, zz) == (0, z):
+                assert mass == cond[z, x]
 
 
 def test_nu_z_one_step_ignores_dummy_y(pmf_322):
     k = ooo_kernel(pmf_322)
-    m = nu_z(pmf_322, 0)
+    row = nu_z(pmf_322)[0]
     # same measure but parked at y = 1 instead of the fixed y = 0
-    alt = np.zeros_like(m.vector)
-    for flat, mass in enumerate(m.vector):
-        y, z, x = m.codec.decode(flat)
+    alt = np.zeros_like(row)
+    for flat, mass in enumerate(row):
+        y, z, x = k.codec.decode(flat)
         if mass > 0:
-            alt[m.codec.encode((1, z, x))] = mass
-    np.testing.assert_allclose(m.vector @ k.matrix, alt @ k.matrix, atol=1e-15)
+            alt[k.codec.encode((1, z, x))] = mass
+    np.testing.assert_allclose(row @ k.matrix, alt @ k.matrix, atol=1e-15)
 
 
 def test_nu_z_product_x_component(product_222):
-    m = nu_z(product_222, 0)
+    codec = StateCodec.for_labels(product_222, ("Y", "Z", "X"))
     x_mass = np.zeros(2)
-    for flat, mass in enumerate(m.vector):
-        _, _, x = m.codec.decode(flat)
+    for flat, mass in enumerate(nu_z(product_222)[0]):
+        _, _, x = codec.decode(flat)
         x_mass[x] += mass
     np.testing.assert_allclose(x_mass, [0.3, 0.7], atol=1e-15)
 
 
 def test_nu_xz_mass_and_lift_identity(pmf_322):
-    measures = nu_xz(pmf_322, 1, 0)
-    assert abs(measures.flat.vector.sum() - 1.0) < 1e-15
-    assert abs(measures.lifted.vector.sum() - 1.0) < 1e-15
+    flat_bank, lifted_bank = nu_xz(pmf_322)
+    nx, ny, nz = pmf_322.dims.shape
+    assert flat_bank.shape == (nx * nz, nx * ny)
+    assert lifted_bank.shape == (nx * nz, nz * nx * ny)
+    np.testing.assert_allclose(flat_bank.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lifted_bank.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     # one rotated step from the lift, projected onto (X, Y), equals one
-    # xy-marginal step from the flat measure, exactly
+    # xy-marginal step from the flat measure, exactly; row x * nz + z
+    # pins (x, z) = (1, 0)
     k_rot = rotated_block_kernel(pmf_322)
     k_xy = marginal_xy_kernel(pmf_322)
-    after_rot = measures.lifted.vector @ k_rot.matrix
+    i = 1 * nz + 0
+    after_rot = lifted_bank[i] @ k_rot.matrix
     proj = np.zeros(k_xy.codec.size)
     for flat, mass in enumerate(after_rot):
         z, x, y = k_rot.codec.decode(flat)
         proj[k_xy.codec.encode((x, y))] += mass
-    after_xy = measures.flat.vector @ k_xy.matrix
+    after_xy = flat_bank[i] @ k_xy.matrix
     np.testing.assert_allclose(proj, after_xy, atol=1e-15)
-
-    with pytest.raises(ValueError):
-        nu_xz(pmf_322, 3, 0)
-    with pytest.raises(ValueError):
-        nu_xz(pmf_322, 0, 2)
 
 
 def test_start_measures_are_rows_of_the_kept_banks(pmf_322):
-    nx, _, nz = pmf_322.dims.shape
-    z_bank = nu_z_bank(pmf_322)
-    flat, lifted = nu_xz_banks(pmf_322)
-    assert z_bank is nu_z_bank(pmf_322) and flat is nu_xz_banks(pmf_322)[0]
+    # each bank is built once per pmf, kept on it and read-only; row z of
+    # nu_z and row x * nz + z of both nu_xz banks hold the measure pinning
+    # those coordinates, built here one row at a time from the conditionals
+    nx, ny, nz = pmf_322.dims.shape
+    z_bank = nu_z(pmf_322)
+    flat, lifted = nu_xz(pmf_322)
+    assert z_bank is nu_z(pmf_322) and flat is nu_xz(pmf_322)[0]
     assert not (z_bank.flags.writeable or flat.flags.writeable or lifted.flags.writeable)
+    p_x_z = conditional(pmf_322, ("X",), ("Z",))  # (z, x)
+    p_y_xz = conditional(pmf_322, ("Y",), ("X", "Z"))  # (x, z, y)
+    yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))
+    xy = StateCodec.for_labels(pmf_322, ("X", "Y"))
+    zxy = StateCodec.for_labels(pmf_322, ("Z", "X", "Y"))
     for z in range(nz):
-        np.testing.assert_array_equal(nu_z(pmf_322, z).vector, z_bank[z])
+        row = np.zeros(yzx.size)
+        for x in range(nx):
+            row[yzx.encode((0, z, x))] = p_x_z[z, x]
+        np.testing.assert_array_equal(z_bank[z], row)
     for x, z in itertools.product(range(nx), range(nz)):
-        measures = nu_xz(pmf_322, x, z)
-        np.testing.assert_array_equal(measures.flat.vector, flat[x * nz + z])
-        np.testing.assert_array_equal(measures.lifted.vector, lifted[x * nz + z])
+        row_flat, row_lifted = np.zeros(xy.size), np.zeros(zxy.size)
+        for y in range(ny):
+            row_flat[xy.encode((x, y))] = p_y_xz[x, z, y]
+            row_lifted[zxy.encode((0, x, y))] = p_y_xz[x, z, y]
+        np.testing.assert_array_equal(flat[x * nz + z], row_flat)
+        np.testing.assert_array_equal(lifted[x * nz + z], row_lifted)
 
 
 def test_nu_xz_product_y_component(product_222):
-    measures = nu_xz(product_222, 0, 1)
+    codec = StateCodec.for_labels(product_222, ("X", "Y"))
+    flat_bank, _ = nu_xz(product_222)
     y_mass = np.zeros(2)
-    for flat, mass in enumerate(measures.flat.vector):
-        _, y = measures.flat.codec.decode(flat)
+    for flat, mass in enumerate(flat_bank[0 * product_222.dims.nz + 1]):  # (x, z) = (0, 1)
+        _, y = codec.decode(flat)
         y_mass[y] += mass
     np.testing.assert_allclose(y_mass, [0.6, 0.4], atol=1e-15)
 

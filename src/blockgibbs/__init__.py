@@ -45,7 +45,6 @@ from .random_effects import (
     ModelConfig,
     RemData,
     RemHyper,
-    RemState,
     Trajectory,
     block_step,
     default_init,
@@ -54,11 +53,10 @@ from .random_effects import (
     mu_params,
     ooo_step,
     run_chain,
-    sample_ig,
     shifted_view,
     theta_params,
     trajectory_to_csv,
 )
-from .streams import STEP_A, STEP_MU, KeyedStream, MedianStream, StreamKey
+from .streams import STEP_A, STEP_MU, KeyedStream, StreamKey
 
 __version__ = "0.1.0"

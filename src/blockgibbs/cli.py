@@ -33,7 +33,6 @@ from .corpus import CORPUS_FLOOR
 from .finite_model import Dims, JointPmf3, random_pmf
 from .random_effects import (
     ModelConfig,
-    RemState,
     Trajectory,
     default_init,
     estimate,
@@ -272,6 +271,8 @@ def parse_config(argv) -> RunConfig:
                         _pick(args.floor, file_doc, "floor", CORPUS_FLOOR), "floor", errors
                     ),
                 }
+                if source["seed"] is not None and source["seed"] < 0:
+                    errors.append(f"seed must be >= 0, got {source['seed']}")
                 try:
                     size = Dims(*dims).size
                 except ValueError as exc:
@@ -352,6 +353,8 @@ def parse_config(argv) -> RunConfig:
             seed=model.seed if model.seed is not None else 0,
             variant=model.variant if model.variant is not None else "block",
         )
+        if not 0 <= model.seed < 1 << 64:
+            errors.append(f"seed must be in [0, 2**64), got {model.seed}")
         if model.burn_in < 0:
             errors.append(f"burn-in must be >= 0, got {model.burn_in}")
         elif model.n is not None and model.n + 1 - model.burn_in < 100:
@@ -497,7 +500,7 @@ def _run_simulate(cfg: RunConfig) -> int:
     if cfg.shifted_check:
         base = chain if extra else run_chain("block", init, data, hyper, model.n + 1, model.seed)
         shifted = shifted_view(base)
-        start = RemState(shifted.A[0], shifted.mu[0], shifted.theta[0])
+        start = shifted.A[0], shifted.mu[0], shifted.theta[0]
         ooo = run_chain("ooo", start, data, hyper, model.n, model.seed)
         identical = all(np.array_equal(s, t) for s, t in zip(shifted, ooo))
         doc["shifted_check"] = {"n": model.n, "identical": identical}

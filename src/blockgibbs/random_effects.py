@@ -6,8 +6,12 @@ w^(-a-1) exp(-b/w).
 
 The block sweep draws A, then mu, then theta; the out-of-order sweep draws
 mu, then theta, then A. Given (mu, A) the theta_i are independent, so theta
-is one vector draw and a sweep makes three keyed draws (see ``streams``).
-The out-of-order A draw is keyed one iteration ahead, so the out-of-order
+is one vector draw and a sweep reads three keyed draws (see ``streams``).
+No draw depends on the state: A is the rate over a unit gamma whose shape
+a + (m - 1) / 2 is fixed for the chain, and mu and theta are mean + sd * z.
+So ``run_chain`` draws a chain's noise first, and ``block_step`` and
+``ooo_step`` are pure functions of a state and one sweep's noise. The
+out-of-order A draw is keyed one iteration ahead, so the out-of-order
 trajectory is bit-for-bit the shifted view (mu_n, theta_n, A_{n+1}) of the
 block trajectory, which ``shifted_view`` slices out of its arrays.
 """
@@ -68,39 +72,6 @@ class RemHyper:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class RemState:
-    """One sampler state (A, mu, theta) tagged with the sweep order that
-    produced it. A must be finite and positive, mu and theta finite."""
-
-    A: float
-    mu: float
-    theta: np.ndarray
-    variant: str = "block"
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        theta = np.array(self.theta, dtype=float)
-        if theta.ndim != 1:
-            raise ValueError("theta must be a 1-D vector")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        # name the bad fields in the order this variant draws them
-        bad = [] if math.isfinite(self.mu) else [f"mu={float(self.mu)!r}"]
-        # a finite sum proves every entry finite; the full test finds the bad one
-        if not math.isfinite(np.add.reduce(theta)) and not np.isfinite(theta).all():
-            i = int(np.argmin(np.isfinite(theta)))
-            bad.append(f"theta[{i}]={float(theta[i])!r}")
-        if not (math.isfinite(self.A) and self.A > 0):
-            bad.insert(0 if self.variant == "block" else len(bad), f"A={float(self.A)!r}")
-        if bad:
-            raise ValueError(
-                f"invalid state {', '.join(bad)}: A must be finite and positive, "
-                "mu and theta finite"
-            )
-
-
 class Trajectory(NamedTuple):
     """A chain as read-only arrays A[n + 1], mu[n + 1] and theta[n + 1, m]."""
 
@@ -136,61 +107,63 @@ def theta_params(mu: float, A: float, data: RemData) -> tuple[np.ndarray, float]
     return (V * mu + A * data.y) / (A + V), A * V / (A + V)
 
 
-def sample_ig(shape: float, rate: float, key: StreamKey, stream) -> float:
-    """Inverse gamma variate: the rate-scaled reciprocal of a unit-scale
-    gamma(shape) variate from the substream at ``key``."""
-    if shape <= 0 or rate <= 0:
-        raise ValueError("shape and rate must be positive")
-    return rate / stream.gamma(key, shape)
-
-
-def _draw_theta(mu: float, A: float, data: RemData, iteration: int, stream) -> np.ndarray:
+def block_step(A, mu, theta, g, z_mu, z_theta, data: RemData, hyper: RemHyper):
+    """One block sweep from the state (A, mu, theta), given the sweep's
+    noise: a unit gamma ``g`` and standard normals ``z_mu`` and ``z_theta``.
+    A from theta, then mu given the new A, then theta given the new (mu, A).
+    Returns the new state."""
+    A = ig_params(theta, hyper)[1] / g
+    mean, var = mu_params(theta, A)
+    mu = mean + math.sqrt(var) * z_mu
     mean, var = theta_params(mu, A, data)
-    return stream.normal(StreamKey(iteration, STEP_THETA), mean, math.sqrt(var), size=data.m)
+    return A, mu, mean + math.sqrt(var) * z_theta
 
 
-def block_step(
-    state: RemState, data: RemData, hyper: RemHyper, iteration: int, stream
-) -> RemState:
-    """One block sweep: A from theta, then mu given the new A, then theta
-    given the new (mu, A)."""
-    shape, rate = ig_params(state.theta, hyper)
-    a_new = sample_ig(shape, rate, StreamKey(iteration, STEP_A), stream)
-    mean, var = mu_params(state.theta, a_new)
-    mu_new = stream.normal(StreamKey(iteration, STEP_MU), mean, math.sqrt(var))
-    return RemState(a_new, mu_new, _draw_theta(mu_new, a_new, data, iteration, stream), "block")
+def ooo_step(A, mu, theta, g, z_mu, z_theta, data: RemData, hyper: RemHyper):
+    """One out-of-order sweep from the state (A, mu, theta), given the same
+    noise as ``block_step``: mu given the current A, then theta given
+    (new mu, current A), then A from the new theta. Returns the new state."""
+    mean, var = mu_params(theta, A)
+    mu = mean + math.sqrt(var) * z_mu
+    mean, var = theta_params(mu, A, data)
+    theta = mean + math.sqrt(var) * z_theta
+    return ig_params(theta, hyper)[1] / g, mu, theta
 
 
-def ooo_step(
-    state: RemState, data: RemData, hyper: RemHyper, iteration: int, stream
-) -> RemState:
-    """One out-of-order sweep: mu given the current A, then theta given
-    (new mu, current A), then A from the new theta.
-
-    The A draw is keyed at iteration + 1: it is "the next iteration's" A in
-    the shifted correspondence with the block sweep.
-    """
-    mean, var = mu_params(state.theta, state.A)
-    mu_new = stream.normal(StreamKey(iteration, STEP_MU), mean, math.sqrt(var))
-    theta_new = _draw_theta(mu_new, state.A, data, iteration, stream)
-    shape, rate = ig_params(theta_new, hyper)
-    a_new = sample_ig(shape, rate, StreamKey(iteration + 1, STEP_A), stream)
-    return RemState(a_new, mu_new, theta_new, "ooo")
-
-
-def default_init(data: RemData) -> RemState:
+def default_init(data: RemData) -> tuple[float, float, np.ndarray]:
     """Start inside the support with no overdispersion: mu at the data mean,
     theta at the data, A at the sample variance (floored at 1e-6)."""
     a0 = max(float(np.var(data.y, ddof=1)), 1e-6)
-    return RemState(a0, float(data.y.mean()), data.y.copy())
+    return a0, float(data.y.mean()), data.y.copy()
 
 
 _STEPS: dict[str, Callable] = {"block": block_step, "ooo": ooo_step}
 
 
+def _check_states(A, mu, theta, variant: str, first_iteration: int) -> None:
+    """Raise at the first row of the state arrays (iteration
+    ``first_iteration`` + row) that is not a valid state, naming its bad
+    fields in the order ``variant`` draws them. A must be finite and
+    positive, mu and theta finite."""
+    valid = (A > 0) & (A < math.inf) & np.isfinite(mu) & np.isfinite(theta).all(axis=1)
+    if valid.all():
+        return
+    k = int(np.argmin(valid))
+    bad = [] if math.isfinite(mu[k]) else [f"mu={float(mu[k])!r}"]
+    if not np.isfinite(theta[k]).all():
+        i = int(np.argmin(np.isfinite(theta[k])))
+        bad.append(f"theta[{i}]={float(theta[k, i])!r}")
+    if not 0 < A[k] < math.inf:
+        bad.insert(0 if variant == "block" else len(bad), f"A={float(A[k])!r}")
+    raise ValueError(
+        f"iteration {first_iteration + k}: invalid state {', '.join(bad)}: "
+        "A must be finite and positive, mu and theta finite"
+    )
+
+
 def run_chain(
     variant: str,
-    init: RemState,
+    init: tuple[float, float, np.ndarray],
     data: RemData,
     hyper: RemHyper,
     n: int,
@@ -199,33 +172,43 @@ def run_chain(
     stream: KeyedStream | None = None,
     first_iteration: int = 1,
 ) -> Trajectory:
-    """Apply n sweeps and return all n + 1 states, the initial one included.
+    """Apply n sweeps to the state ``init`` = (A, mu, theta) and return all
+    n + 1 states, the initial one included.
 
-    Passing an explicit ``stream`` allows chunked continuation (with
+    Every sweep's noise is drawn first, into the output arrays, under the
+    sweep's keys: a unit gamma(a + (m - 1) / 2) under ``A`` (keyed at
+    iteration + 1 by the out-of-order sweep), standard normals under ``mu``
+    and ``theta``. No draw depends on the state, so the sweeps then run as
+    pure functions of it and overwrite each row with the state. Passing an
+    explicit ``stream`` allows chunked continuation (with
     ``first_iteration`` advanced) and key auditing; results are identical to
     a monolithic run because draws are keyed by iteration, not by position
-    in the stream. A sweep that produces an invalid state raises, naming
-    its iteration and the bad field.
+    in the stream. An invalid initial state, or a sweep that produces one,
+    raises, naming its iteration and the bad field.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if variant not in _STEPS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if data.m != init.theta.size:
+    if np.shape(init[2]) != (data.m,):
         raise ValueError("init theta length does not match data")
-    step = _STEPS[variant]
+    A, mu, theta = np.empty(n + 1), np.empty(n + 1), np.empty((n + 1, data.m))
+    A[0], mu[0], theta[0] = init
+    _check_states(A[:1], mu[:1], theta[:1], variant, first_iteration - 1)
     if stream is None:
         stream = KeyedStream(seed)
-    A, mu, theta = np.empty(n + 1), np.empty(n + 1), np.empty((n + 1, data.m))
-    state = init
-    A[0], mu[0], theta[0] = state.A, state.mu, state.theta
+    shape = ig_params(theta[0], hyper)[0]  # the same for every sweep
+    a_ahead = 1 if variant == "ooo" else 0
+    for k, iteration in enumerate(range(first_iteration, first_iteration + n), 1):
+        A[k] = stream.gamma(StreamKey(iteration + a_ahead, STEP_A), shape)
+        mu[k] = stream.normal(StreamKey(iteration, STEP_MU))
+        theta[k] = stream.normal(StreamKey(iteration, STEP_THETA), data.m)
+    step = _STEPS[variant]
+    state = A[0], mu[0], theta[0]
     for k in range(1, n + 1):
-        iteration = first_iteration + k - 1
-        try:
-            state = step(state, data, hyper, iteration, stream)
-        except ValueError as exc:
-            raise ValueError(f"iteration {iteration}: {exc}") from exc
-        A[k], mu[k], theta[k] = state.A, state.mu, state.theta
+        state = step(*state, A[k], mu[k], theta[k], data, hyper)
+        A[k], mu[k], theta[k] = state
+    _check_states(A, mu, theta, variant, first_iteration - 1)
     for column in (A, mu, theta):
         column.setflags(write=False)
     return Trajectory(A, mu, theta)
@@ -247,6 +230,8 @@ def estimate(values: np.ndarray, burn_in: int) -> tuple[float, float]:
     """Ergodic average of per-state values (one per trajectory state) after
     burn-in, with a batch-means standard error using floor(sqrt(n))
     batches."""
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     values = np.asarray(values, dtype=float)[burn_in:]
     n = values.size
     if n < 100:

@@ -1,12 +1,14 @@
 """Deterministic random substreams addressed by (iteration, step) keys.
 
-A sweep makes three keyed draws: ``A``, ``mu``, and one vector draw of all
-theta coordinates under ``theta``. Each key selects an independent
-counter-based stream, so however many variates one draw consumes internally
-(gamma generation is rejection based), it can never shift the randomness
-seen by any other draw. Two samplers that make "the same" draw under the
-same key therefore produce bit-identical values, which upgrades
-distributional identities between trajectories to exact, testable ones.
+A sweep reads three keyed draws: a unit gamma under ``A``, a standard
+normal under ``mu``, and one standard normal vector for all theta
+coordinates under ``theta``. Each key selects an independent counter-based
+stream, so however many variates one draw consumes internally (gamma
+generation is rejection based), it can never shift the randomness seen by
+any other draw, and when a variate is drawn does not change its value. Two
+samplers that read the same key therefore see bit-identical noise, which
+upgrades distributional identities between trajectories to exact, testable
+ones. Draws are standard variates; the samplers scale them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv
 
 STEP_A = "A"
 STEP_MU = "mu"
@@ -57,7 +58,9 @@ class KeyedStream:
 
     def __init__(self, seed: int, audit: bool = True):
         self.seed = int(seed)
-        self._key = np.array([self.seed % (1 << 64), 0], dtype=np.uint64)
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        self._key = np.array([self.seed, 0], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=self._key.copy())
         self._gen = np.random.Generator(self._bitgen)
         # the state setter copies every value, so one template serves all binds
@@ -83,30 +86,13 @@ class KeyedStream:
         self._bitgen.state = self._state
         return self._gen
 
-    def normal(self, key: StreamKey, mean, sd: float, size: int | None = None):
-        """Normal variate(s) ``mean + sd * z`` from the substream at ``key``;
-        with ``size``, one vector draw (``mean`` may be a vector)."""
-        z = self._bind(key).standard_normal(size)
-        return mean + sd * z if size is not None else float(mean + sd * z)
+    def normal(self, key: StreamKey, size: int | None = None):
+        """Standard normal variate(s) from the substream at ``key``; with
+        ``size``, one vector draw."""
+        return self._bind(key).standard_normal(size)
 
     def gamma(self, key: StreamKey, shape: float, size: int | None = None):
         """Unit-scale gamma variate(s) from the substream at ``key``."""
         if shape <= 0:
             raise ValueError("gamma shape must be positive")
-        draw = self._bind(key).standard_gamma(shape, size=size)
-        return draw if size is not None else float(draw)
-
-
-class MedianStream:
-    """Drop-in stream whose draws return the distribution median instead of
-    a random variate (for a normal, the mean). Lets composition logic be
-    checked against hand-evaluated formulas with no randomness involved."""
-
-    def normal(self, key: StreamKey, mean, sd: float, size: int | None = None):
-        return mean + np.zeros(size) if size is not None else float(mean)
-
-    def gamma(self, key: StreamKey, shape: float, size: int | None = None):
-        if shape <= 0:
-            raise ValueError("gamma shape must be positive")
-        med = gammainccinv(shape, 0.5)
-        return np.full(size, med) if size is not None else float(med)
+        return self._bind(key).standard_gamma(shape, size=size)

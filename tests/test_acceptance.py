@@ -20,7 +20,6 @@ from blockgibbs import (
     KeyedStream,
     RemData,
     RemHyper,
-    RemState,
     StreamKey,
     check_marginal_agreement,
     check_prop1,
@@ -170,7 +169,7 @@ def test_criterion_6_shifted_chain_identity():
     t0 = time.perf_counter()
     base = run_chain("block", init, data, hyper, n=10_001, seed=42)
     view = shifted_view(base)
-    start = RemState(view.A[0], view.mu[0], view.theta[0])
+    start = view.A[0], view.mu[0], view.theta[0]
     ooo = run_chain("ooo", start, data, hyper, n=10_000, seed=42)
     identical = ooo.A.size == 10_001 and all(
         np.array_equal(s, t) for s, t in zip(view, ooo)

@@ -145,6 +145,9 @@ def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
         ("simulate", {"y": [1.2, -0.3, True]}, "y[2]"),
         ("simulate", {"y": [1.2, "x", 0.7]}, "y[1]"),
         ("simulate", {"y": "abc"}, "y"),
+        ("exact", {"seed": -1}, "seed"),
+        ("simulate", {"seed": -1}, "seed"),
+        ("simulate", {"seed": 2**64}, "seed"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(

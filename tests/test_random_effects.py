@@ -1,8 +1,9 @@
 """Tests for the random effects samplers.
 
 The two sweep orders are checked three ways: parameter formulas against
-hand-worked values, composition against a deterministic median stream, and
-the trajectory-level shifted re-indexing bit for bit.
+hand-worked values, composition against hand evaluation at the noise
+medians (zero normals and the gamma median), and the trajectory-level
+shifted re-indexing bit for bit.
 """
 
 import csv
@@ -19,10 +20,8 @@ from scipy.special import gammaincc, gammainccinv
 
 from blockgibbs import (
     KeyedStream,
-    MedianStream,
     RemData,
     RemHyper,
-    RemState,
     StreamKey,
     Trajectory,
     block_step,
@@ -32,7 +31,6 @@ from blockgibbs import (
     mu_params,
     ooo_step,
     run_chain,
-    sample_ig,
     shifted_view,
     theta_params,
 )
@@ -42,6 +40,8 @@ from blockgibbs.random_effects import ModelConfig, trajectory_to_csv
 #: sha256 of trajectory.csv for a 20-sweep block run (seed 2024) on the
 #: fixture data; see test_trajectory_csv_golden_digest.
 GOLDEN_SHA256 = "b80b89a5c2e91f827ad3caa57988536ab95c77dc1723ce2b90e15da009035db9"
+#: The same for an out-of-order run, which pins its A key one iteration ahead.
+GOLDEN_OOO_SHA256 = "f8a388156a45a233d1b7be56db4f2c439db584240214997370ade559bc74d2bf"
 
 
 @pytest.fixture()
@@ -70,16 +70,17 @@ class RecordingStream(KeyedStream):
         return super()._bind(key)
 
 
-class PoisonedStream(MedianStream):
-    """Median stream whose draw under one key returns NaN (a whole vector
-    draw, or one coordinate of it)."""
+class PoisonedStream(KeyedStream):
+    """Keyed stream whose normal draw under one key returns NaN (a scalar
+    draw, or one coordinate of a vector draw)."""
 
     def __init__(self, iteration, step, coordinate=None):
+        super().__init__(0)
         self.target = (iteration, step)
         self.coordinate = coordinate
 
-    def normal(self, key, mean, sd, size=None):
-        value = super().normal(key, mean, sd, size)
+    def normal(self, key, size=None):
+        value = super().normal(key, size)
         if (key.iteration, key.step) != self.target:
             return value
         if size is None:
@@ -91,17 +92,19 @@ class PoisonedStream(MedianStream):
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-def test_domain_type_validation():
+def test_domain_type_validation(data, hyper):
     with pytest.raises(ValueError):
         RemData(np.array([1.0]), V=1.0)  # m < 2
     with pytest.raises(ValueError):
         RemData(np.array([1.0, 2.0]), V=0.0)
     with pytest.raises(ValueError):
         RemHyper(0.0, 1.0)
-    with pytest.raises(ValueError):
-        RemState(A=0.0, mu=0.0, theta=np.zeros(2))
-    with pytest.raises(ValueError):
-        RemState(A=1.0, mu=0.0, theta=np.zeros(2), variant="sideways")
+    with pytest.raises(ValueError, match=r"iteration 0: invalid state A=0\.0:"):
+        run_chain("block", (0.0, 0.0, np.zeros(data.m)), data, hyper, n=1, seed=0)
+    with pytest.raises(ValueError, match="init theta length"):
+        run_chain("block", (1.0, 0.0, np.zeros(data.m - 1)), data, hyper, n=1, seed=0)
+    with pytest.raises(ValueError, match="variant"):
+        run_chain("sideways", default_init(data), data, hyper, n=1, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -113,10 +116,13 @@ def test_domain_type_validation():
         ({"theta": np.array([0.0, -math.inf, math.nan])}, r"theta\[1\]=-inf"),
     ],
 )
-def test_invalid_state_names_its_field(fields, message):
-    state = dict(A=1.0, mu=0.0, theta=np.zeros(3))
+def test_invalid_state_names_its_field(hyper, fields, message):
+    # an initial state is checked before any sweep runs
+    state = dict(dict(A=1.0, mu=0.0, theta=np.zeros(3)), **fields)
+    data = RemData(np.array([1.0, 2.0, 3.0]), V=1.0)
+    init = (state["A"], state["mu"], state["theta"])
     with pytest.raises(ValueError, match=f"invalid state {message}"):
-        RemState(**dict(state, **fields))
+        run_chain("ooo", init, data, hyper, n=1, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -138,9 +144,9 @@ def test_invalid_state_raises_at_the_sweep_that_made_it(data, hyper, variant, po
 def test_a_floor_warning_fires_once_per_sweep(data, hyper, caplog):
     # A below A_FLOOR (reachable only from an initial state) floors the theta
     # draw's A; the warning is per sweep, not per coordinate
-    init = RemState(1e-310, 0.0, data.y)
+    g = gammainccinv(ig_params(data.y, hyper)[0], 0.5)
     with caplog.at_level(logging.WARNING, logger="blockgibbs.random_effects"):
-        ooo_step(init, data, hyper, 1, MedianStream())
+        ooo_step(1e-310, 0.0, data.y, g, 0.0, np.zeros(data.m), data, hyper)
     assert [r.getMessage().startswith("flooring A") for r in caplog.records] == [True]
 
 
@@ -220,16 +226,6 @@ def test_theta_params_convexity_bounds(mu, A, V, i):
 # ---------------------------------------------------------------------------
 # inverse gamma sampling
 # ---------------------------------------------------------------------------
-def test_sample_ig_deterministic_in_key():
-    a = sample_ig(3.0, 2.0, StreamKey(1, "A"), KeyedStream(5))
-    b = sample_ig(3.0, 2.0, StreamKey(1, "A"), KeyedStream(5))
-    assert a == b and a > 0
-    with pytest.raises(ValueError):
-        sample_ig(-1.0, 2.0, StreamKey(1, "A"), KeyedStream(5))
-    with pytest.raises(ValueError):
-        sample_ig(3.0, 0.0, StreamKey(1, "A"), KeyedStream(5))
-
-
 def test_sample_ig_monte_carlo_mean():
     # mean of IG(3, 2) is 2 / (3 - 1) = 1; SE of 1e6 draws ~ 1e-3
     stream = KeyedStream(123, audit=False)
@@ -249,49 +245,45 @@ def test_sample_ig_distribution_ks():
     assert result.pvalue > 0.001
 
 
-def test_median_of_sample_ig_matches_closed_form():
-    med = sample_ig(3.0, 2.0, StreamKey(1, "A"), MedianStream())
-    assert med == pytest.approx(2.0 / gammainccinv(3.0, 0.5))
-
-
 # ---------------------------------------------------------------------------
 # sweep composition
 # ---------------------------------------------------------------------------
 def test_block_step_median_composition(data, hyper):
-    init = default_init(data)
-    out = block_step(init, data, hyper, 1, MedianStream())
+    A0, mu0, theta0 = default_init(data)
+    shape, rate = ig_params(theta0, hyper)
+    median = gammainccinv(shape, 0.5)
+    A, mu, theta = block_step(A0, mu0, theta0, median, 0.0, np.zeros(data.m), data, hyper)
 
-    shape, rate = ig_params(init.theta, hyper)
-    a_hand = rate / gammainccinv(shape, 0.5)
-    mu_hand = mu_params(init.theta, a_hand)[0]
+    a_hand = rate / median
+    mu_hand = mu_params(theta0, a_hand)[0]
     V = data.V
     theta_hand = [(V * mu_hand + a_hand * y) / (a_hand + V) for y in data.y]
-    assert out.A == a_hand
-    assert out.mu == mu_hand
-    np.testing.assert_array_equal(out.theta, theta_hand)
-    assert out.variant == "block"
+    assert A == a_hand
+    assert mu == mu_hand
+    np.testing.assert_array_equal(theta, theta_hand)
 
 
 def test_ooo_step_median_composition(data, hyper):
-    init = default_init(data)
-    out = ooo_step(init, data, hyper, 1, MedianStream())
+    A0, mu0, theta0 = default_init(data)
+    median = gammainccinv(ig_params(theta0, hyper)[0], 0.5)
+    A, mu, theta = ooo_step(A0, mu0, theta0, median, 0.0, np.zeros(data.m), data, hyper)
 
-    mu_hand = mu_params(init.theta, init.A)[0]
+    mu_hand = mu_params(theta0, A0)[0]
     V = data.V
-    theta_hand = np.array([(V * mu_hand + init.A * y) / (init.A + V) for y in data.y])
+    theta_hand = np.array([(V * mu_hand + A0 * y) / (A0 + V) for y in data.y])
     shape, rate = ig_params(theta_hand, hyper)
-    assert out.mu == mu_hand
-    np.testing.assert_array_equal(out.theta, theta_hand)
-    assert out.A == rate / gammainccinv(shape, 0.5)
-    assert out.variant == "ooo"
+    assert mu == mu_hand
+    np.testing.assert_array_equal(theta, theta_hand)
+    assert A == rate / gammainccinv(shape, 0.5)
 
 
 def test_ooo_key_audit(data, hyper):
-    # three draws per sweep, with A keyed one iteration ahead
+    # three draws per sweep, with A keyed one iteration ahead; the noise is
+    # drawn before the sweeps run, A first as in the block sweep
     stream = RecordingStream(3)
     run_chain("ooo", default_init(data), data, hyper, n=4, seed=3, stream=stream)
     assert stream.keys == [
-        key for i in range(1, 5) for key in ((i, "mu"), (i, "theta"), (i + 1, "A"))
+        key for i in range(1, 5) for key in ((i + 1, "A"), (i, "mu"), (i, "theta"))
     ]
     assert stream.consumed == {"mu": 4, "theta": 4, "A": 5}
 
@@ -327,7 +319,7 @@ def test_run_chain_chunked_equals_monolithic(data, hyper):
     # label's mark (the first chunk drew A up to iteration 26)
     stream = KeyedStream(13)
     first = run_chain("ooo", init, data, hyper, n=25, seed=13, stream=stream)
-    last = RemState(first.A[-1], first.mu[-1], first.theta[-1])
+    last = first.A[-1], first.mu[-1], first.theta[-1]
     second = run_chain(
         "ooo", last, data, hyper, n=15, seed=13, stream=stream, first_iteration=26
     )
@@ -358,7 +350,7 @@ def test_shifted_view_is_the_ooo_run_bit_for_bit(data, hyper, seed):
     init = default_init(data)
     base = run_chain("block", init, data, hyper, n=201, seed=seed)
     view = shifted_view(base)
-    start = RemState(view.A[0], view.mu[0], view.theta[0])
+    start = view.A[0], view.mu[0], view.theta[0]
     ooo = run_chain("ooo", start, data, hyper, n=200, seed=seed)
     assert view.A.size == ooo.A.size == 201
     assert trajectories_equal(view, ooo)
@@ -374,6 +366,12 @@ def test_estimate_constant_function(data, hyper):
     assert se == 0.0
     with pytest.raises(ValueError):
         estimate(traj.A, burn_in=150)
+
+
+def test_estimate_rejects_a_negative_burn_in():
+    # a negative slice start would average only the last values
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        estimate(np.arange(1000.0), -200)
 
 
 def test_posterior_mean_of_mu_is_data_mean(data, hyper):
@@ -427,13 +425,18 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, data, hyper):
     assert path.read_bytes() == ref.read_bytes()
 
 
-def test_trajectory_csv_golden_digest(tmp_path, data, hyper):
+@pytest.mark.parametrize(
+    "variant, digest",
+    [pytest.param("block", GOLDEN_SHA256, id="block"),
+     pytest.param("ooo", GOLDEN_OOO_SHA256, id="ooo")],
+)
+def test_trajectory_csv_golden_digest(tmp_path, data, hyper, variant, digest):
     # pins the key layout (A, mu, theta vector per sweep) and the CSV format:
     # any change to either changes every trajectory for a given seed
-    traj = run_chain("block", default_init(data), data, hyper, n=20, seed=2024)
+    traj = run_chain(variant, default_init(data), data, hyper, n=20, seed=2024)
     path = tmp_path / "trajectory.csv"
     trajectory_to_csv(traj, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_model_config_round_trip(data, hyper):

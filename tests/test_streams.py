@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.special import gammainccinv
 
-from blockgibbs import KeyedStream, MedianStream, StreamKey
+from blockgibbs import KeyedStream, StreamKey
 
 
 def test_stream_key_labels():
@@ -21,17 +20,17 @@ def test_stream_key_labels():
 
 
 def test_same_key_same_value_across_stream_objects():
-    a = KeyedStream(99).normal(StreamKey(5, "mu"), 0.0, 1.0)
-    b = KeyedStream(99).normal(StreamKey(5, "mu"), 0.0, 1.0)
+    a = KeyedStream(99).normal(StreamKey(5, "mu"))
+    b = KeyedStream(99).normal(StreamKey(5, "mu"))
     assert a == b
 
 
 def test_different_keys_and_seeds_differ():
     s = KeyedStream(0, audit=False)
-    base = s.normal(StreamKey(1, "A"), 0.0, 1.0)
-    assert s.normal(StreamKey(2, "A"), 0.0, 1.0) != base
-    assert s.normal(StreamKey(1, "mu"), 0.0, 1.0) != base
-    assert KeyedStream(1).normal(StreamKey(1, "A"), 0.0, 1.0) != base
+    base = s.normal(StreamKey(1, "A"))
+    assert s.normal(StreamKey(2, "A")) != base
+    assert s.normal(StreamKey(1, "mu")) != base
+    assert KeyedStream(1).normal(StreamKey(1, "A")) != base
 
 
 def test_state_reset_equals_fresh_generator():
@@ -41,49 +40,47 @@ def test_state_reset_equals_fresh_generator():
     philox_key = np.array([42, (7 << 16) | key.code()], dtype=np.uint64)
     fresh = np.random.Generator(np.random.Philox(key=philox_key)).standard_gamma(2.5)
     assert fast == fresh
-    # a vector normal draw is mean + sd * z for the key's first size variates
-    mean = np.arange(5.0)
-    vec = KeyedStream(42).normal(key, mean, 2.0, size=5)
+    # a vector normal draw is the key's first size standard normals
+    vec = KeyedStream(42).normal(key, size=5)
     z = np.random.Generator(np.random.Philox(key=philox_key)).standard_normal(5)
-    np.testing.assert_array_equal(vec, mean + 2.0 * z)
+    np.testing.assert_array_equal(vec, z)
 
 
 def test_audit_rejects_key_reuse():
     s = KeyedStream(0)
-    s.normal(StreamKey(1, "mu"), 0.0, 1.0)
+    s.normal(StreamKey(1, "mu"))
     with pytest.raises(ValueError, match="already consumed"):
-        s.normal(StreamKey(1, "mu"), 0.0, 1.0)
+        s.normal(StreamKey(1, "mu"))
     # a separate draw is still fine
-    s.normal(StreamKey(2, "mu"), 0.0, 1.0)
+    s.normal(StreamKey(2, "mu"))
 
 
 def test_audit_rejects_a_lower_iteration():
     s = KeyedStream(0)
-    s.normal(StreamKey(5, "mu"), 0.0, 1.0)
+    s.normal(StreamKey(5, "mu"))
     with pytest.raises(ValueError, match="out of order"):
-        s.normal(StreamKey(3, "mu"), 0.0, 1.0)
+        s.normal(StreamKey(3, "mu"))
     # each label keeps its own mark
     s.gamma(StreamKey(1, "A"), 2.0)
-    s.normal(StreamKey(1, "theta"), np.zeros(3), 1.0, size=3)
+    s.normal(StreamKey(1, "theta"), size=3)
     assert s.consumed == {"mu": 5, "A": 1, "theta": 1}
 
 
 def test_audit_can_be_disabled():
     s = KeyedStream(0, audit=False)
-    a = s.normal(StreamKey(1, "mu"), 0.0, 1.0)
-    assert s.normal(StreamKey(1, "mu"), 0.0, 1.0) == a
+    a = s.normal(StreamKey(1, "mu"))
+    assert s.normal(StreamKey(1, "mu")) == a
     assert s.consumed is None
+
+
+def test_seed_must_fit_the_philox_key_word():
+    # a seed outside [0, 2**64) is refused, not wrapped onto another seed
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            KeyedStream(seed)
+    KeyedStream((1 << 64) - 1)  # the largest seed is accepted
 
 
 def test_gamma_validates_shape():
     with pytest.raises(ValueError):
         KeyedStream(0).gamma(StreamKey(1, "A"), 0.0)
-
-
-def test_median_stream_values():
-    ms = MedianStream()
-    assert ms.normal(StreamKey(1, "mu"), 2.5, 10.0) == 2.5
-    np.testing.assert_array_equal(
-        ms.normal(StreamKey(1, "theta"), np.array([1.0, -2.0]), 3.0, size=2), [1.0, -2.0]
-    )
-    assert ms.gamma(StreamKey(1, "A"), 3.0) == pytest.approx(gammainccinv(3.0, 0.5))

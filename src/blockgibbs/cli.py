@@ -34,6 +34,7 @@ from .finite_model import Dims, JointPmf3, random_pmf
 from .random_effects import (
     ModelConfig,
     Trajectory,
+    config_int,
     default_init,
     estimate,
     run_chain,
@@ -192,20 +193,13 @@ def _pick(flag_value, file_doc: dict, key: str, default):
 
 
 def _config_int(value, key: str, errors: list):
-    """An integer setting; a config file may also give it as an integral
-    float or a numeric string. Anything else (a fraction, a bool, text) is
-    an error naming the key, and the result is None."""
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    errors.append(f"{key} must be an integer, got {value!r}")
-    return None
+    """An integer setting by ``config_int``'s rule; None after an error
+    naming the key."""
+    try:
+        return config_int(value, key)
+    except ValueError as exc:
+        errors.append(str(exc))
+        return None
 
 
 def _config_float(value, key: str, errors: list):
@@ -345,19 +339,13 @@ def parse_config(argv) -> RunConfig:
     if model is not None:
         if model.n is None:
             errors.append("number of sweeps required: give --n or put \"n\" in the config")
-        elif model.n < 1:
-            errors.append(f"n must be >= 1, got {model.n}")
         model = replace(
             model,
             burn_in=model.burn_in if model.burn_in is not None else 0,
             seed=model.seed if model.seed is not None else 0,
             variant=model.variant if model.variant is not None else "block",
         )
-        if not 0 <= model.seed < 1 << 64:
-            errors.append(f"seed must be in [0, 2**64), got {model.seed}")
-        if model.burn_in < 0:
-            errors.append(f"burn-in must be >= 0, got {model.burn_in}")
-        elif model.n is not None and model.n + 1 - model.burn_in < 100:
+        if model.n is not None and model.n + 1 - model.burn_in < 100:
             errors.append(
                 f"need at least 100 post-burn-in states for estimates; "
                 f"n={model.n} with burn_in={model.burn_in} leaves {model.n + 1 - model.burn_in}"

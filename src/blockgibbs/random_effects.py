@@ -6,12 +6,13 @@ w^(-a-1) exp(-b/w).
 
 The block sweep draws A, then mu, then theta; the out-of-order sweep draws
 mu, then theta, then A. Given (mu, A) the theta_i are independent, so theta
-is one vector draw and a sweep reads three keyed draws (see ``streams``).
-No draw depends on the state: A is the rate over a unit gamma whose shape
-a + (m - 1) / 2 is fixed for the chain, and mu and theta are mean + sd * z.
-So ``run_chain`` draws a chain's noise first, and ``block_step`` and
+is one vector draw and a sweep reads three labels of keyed noise (see
+``streams``). No draw depends on the state: A is the rate over a unit gamma
+whose shape a + (m - 1) / 2 is fixed for the chain, and mu and theta are
+mean + sd * z. So ``run_chain`` draws a chain's noise first, one bulk draw
+per label and block of ``streams.BLOCK`` sweeps, and ``block_step`` and
 ``ooo_step`` are pure functions of a state and one sweep's noise. The
-out-of-order A draw is keyed one iteration ahead, so the out-of-order
+out-of-order A draw is read one iteration ahead, so the out-of-order
 trajectory is bit-for-bit the shifted view (mu_n, theta_n, A_{n+1}) of the
 block trajectory, which ``shifted_view`` slices out of its arrays.
 """
@@ -80,14 +81,18 @@ class Trajectory(NamedTuple):
     theta: np.ndarray
 
 
+def _ig_rate(theta: np.ndarray, mean: float, hyper: RemHyper) -> float:
+    d = theta - mean
+    return hyper.b + 0.5 * float(np.add.reduce(d * d))
+
+
 def ig_params(theta: np.ndarray, hyper: RemHyper) -> tuple[float, float]:
     """Inverse gamma parameters for the A draw:
     shape = a + (m - 1) / 2, rate = b + sum((theta_i - mean)^2) / 2."""
     m = theta.size
     if m < 2:
         raise ValueError("need at least 2 components")
-    d = theta - np.add.reduce(theta) / m
-    return hyper.a + (m - 1) / 2.0, hyper.b + 0.5 * float(np.add.reduce(d * d))
+    return hyper.a + (m - 1) / 2.0, _ig_rate(theta, float(np.add.reduce(theta)) / m, hyper)
 
 
 def mu_params(theta: np.ndarray, A: float) -> tuple[float, float]:
@@ -112,9 +117,10 @@ def block_step(A, mu, theta, g, z_mu, z_theta, data: RemData, hyper: RemHyper):
     noise: a unit gamma ``g`` and standard normals ``z_mu`` and ``z_theta``.
     A from theta, then mu given the new A, then theta given the new (mu, A).
     Returns the new state."""
-    A = ig_params(theta, hyper)[1] / g
-    mean, var = mu_params(theta, A)
-    mu = mean + math.sqrt(var) * z_mu
+    m = theta.size
+    mean = float(np.add.reduce(theta)) / m  # mu_params' mean, reduced once
+    A = _ig_rate(theta, mean, hyper) / g
+    mu = mean + math.sqrt(A / m) * z_mu
     mean, var = theta_params(mu, A, data)
     return A, mu, mean + math.sqrt(var) * z_theta
 
@@ -175,16 +181,17 @@ def run_chain(
     """Apply n sweeps to the state ``init`` = (A, mu, theta) and return all
     n + 1 states, the initial one included.
 
-    Every sweep's noise is drawn first, into the output arrays, under the
-    sweep's keys: a unit gamma(a + (m - 1) / 2) under ``A`` (keyed at
-    iteration + 1 by the out-of-order sweep), standard normals under ``mu``
-    and ``theta``. No draw depends on the state, so the sweeps then run as
-    pure functions of it and overwrite each row with the state. Passing an
-    explicit ``stream`` allows chunked continuation (with
-    ``first_iteration`` advanced) and key auditing; results are identical to
-    a monolithic run because draws are keyed by iteration, not by position
-    in the stream. An invalid initial state, or a sweep that produces one,
-    raises, naming its iteration and the bad field.
+    Every sweep's noise is drawn first, into the output arrays, one bulk
+    draw per label and block of ``streams.BLOCK`` iterations: a unit
+    gamma(a + (m - 1) / 2) under ``A`` (read at iteration + 1 by the
+    out-of-order sweep), standard normals under ``mu`` and ``theta``. No
+    draw depends on the state, so the sweeps then run as pure functions of
+    it and overwrite each row with the state. Passing an explicit ``stream``
+    allows chunked continuation (with ``first_iteration`` advanced, also to
+    a point inside a block) and key auditing; results are identical to a
+    monolithic run because each variate is addressed by its iteration, not
+    by its position in the stream. An invalid initial state, or a sweep
+    that produces one, raises, naming its iteration and the bad field.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -199,10 +206,9 @@ def run_chain(
         stream = KeyedStream(seed)
     shape = ig_params(theta[0], hyper)[0]  # the same for every sweep
     a_ahead = 1 if variant == "ooo" else 0
-    for k, iteration in enumerate(range(first_iteration, first_iteration + n), 1):
-        A[k] = stream.gamma(StreamKey(iteration + a_ahead, STEP_A), shape)
-        mu[k] = stream.normal(StreamKey(iteration, STEP_MU))
-        theta[k] = stream.normal(StreamKey(iteration, STEP_THETA), data.m)
+    stream.gamma(StreamKey(first_iteration + a_ahead, STEP_A), shape, A[1:])
+    stream.normal(StreamKey(first_iteration, STEP_MU), mu[1:])
+    stream.normal(StreamKey(first_iteration, STEP_THETA), theta[1:])
     step = _STEPS[variant]
     state = A[0], mu[0], theta[0]
     for k in range(1, n + 1):
@@ -257,12 +263,30 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
             fh.writelines(row % (start + k, *v) for k, v in enumerate(values))
 
 
+def config_int(value, key: str) -> int:
+    """An integer setting from a config document: an int, an integral float
+    or a numeric string. Anything else (a fraction, a bool, text) raises a
+    ValueError naming the key."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     """Simulation configuration as carried by the model JSON document:
     {"y": [...], "V": ..., "a": ..., "b": ..., "n": ..., "burn_in": ...,
     "seed": ..., "variant": "block"|"ooo"}. Run settings may be omitted in
-    the document and supplied by the caller instead."""
+    the document and supplied by the caller instead; given ones are
+    integers by ``config_int`` with n >= 1, burn_in >= 0 and seed in
+    [0, 2**64)."""
 
     data: RemData
     hyper: RemHyper
@@ -279,12 +303,27 @@ class ModelConfig:
         variant = doc.get("variant")
         if variant is not None and variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        n, burn_in, seed = (
+            None if doc.get(key) is None else config_int(doc[key], key)
+            for key in ("n", "burn_in", "seed")
+        )
+        bad = [
+            message
+            for message, ok in (
+                (f"n must be >= 1, got {n}", n is None or n >= 1),
+                (f"burn_in must be >= 0, got {burn_in}", burn_in is None or burn_in >= 0),
+                (f"seed must be in [0, 2**64), got {seed}", seed is None or 0 <= seed < 1 << 64),
+            )
+            if not ok
+        ]
+        if bad:
+            raise ValueError("; ".join(bad))
         return cls(
             data=RemData(np.asarray(doc["y"], dtype=float), float(doc["V"])),
             hyper=RemHyper(float(doc["a"]), float(doc["b"])),
-            n=None if doc.get("n") is None else int(doc["n"]),
-            burn_in=None if doc.get("burn_in") is None else int(doc["burn_in"]),
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
+            n=n,
+            burn_in=burn_in,
+            seed=seed,
             variant=variant,
         )
 

@@ -202,9 +202,9 @@ def test_criterion_7_sampler_correctness():
     # inverse gamma: mean of IG(3, 2) is 1, and the sample passes a KS test
     # against the upper-incomplete-gamma CDF
     stream = KeyedStream(123, audit=False)
-    mc = 2.0 / stream.gamma(StreamKey(0, "A"), 3.0, size=1_000_000)
+    mc = 2.0 / stream.gamma(StreamKey(0, "A"), 3.0, np.empty(1_000_000))
     mean_err = abs(float(mc.mean()) - 1.0)
-    sample = 1.5 / KeyedStream(7, audit=False).gamma(StreamKey(0, "A"), 2.5, size=100_000)
+    sample = 1.5 / KeyedStream(7, audit=False).gamma(StreamKey(0, "A"), 2.5, np.empty(100_000))
     ks_p = scipy.stats.kstest(sample, lambda w: gammaincc(2.5, 1.5 / w)).pvalue
 
     # single-variable marginal agreement at n = 1e5

@@ -5,11 +5,16 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockgibbs
 from blockgibbs import anti_example_pmf, cli, product_pmf, run_chain
 from blockgibbs.cli import ConfigError, main, parse_config
 
@@ -148,6 +153,8 @@ def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
         ("exact", {"seed": -1}, "seed"),
         ("simulate", {"seed": -1}, "seed"),
         ("simulate", {"seed": 2**64}, "seed"),
+        ("simulate", {"burn_in": -1}, "burn_in"),
+        ("simulate", {"n": 0}, "n"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(
@@ -428,3 +435,22 @@ def test_simulate_deterministic(tmp_path, model_file):
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "estimates.json").read_bytes() == (out2 / "estimates.json").read_bytes()
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+def test_a_run_never_imports_scipy(tmp_path, model_file):
+    # importing scipy.special adds about 24 MB of resident memory and 0.3 s
+    # to a process; the package itself needs only numpy (the tests use scipy)
+    src = Path(blockgibbs.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import blockgibbs\n"
+        "from blockgibbs import cli\n"
+        f"assert cli.main(['simulate', '--config', {model_file!r}, '--n', '200', "
+        f"'--shifted-check', '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+        f"assert cli.main(['exact', '--dims', '2,2,2', '--out', {str(tmp_path / 'exact')!r}]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -35,13 +35,15 @@ from blockgibbs import (
     theta_params,
 )
 from blockgibbs.random_effects import ModelConfig, trajectory_to_csv
+from blockgibbs.streams import BLOCK
 
 
 #: sha256 of trajectory.csv for a 20-sweep block run (seed 2024) on the
-#: fixture data; see test_trajectory_csv_golden_digest.
-GOLDEN_SHA256 = "b80b89a5c2e91f827ad3caa57988536ab95c77dc1723ce2b90e15da009035db9"
-#: The same for an out-of-order run, which pins its A key one iteration ahead.
-GOLDEN_OOO_SHA256 = "f8a388156a45a233d1b7be56db4f2c439db584240214997370ade559bc74d2bf"
+#: fixture data, under block keys; ``reference_chain`` gives the same file.
+#: See test_trajectory_csv_golden_digest.
+GOLDEN_SHA256 = "e7ed06996b211eb7bbe346dec226fa312022d3b3493c5d9bf9dd4e2bc28220e4"
+#: The same for an out-of-order run, which reads its A noise one iteration ahead.
+GOLDEN_OOO_SHA256 = "90489ea87533444f5466a74cb2ab20644781f3fbee9c93b35d60344b80a82525"
 
 
 @pytest.fixture()
@@ -59,34 +61,61 @@ def trajectories_equal(s: Trajectory, t: Trajectory) -> bool:
 
 
 class RecordingStream(KeyedStream):
-    """Audited keyed stream that also lists every key it binds, in order."""
+    """Audited keyed stream that also lists every (block, label) it binds, in
+    order."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.keys = []
+        self.binds = []
 
-    def _bind(self, key):
-        self.keys.append((key.iteration, key.step))
-        return super()._bind(key)
+    def _bind(self, block, step):
+        self.binds.append((block, step))
+        super()._bind(block, step)
 
 
 class PoisonedStream(KeyedStream):
-    """Keyed stream whose normal draw under one key returns NaN (a scalar
-    draw, or one coordinate of a vector draw)."""
+    """Keyed stream whose normal noise at one iteration and label is NaN (a
+    scalar draw, or one coordinate of a vector draw)."""
 
     def __init__(self, iteration, step, coordinate=None):
         super().__init__(0)
         self.target = (iteration, step)
         self.coordinate = coordinate
 
-    def normal(self, key, size=None):
-        value = super().normal(key, size)
-        if (key.iteration, key.step) != self.target:
-            return value
-        if size is None:
-            return math.nan
-        value[self.coordinate] = math.nan
-        return value
+    def normal(self, key, out):
+        super().normal(key, out)
+        iteration, step = self.target
+        if key.step == step and key.iteration <= iteration < key.iteration + len(out):
+            row = iteration - key.iteration
+            out[row if self.coordinate is None else (row, self.coordinate)] = math.nan
+        return out
+
+
+def reference_chain(variant, init, data, hyper, n, seed):
+    """The chain rebuilt from the key layout alone: a fresh Philox generator
+    per (block, label) makes the block's bulk draw, iteration i reads row
+    i % BLOCK of block i // BLOCK, and the steps run one sweep at a time."""
+    shape = ig_params(init[2], hyper)[0]
+    draws = {
+        0: lambda gen: gen.standard_gamma(shape, BLOCK),
+        1: lambda gen: gen.standard_normal(BLOCK),
+        2: lambda gen: gen.standard_normal((BLOCK, data.m)),
+    }
+    blocks = {}
+
+    def noise(iteration, code):
+        block, row = divmod(iteration, BLOCK)
+        if (block, code) not in blocks:
+            key = [seed, block << 16 | code]
+            blocks[block, code] = draws[code](np.random.Generator(np.random.Philox(key=key)))
+        return blocks[block, code][row]
+
+    step = {"block": block_step, "ooo": ooo_step}[variant]
+    ahead = 1 if variant == "ooo" else 0
+    states = [init]
+    for i in range(1, n + 1):
+        states.append(step(*states[-1], noise(i + ahead, 0), noise(i, 1), noise(i, 2), data, hyper))
+    return Trajectory(*(np.array(column) for column in zip(*states)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +259,7 @@ def test_sample_ig_monte_carlo_mean():
     # mean of IG(3, 2) is 2 / (3 - 1) = 1; SE of 1e6 draws ~ 1e-3
     stream = KeyedStream(123, audit=False)
     draws = 1_000_000
-    vals = stream.gamma(StreamKey(0, "A"), 3.0, size=draws)
+    vals = stream.gamma(StreamKey(0, "A"), 3.0, np.empty(draws))
     mean = float((2.0 / vals).mean())
     assert abs(mean - 1.0) < 0.01
 
@@ -240,7 +269,7 @@ def test_sample_ig_distribution_ks():
     # i.e. the regularized upper incomplete gamma at rate / w
     shape, rate = 2.5, 1.5
     stream = KeyedStream(7, audit=False)
-    sample = rate / stream.gamma(StreamKey(0, "A"), shape, size=100_000)
+    sample = rate / stream.gamma(StreamKey(0, "A"), shape, np.empty(100_000))
     result = scipy.stats.kstest(sample, lambda w: gammaincc(shape, rate / w))
     assert result.pvalue > 0.001
 
@@ -278,23 +307,24 @@ def test_ooo_step_median_composition(data, hyper):
 
 
 def test_ooo_key_audit(data, hyper):
-    # three draws per sweep, with A keyed one iteration ahead; the noise is
-    # drawn before the sweeps run, A first as in the block sweep
+    # one bind per label and block: the out-of-order A noise is read one
+    # iteration ahead, so it reaches block 1 a sweep before mu and theta do;
+    # the noise is drawn before the sweeps run, A first as in the block sweep
     stream = RecordingStream(3)
-    run_chain("ooo", default_init(data), data, hyper, n=4, seed=3, stream=stream)
-    assert stream.keys == [
-        key for i in range(1, 5) for key in ((i + 1, "A"), (i, "mu"), (i, "theta"))
-    ]
-    assert stream.consumed == {"mu": 4, "theta": 4, "A": 5}
+    run_chain("ooo", default_init(data), data, hyper, n=BLOCK - 1, seed=3, stream=stream)
+    assert stream.binds == [(0, "A"), (1, "A"), (0, "mu"), (0, "theta")]
+    assert stream.consumed == {"A": BLOCK, "mu": BLOCK - 1, "theta": BLOCK - 1}
 
 
 def test_block_key_audit(data, hyper):
     stream = RecordingStream(3)
     run_chain("block", default_init(data), data, hyper, n=4, seed=3, stream=stream)
-    assert stream.keys == [
-        (i, step) for i in range(1, 5) for step in ("A", "mu", "theta")
-    ]
+    assert stream.binds == [(0, "A"), (0, "mu"), (0, "theta")]
     assert stream.consumed == {"A": 4, "mu": 4, "theta": 4}
+    stream = RecordingStream(3)
+    run_chain("block", default_init(data), data, hyper, n=BLOCK + 5, seed=3, stream=stream)
+    assert stream.binds == [(b, step) for step in ("A", "mu", "theta") for b in (0, 1)]
+    assert stream.consumed == {"A": BLOCK + 5, "mu": BLOCK + 5, "theta": BLOCK + 5}
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +359,41 @@ def test_run_chain_chunked_equals_monolithic(data, hyper):
     # running any sweep again on that stream reuses its keys
     with pytest.raises(ValueError, match="already consumed"):
         run_chain("ooo", last, data, hyper, n=1, seed=13, stream=stream, first_iteration=40)
+
+
+@pytest.mark.parametrize("variant", ["block", "ooo"])
+def test_run_chain_matches_an_independent_block_key_reimplementation(data, hyper, variant):
+    # n crosses the first block boundary for every label
+    n = BLOCK + 30
+    chain = run_chain(variant, default_init(data), data, hyper, n=n, seed=77)
+    assert trajectories_equal(chain, reference_chain(variant, default_init(data), data, hyper, n, 77))
+
+
+@pytest.mark.parametrize("variant", ["block", "ooo"])
+@pytest.mark.parametrize(
+    "split",
+    [
+        pytest.param(BLOCK - 1, id="mu-theta-at-boundary"),  # the second chunk starts at BLOCK
+        pytest.param(BLOCK - 2, id="ooo-A-at-boundary"),  # ooo reads A at BLOCK next
+        pytest.param(BLOCK + 7, id="inside-block-1"),
+    ],
+)
+def test_run_chain_chunks_split_at_and_across_block_boundaries(data, hyper, variant, split):
+    init = default_init(data)
+    n = BLOCK + 40
+    whole = run_chain(variant, init, data, hyper, n=n, seed=21)
+    stream = KeyedStream(21)
+    first = run_chain(variant, init, data, hyper, n=split, seed=21, stream=stream)
+    last = first.A[-1], first.mu[-1], first.theta[-1]
+    second = run_chain(variant, last, data, hyper, n=n - split, seed=21, stream=stream,
+                       first_iteration=split + 1)
+    stitched = Trajectory(*(np.concatenate((a, b[1:])) for a, b in zip(first, second)))
+    assert trajectories_equal(whole, stitched)
+    # the audit still refuses a rerun of the second chunk and a lower start
+    for start in (split + 1, split - 5):
+        with pytest.raises(ValueError, match="already consumed or out of order"):
+            run_chain(variant, last, data, hyper, n=3, seed=21, stream=stream,
+                      first_iteration=start)
 
 
 def test_shifted_view_reindexes(data, hyper):
@@ -431,8 +496,9 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, data, hyper):
      pytest.param("ooo", GOLDEN_OOO_SHA256, id="ooo")],
 )
 def test_trajectory_csv_golden_digest(tmp_path, data, hyper, variant, digest):
-    # pins the key layout (A, mu, theta vector per sweep) and the CSV format:
-    # any change to either changes every trajectory for a given seed
+    # pins the key layout (A, mu and theta noise keyed per block of BLOCK
+    # sweeps) and the CSV format: any change to either changes every
+    # trajectory for a given seed
     traj = run_chain(variant, default_init(data), data, hyper, n=20, seed=2024)
     path = tmp_path / "trajectory.csv"
     trajectory_to_csv(traj, path)
@@ -451,3 +517,27 @@ def test_model_config_round_trip(data, hyper):
         ModelConfig.from_json_dict(
             {"y": [1, 2], "V": 1.0, "a": 1.0, "b": 1.0, "variant": "zigzag"}
         )
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"n": 7.9}, r"n must be an integer, got 7\.9"),
+        ({"burn_in": True}, r"burn_in must be an integer, got True"),
+        ({"seed": "x"}, r"seed must be an integer, got 'x'"),
+        ({"seed": -3}, r"seed must be in \[0, 2\*\*64\), got -3"),
+        ({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\)"),
+        ({"n": 0}, r"n must be >= 1, got 0"),
+        ({"burn_in": -1}, r"burn_in must be >= 0, got -1"),
+        # the first bad integer is named; range errors are all listed
+        ({"n": 7.9, "burn_in": True, "seed": -3}, r"n must be an integer"),
+        ({"n": 0, "seed": -3}, r"n must be >= 1, got 0; seed must be in"),
+    ],
+)
+def test_model_config_rejects_bad_run_settings(settings, message):
+    doc = dict({"y": [1, 2], "V": 1.0, "a": 1.0, "b": 1.0}, **settings)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ModelConfig.from_json_dict(doc)
+    # the rule the command line applies to its config files
+    ok = ModelConfig.from_json_dict(dict(doc, n=100.0, burn_in="10", seed=3))
+    assert (ok.n, ok.burn_in, ok.seed) == (100, 10, 3)

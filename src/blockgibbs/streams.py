@@ -88,8 +88,8 @@ class KeyedStream:
         }
         self.consumed: dict[str, int] | None = {} if audit else None
 
-    def _bind(self, block: int, step: str) -> None:
-        self._key[1] = (block << 16) | _STEP_CODES[step]
+    def _bind(self, block: int, key: StreamKey) -> None:
+        self._key[1] = (block << 16) | key.code()
         self._bitgen.state = self._state
 
     def _fill(self, key: StreamKey, out: np.ndarray, draw) -> np.ndarray:
@@ -111,7 +111,7 @@ class KeyedStream:
         while row < stop:
             block, skip = divmod(row, BLOCK)
             end = min(stop, row - skip + BLOCK)
-            self._bind(block, key.step)
+            self._bind(block, key)
             if skip:  # rows of this block before the draw's first
                 draw(skip * width)
             draw(out=out[row - first : end - first])

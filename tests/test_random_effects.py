@@ -68,9 +68,9 @@ class RecordingStream(KeyedStream):
         super().__init__(seed)
         self.binds = []
 
-    def _bind(self, block, step):
-        self.binds.append((block, step))
-        super()._bind(block, step)
+    def _bind(self, block, key):
+        self.binds.append((block, key.step))
+        super()._bind(block, key)
 
 
 class PoisonedStream(KeyedStream):

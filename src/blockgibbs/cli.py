@@ -9,6 +9,9 @@ Two subcommands:
             estimates.json, optionally verifying the bitwise shifted-chain
             identity.
 
+Settings are the ``--config`` file with every flag given written over it,
+keyed by config name; each key is read once, by its rule in ``_SETTINGS``.
+
 Exit code 0 means every selected verdict was true; 1 means a check failed
 or an artifact could not be written; 2 means the invocation itself was
 invalid. Reports are byte-identical for identical configuration and seed.
@@ -23,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -32,9 +35,11 @@ from .analysis import STATIONARY_RESIDUAL_TOL, ChainReport, analyze
 from .corpus import CORPUS_FLOOR
 from .finite_model import Dims, JointPmf3, random_pmf
 from .random_effects import (
+    VARIANTS,
     ModelConfig,
+    RemData,
+    RemHyper,
     Trajectory,
-    config_int,
     default_init,
     estimate,
     run_chain,
@@ -50,7 +55,7 @@ INVARIANCE_TOL = 1e-12
 PRESERVED_MARGINAL_TOL = 1e-14
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid invocation; carries every validation message at once."""
 
     def __init__(self, messages):
@@ -61,7 +66,7 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     mode: str
-    out_dir: str = "."
+    out_dir: str
     # exact mode
     pmf_source: dict = field(default_factory=dict)
     checks: tuple[str, ...] = CHECK_NAMES
@@ -142,7 +147,7 @@ def _parser() -> argparse.ArgumentParser:
     exact.add_argument("--seed", type=int, help="seed for a random pmf (default 0)")
     exact.add_argument("--out", help="output directory (default .)")
     exact.add_argument("--dims", help="random pmf dims as NX,NY,NZ")
-    exact.add_argument("--pmf", help="pmf JSON file")
+    exact.add_argument("--pmf", dest="pmf_file", help="pmf JSON file")
     exact.add_argument("--floor", type=float, help=f"random pmf floor (default {CORPUS_FLOOR})")
     exact.add_argument("--nmax", type=int, help="max step count for the inequality chains (default 50)")
     exact.add_argument(
@@ -156,7 +161,7 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="model JSON config file; flags override it")
     sim.add_argument("--seed", type=int, help="chain seed (default 0)")
     sim.add_argument("--out", help="output directory (default .)")
-    sim.add_argument("--variant", choices=("block", "ooo"), help="sweep order (default block)")
+    sim.add_argument("--variant", choices=VARIANTS, help="sweep order (default block)")
     sim.add_argument("--n", type=int, help="number of sweeps")
     sim.add_argument("--burn-in", dest="burn_in", type=int, help="states dropped before estimating (default 0)")
     sim.add_argument(
@@ -174,74 +179,156 @@ def _load_json_file(path: str, errors: list) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         errors.append(f"cannot read {path}: {exc}")
-        return {}
     except json.JSONDecodeError as exc:
         errors.append(f"malformed JSON in {path}: {exc}")
-        return {}
-    if not isinstance(doc, dict):
+    else:
+        if isinstance(doc, dict):
+            return doc
         errors.append(f"{path} must contain a JSON object")
-        return {}
-    return doc
+    return {}
 
 
-def _pick(flag_value, file_doc: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_doc and file_doc[key] is not None:
-        return file_doc[key]
-    return default
+def config_int(value, key: str) -> int:
+    """An integer setting, from a flag or a config document: an int, an
+    integral float or a numeric string. Anything else (a fraction, a bool,
+    text) raises a ValueError naming the key."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def _config_int(value, key: str, errors: list):
-    """An integer setting by ``config_int``'s rule; None after an error
-    naming the key."""
-    try:
-        return config_int(value, key)
-    except ValueError as exc:
-        errors.append(str(exc))
-        return None
-
-
-def _config_float(value, key: str, errors: list):
-    """A real-valued setting, given as a number or a numeric string; None
-    after an error naming the key."""
+def _number(value, key: str) -> float:
+    """A real-valued setting, given as a number or a numeric string."""
     if not isinstance(value, bool):
         try:
             return float(value)
         except (TypeError, ValueError):
             pass
-    errors.append(f"{key} must be a number, got {value!r}")
-    return None
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _apply(rule, value, key: str, errors: list):
+    """``rule(value, key)``, or None after adding its errors to ``errors``."""
+    try:
+        return rule(value, key)
+    except ValueError as exc:
+        errors.extend(exc.messages if isinstance(exc, ConfigError) else [str(exc)])
+
+
+def _numbers(value, key: str) -> list[float]:
+    """A list of numbers; every bad entry is named by its index."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    errors: list[str] = []
+    numbers = [_apply(_number, entry, f"{key}[{i}]", errors) for i, entry in enumerate(value)]
+    if errors:
+        raise ConfigError(errors)
+    return numbers
+
+
+def _rule(ok, must: str, convert=lambda value, key: value):
+    """A rule that converts a value, then keeps it if ``ok`` holds and
+    otherwise raises ``must`` (formatted with the key) and the value."""
+
+    def rule(value, key: str):
+        value = convert(value, key)
+        if not ok(value):
+            raise ValueError(f"{must.format(key=key)}, got {value!r}")
+        return value
+
+    return rule
+
+
+def _checks(value, key: str) -> tuple[str, ...]:
+    """The selected checks, from a check name or a list of them."""
+    checks = [value] if isinstance(value, str) else value
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ValueError(f"{key} must be a check name or a list of them, got {checks!r}")
+    unknown = [c for c in checks if c not in CHECK_NAMES + ("all",)]
+    if unknown:
+        raise ValueError(f"unknown checks: {unknown}")
+    return CHECK_NAMES if not checks or "all" in checks else tuple(dict.fromkeys(checks))
+
+
+def _dims(value, key: str) -> tuple[int, int, int]:
+    """Three whole numbers, as a list or as the text "NX,NY,NZ"."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if isinstance(parts, list) and len(parts) == 3:
+        try:
+            return tuple(config_int(part, key) for part in parts)
+        except ValueError:
+            pass
+    raise ValueError(f"--dims must be three comma-separated integers, got {value!r}")
+
+
+_OUT = (_rule(lambda v: isinstance(v, str), "{key} must be a directory path"), ".")
+
+#: The settings each subcommand reads, as key: (rule, default); a rule takes
+#: the value and the key and raises ValueError naming the key. A null value
+#: means the default, or, for a key without one, is checked like any other.
+_SETTINGS = {
+    "exact": {
+        "out": _OUT,
+        "check": (_checks, CHECK_NAMES),
+        "dims": (_dims, None),
+        "seed": (_rule(lambda n: n >= 0, "{key} must be >= 0", config_int), 0),
+        "floor": (_number, CORPUS_FLOOR),
+        "pmf_file": (_rule(lambda v: isinstance(v, str), "{key} must be a file path"), None),
+        "pmf": (None, None),  # an inline pmf, checked when it is loaded
+        "nmax": (_rule(lambda n: n >= 3, "--{key} must be >= 3", config_int), 50),
+    },
+    "simulate": {
+        "out": _OUT,
+        "n": (_rule(lambda n: n >= 1, "{key} must be >= 1", config_int), None),
+        "burn_in": (_rule(lambda n: n >= 0, "{key} must be >= 0", config_int), 0),
+        "seed": (_rule(lambda n: 0 <= n < 1 << 64, "{key} must be in [0, 2**64)", config_int), 0),
+        "V": (_number, None),
+        "a": (_number, None),
+        "b": (_number, None),
+        "y": (_numbers, None),
+        "variant": (_rule(VARIANTS.__contains__, f"{{key}} must be one of {VARIANTS}"), "block"),
+        "shifted_check": (_rule(lambda v: isinstance(v, bool), "{key} must be true or false"), False),
+    },
+}
 
 
 def parse_config(argv) -> RunConfig:
     args = _parser().parse_args(argv)
     errors: list[str] = []
-    file_doc = _load_json_file(args.config, errors) if args.config else {}
-    out_dir = _pick(args.out, file_doc, "out", ".")
-    if not isinstance(out_dir, str):
-        errors.append(f"out must be a directory path, got {out_dir!r}")
+    # the config file, then every flag given over it, keyed by config name
+    settings = _load_json_file(args.config, errors) if args.config else {}
+    settings.update(
+        (key, value) for key, value in vars(args).items()
+        if value is not None and key not in ("mode", "config")
+    )
+    rules = _SETTINGS[args.mode]
+    unknown = [key for key in settings if key not in rules]
+    if unknown:
+        errors.append(
+            f"{', '.join(unknown)} must be among the {args.mode} config keys ({', '.join(rules)})"
+        )
+
+    def read(key: str):
+        """Setting ``key`` by its rule; its default when absent or null."""
+        rule, default = rules[key]
+        if key not in settings or settings[key] is None and default is not None:
+            return default
+        return _apply(rule, settings[key], key, errors)
+
+    out_dir = read("out")
 
     if args.mode == "exact":
-        checks = _pick(args.check, file_doc, "check", [])
-        if isinstance(checks, str):
-            checks = [checks]
-        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-            errors.append(f"check must be a check name or a list of them, got {checks!r}")
-            checks = []
-        checks = checks or ["all"]
-        unknown = [c for c in checks if c not in CHECK_NAMES + ("all",)]
-        if unknown:
-            errors.append(f"unknown checks: {unknown}")
-        selected = CHECK_NAMES if "all" in checks else tuple(dict.fromkeys(checks))
-
-        dims = _pick(args.dims, file_doc, "dims", None)
-        pmf_file = _pick(args.pmf, file_doc, "pmf_file", None)
-        inline = file_doc.get("pmf")
-        sources = [s for s, present in
-                   (("--dims", dims is not None),
-                    ("--pmf", pmf_file is not None),
-                    ("inline pmf", inline is not None)) if present]
+        checks = read("check")
+        dims, pmf_file, inline = (settings.get(key) for key in ("dims", "pmf_file", "pmf"))
+        sources = [name for name, value in
+                   (("--dims", dims), ("--pmf", pmf_file), ("inline pmf", inline)) if value is not None]
         if len(sources) > 1:
             errors.append(f"conflicting pmf sources: {' and '.join(sources)}; give exactly one")
         if not sources:
@@ -249,39 +336,25 @@ def parse_config(argv) -> RunConfig:
 
         source: dict = {}
         if dims is not None and len(sources) == 1:
-            parts = dims.split(",") if isinstance(dims, str) else dims
-            parsed = []
-            if isinstance(parts, list) and len(parts) == 3:
-                parsed = [_config_int(t, "dims", []) for t in parts]  # one message below
-            if len(parsed) != 3 or None in parsed:
-                errors.append(f"--dims must be three comma-separated integers, got {dims!r}")
-            else:
-                dims = tuple(parsed)
-                source = {
-                    "kind": "random",
-                    "dims": dims,
-                    "seed": _config_int(_pick(args.seed, file_doc, "seed", 0), "seed", errors),
-                    "floor": _config_float(
-                        _pick(args.floor, file_doc, "floor", CORPUS_FLOOR), "floor", errors
-                    ),
-                }
-                if source["seed"] is not None and source["seed"] < 0:
-                    errors.append(f"seed must be >= 0, got {source['seed']}")
+            dims = read("dims")
+            if dims is not None:
+                seed, floor = read("seed"), read("floor")
+                source = {"kind": "random", "dims": dims, "seed": seed, "floor": floor}
                 try:
                     size = Dims(*dims).size
                 except ValueError as exc:
                     errors.append(f"--dims {','.join(map(str, dims))}: {exc}")
                 else:
                     # random_pmf needs every entry >= floor, so floor * size < 1
-                    if source["floor"] is not None and not 0.0 < source["floor"] < 1.0 / size:
+                    if floor is not None and not 0.0 < floor < 1.0 / size:
                         errors.append(
                             f"--floor must lie in (0, {1.0 / size:.6g}) for {size} "
-                            f"states, got {source['floor']}"
+                            f"states, got {floor}"
                         )
-        elif pmf_file is not None and not isinstance(pmf_file, str):
-            errors.append(f"pmf_file must be a file path, got {pmf_file!r}")
         elif pmf_file is not None:
-            source = {"kind": "file", "path": pmf_file}
+            pmf_file = read("pmf_file")
+            if pmf_file is not None:
+                source = {"kind": "file", "path": pmf_file}
         elif inline is not None:
             source = {"kind": "inline", "doc": inline}
         pmf = None
@@ -294,68 +367,42 @@ def parse_config(argv) -> RunConfig:
             except (ValueError, TypeError, KeyError) as exc:
                 errors.append(f"invalid pmf in {where}: {exc}")
 
-        nmax = _config_int(_pick(args.nmax, file_doc, "nmax", 50), "nmax", errors)
-        if nmax is not None and nmax < 3:
-            errors.append(f"--nmax must be >= 3, got {nmax}")
+        nmax = read("nmax")
         if errors:
             raise ConfigError(errors)
         return RunConfig(
-            mode="exact", out_dir=out_dir, pmf_source=source, checks=selected, nmax=nmax,
+            mode="exact", out_dir=out_dir, pmf_source=source, checks=checks, nmax=nmax,
             pmf=pmf,
         )
 
     # simulate
-    model = None
-    try:
-        merged = dict(file_doc)
-        for key, value in (
-            ("n", args.n),
-            ("burn_in", args.burn_in),
-            ("seed", args.seed),
-            ("variant", args.variant),
-        ):
-            if value is not None:
-                merged[key] = value
-        seen = len(errors)
-        for key in ("n", "burn_in", "seed"):
-            if merged.get(key) is not None:
-                merged[key] = _config_int(merged[key], key, errors)
-        for key in ("V", "a", "b"):
-            if key in merged:
-                merged[key] = _config_float(merged[key], key, errors)
-        if "y" in merged:
-            y = merged["y"]
-            if isinstance(y, list):
-                merged["y"] = [_config_float(v, f"y[{i}]", errors) for i, v in enumerate(y)]
-            else:
-                errors.append(f"y must be a list of numbers, got {y!r}")
-        if len(errors) == seen:
-            model = ModelConfig.from_json_dict(merged)
-    except (ValueError, TypeError) as exc:
-        errors.append(str(exc))
-    shifted_check = _pick(args.shifted_check, file_doc, "shifted_check", False)
-    if not isinstance(shifted_check, bool):
-        errors.append(f"shifted_check must be true or false, got {shifted_check!r}")
-    if model is not None:
-        if model.n is None:
-            errors.append("number of sweeps required: give --n or put \"n\" in the config")
-        model = replace(
-            model,
-            burn_in=model.burn_in if model.burn_in is not None else 0,
-            seed=model.seed if model.seed is not None else 0,
-            variant=model.variant if model.variant is not None else "block",
+    n, burn_in, seed, V, a, b, y, variant = map(
+        read, ("n", "burn_in", "seed", "V", "a", "b", "y", "variant")
+    )
+    missing = [key for key in ("y", "V", "a", "b") if key not in settings]
+    if missing:
+        errors.append(f"model config missing required keys: {missing}")
+    if None not in (y, V, a, b):
+        try:
+            data, hyper = RemData(np.asarray(y), V), RemHyper(a, b)
+        except ValueError as exc:
+            errors.append(str(exc))
+    shifted_check = read("shifted_check")
+    if "n" not in settings:
+        errors.append("number of sweeps required: give --n or put \"n\" in the config")
+    if n is not None and burn_in is not None and n + 1 - burn_in < 100:
+        errors.append(
+            f"need at least 100 post-burn-in states for estimates; "
+            f"n={n} with burn_in={burn_in} leaves {n + 1 - burn_in}"
         )
-        if model.n is not None and model.n + 1 - model.burn_in < 100:
-            errors.append(
-                f"need at least 100 post-burn-in states for estimates; "
-                f"n={model.n} with burn_in={model.burn_in} leaves {model.n + 1 - model.burn_in}"
-            )
+    if n is not None and variant == "block" and n < 100:
+        errors.append(f"n must be >= 100 for a block run, whose shifted view has n states, got {n}")
     if errors:
         raise ConfigError(errors)
     return RunConfig(
         mode="simulate",
         out_dir=out_dir,
-        model=model,
+        model=ModelConfig(data, hyper, n, burn_in, seed, variant),
         shifted_check=shifted_check,
     )
 

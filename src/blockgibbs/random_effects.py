@@ -263,69 +263,19 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
             fh.writelines(row % (start + k, *v) for k, v in enumerate(values))
 
 
-def config_int(value, key: str) -> int:
-    """An integer setting from a config document: an int, an integral float
-    or a numeric string. Anything else (a fraction, a bool, text) raises a
-    ValueError naming the key."""
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
 @dataclass
 class ModelConfig:
-    """Simulation configuration as carried by the model JSON document:
-    {"y": [...], "V": ..., "a": ..., "b": ..., "n": ..., "burn_in": ...,
-    "seed": ..., "variant": "block"|"ooo"}. Run settings may be omitted in
-    the document and supplied by the caller instead; given ones are
-    integers by ``config_int`` with n >= 1, burn_in >= 0 and seed in
-    [0, 2**64)."""
+    """One chain's model and run settings, as carried by the model JSON
+    document {"y": [...], "V": ..., "a": ..., "b": ..., "n": ...,
+    "burn_in": ..., "seed": ..., "variant": "block"|"ooo"}; the command line
+    reads and checks them."""
 
     data: RemData
     hyper: RemHyper
-    n: int | None = None
-    burn_in: int | None = None
-    seed: int | None = None
-    variant: str | None = None
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ModelConfig":
-        missing = [k for k in ("y", "V", "a", "b") if k not in doc]
-        if missing:
-            raise ValueError(f"model config missing required keys: {missing}")
-        variant = doc.get("variant")
-        if variant is not None and variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        n, burn_in, seed = (
-            None if doc.get(key) is None else config_int(doc[key], key)
-            for key in ("n", "burn_in", "seed")
-        )
-        bad = [
-            message
-            for message, ok in (
-                (f"n must be >= 1, got {n}", n is None or n >= 1),
-                (f"burn_in must be >= 0, got {burn_in}", burn_in is None or burn_in >= 0),
-                (f"seed must be in [0, 2**64), got {seed}", seed is None or 0 <= seed < 1 << 64),
-            )
-            if not ok
-        ]
-        if bad:
-            raise ValueError("; ".join(bad))
-        return cls(
-            data=RemData(np.asarray(doc["y"], dtype=float), float(doc["V"])),
-            hyper=RemHyper(float(doc["a"]), float(doc["b"])),
-            n=n,
-            burn_in=burn_in,
-            seed=seed,
-            variant=variant,
-        )
+    n: int
+    burn_in: int
+    seed: int
+    variant: str
 
     def to_json_dict(self) -> dict:
         return {

@@ -37,6 +37,19 @@ GOLDEN_EXACT_SHA256 = {
     ),
 }
 
+#: sha256 of (estimates.json, trajectory.csv) for two simulate runs; see
+#: test_simulate_outputs_golden_digest.
+GOLDEN_SIMULATE_SHA256 = {
+    "block-shifted": (
+        "85fbda9639c14216ebb60f23895d3e81664443e1bc7755a6fc00b46cfcf2017b",
+        "01a358863c7bf5e70bd06cb6861f046c1c3bf26e0787bae49993c88d13def2ae",
+    ),
+    "ooo-from-config": (
+        "b8885b9d8e93cbe4277377f9dac6061bdc8afb9a7087975e7f1f1471a13a4c46",
+        "5de7eafc006167d66239790434524afd2a7bcdbd42bea856b5eb49bab60e1b98",
+    ),
+}
+
 
 @pytest.fixture()
 def model_file(tmp_path):
@@ -155,6 +168,10 @@ def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
         ("simulate", {"seed": 2**64}, "seed"),
         ("simulate", {"burn_in": -1}, "burn_in"),
         ("simulate", {"n": 0}, "n"),
+        ("simulate", {"burn_in": True}, "burn_in"),
+        ("simulate", {"variant": "zigzag"}, "variant"),
+        ("exact", {"nmx": 80}, "nmx"),
+        ("simulate", {"burnin": 150}, "burnin"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(
@@ -176,6 +193,52 @@ def test_config_integers_may_be_integral_floats_or_numeric_strings(tmp_path):
     path.write_text(json.dumps({"dims": [2, 2, 2], "nmax": 7.0, "seed": "3", "floor": "0.01"}))
     cfg = parse_config(["exact", "--config", str(path)])
     assert (cfg.nmax, cfg.pmf_source["seed"], cfg.pmf_source["floor"]) == (7, 3, 0.01)
+
+
+@pytest.mark.parametrize(
+    "doc, messages",
+    [
+        (
+            dict(MODEL, n=7.9, burn_in=True, seed=-3),
+            ["n must be an integer, got 7.9", "burn_in must be an integer, got True",
+             "seed must be in [0, 2**64), got -3"],
+        ),
+        (
+            dict(MODEL, n=0, seed=-3),
+            ["n must be >= 1, got 0", "seed must be in [0, 2**64), got -3"],
+        ),
+        (
+            {"y": MODEL["y"], "V": 1.0, "a": 2.0, "n": 300},
+            ["model config missing required keys: ['b']"],
+        ),
+    ],
+)
+def test_simulate_settings_list_every_error(tmp_path, capsys, doc, messages):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        parse_config(["simulate", "--config", str(path)])
+    assert info.value.messages == messages
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in messages]
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_run_settings_may_be_integral_floats_or_numeric_strings(tmp_path):
+    # 109 sweeps after a burn-in of 10 leave exactly the 100 states needed
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(MODEL, n=109.0, burn_in="10", seed="3")))
+    model = parse_config(["simulate", "--config", str(path)]).model
+    assert (model.n, model.burn_in, model.seed, model.variant) == (109, 10, 3, "block")
+    assert all(type(v) is int for v in (model.n, model.burn_in, model.seed))
+
+
+@pytest.mark.parametrize("mode", ["exact", "simulate"])
+def test_every_flag_is_a_setting_of_its_subcommand(mode):
+    # flags are merged over the config file by dest, and a key that the
+    # subcommand does not read is refused, so each dest must be one it reads
+    dests = set(vars(cli._parser().parse_args([mode]))) - {"mode", "config"}
+    assert dests and dests <= set(cli._SETTINGS[mode])
 
 
 def test_parser_reuse_leaves_no_state_behind(tmp_path):
@@ -426,6 +489,41 @@ def test_simulate_shifted_check_leaves_the_trajectory_unchanged(
     checked = json.loads((out2 / "estimates.json").read_text())
     assert checked.pop("shifted_check") == {"n": 300, "identical": True}
     assert checked == plain
+
+
+def test_block_run_needs_100_sweeps_for_its_shifted_view(tmp_path, model_file, capsys):
+    # a block run also estimates on its shifted view, which has n states
+    out = tmp_path / "block"
+    assert main(["simulate", "--config", model_file, "--n", "99", "--out", str(out)]) == 2
+    assert "error: n must be >= 100 for a block run" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", "--config", model_file, "--n", "100", "--out", str(out)]) == 0
+    # an ooo run has no shifted view: 99 sweeps give the 100 states it needs
+    out = tmp_path / "ooo"
+    assert main(["simulate", "--config", model_file, "--variant", "ooo", "--n", "99",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "estimates.json").read_text())["config"]["n"] == 99
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE_SHA256))
+def test_simulate_outputs_golden_digest(tmp_path, case):
+    # pins both artifacts of a block run with the shifted check and of an ooo
+    # run whose settings all come from its config file, including the
+    # settings block of estimates.json; 1,100 sweeps cross a noise block
+    if case == "block-shifted":
+        doc = MODEL
+        flags = ["--n", "1100", "--burn-in", "100", "--seed", "42", "--shifted-check"]
+    else:
+        doc, flags = dict(MODEL, n=1100.0, burn_in="100", seed=42, variant="ooo"), []
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)] + flags) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("estimates.json", "trajectory.csv")
+    )
+    assert digests == GOLDEN_SIMULATE_SHA256[case]
 
 
 def test_simulate_deterministic(tmp_path, model_file):

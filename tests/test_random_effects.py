@@ -34,7 +34,7 @@ from blockgibbs import (
     shifted_view,
     theta_params,
 )
-from blockgibbs.random_effects import ModelConfig, trajectory_to_csv
+from blockgibbs.random_effects import trajectory_to_csv
 from blockgibbs.streams import BLOCK
 
 
@@ -503,41 +503,3 @@ def test_trajectory_csv_golden_digest(tmp_path, data, hyper, variant, digest):
     path = tmp_path / "trajectory.csv"
     trajectory_to_csv(traj, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-def test_model_config_round_trip(data, hyper):
-    cfg = ModelConfig(data, hyper, n=100, burn_in=10, seed=5, variant="ooo")
-    back = ModelConfig.from_json_dict(cfg.to_json_dict())
-    assert (back.data.y == data.y).all()
-    assert back.hyper == hyper
-    assert (back.n, back.burn_in, back.seed, back.variant) == (100, 10, 5, "ooo")
-    with pytest.raises(ValueError, match="missing"):
-        ModelConfig.from_json_dict({"y": [1, 2], "V": 1.0})
-    with pytest.raises(ValueError, match="variant"):
-        ModelConfig.from_json_dict(
-            {"y": [1, 2], "V": 1.0, "a": 1.0, "b": 1.0, "variant": "zigzag"}
-        )
-
-
-@pytest.mark.parametrize(
-    "settings, message",
-    [
-        ({"n": 7.9}, r"n must be an integer, got 7\.9"),
-        ({"burn_in": True}, r"burn_in must be an integer, got True"),
-        ({"seed": "x"}, r"seed must be an integer, got 'x'"),
-        ({"seed": -3}, r"seed must be in \[0, 2\*\*64\), got -3"),
-        ({"seed": 2**64}, r"seed must be in \[0, 2\*\*64\)"),
-        ({"n": 0}, r"n must be >= 1, got 0"),
-        ({"burn_in": -1}, r"burn_in must be >= 0, got -1"),
-        # the first bad integer is named; range errors are all listed
-        ({"n": 7.9, "burn_in": True, "seed": -3}, r"n must be an integer"),
-        ({"n": 0, "seed": -3}, r"n must be >= 1, got 0; seed must be in"),
-    ],
-)
-def test_model_config_rejects_bad_run_settings(settings, message):
-    doc = dict({"y": [1, 2], "V": 1.0, "a": 1.0, "b": 1.0}, **settings)
-    with pytest.raises(ValueError, match=f"^{message}"):
-        ModelConfig.from_json_dict(doc)
-    # the rule the command line applies to its config files
-    ok = ModelConfig.from_json_dict(dict(doc, n=100.0, burn_in="10", seed=3))
-    assert (ok.n, ok.burn_in, ok.seed) == (100, 10, 3)

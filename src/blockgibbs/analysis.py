@@ -3,8 +3,10 @@ automated inequality/rate checkers for the sweep family.
 
 All checks run on factored kernels K = R C (see ``kernels``): spectra and
 stationary solves on the r x r core C R, distance curves by steps
-v K = (v R) C from the r distinct rows. "Verified" still means verified to
-the stated floating-point slack, state by state and step by step:
+v K = (v R) C from the r distinct rows. State i reads row i mod r, so the
+curve from row j is the curve from every state that reads it. "Verified"
+still means verified to the stated floating-point slack, state by state and
+step by step:
 
   * the two total-variation inequality chains linking the block sweep, its
     z-marginal, the out-of-order sweep, the xy-marginal, and the rotated
@@ -194,6 +196,10 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
         tv(ooo^n from state, ooo-target)
           <= tv(nu_xz * xy-marginal^(n-1), xy-target)
           <= tv(lifted nu_xz * rotated^(n-1), target)
+
+    A state's curve is its row's, so each pair is compared over the distinct
+    rows of the left-hand kernel, and a violation names the row's first
+    reader.
     """
     if nmax < 3:
         raise ValueError("nmax must be >= 3")
@@ -211,24 +217,18 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     pi_xy = flatten_to_codec(pmf, k_xy.codec)
     pi_zxy = flatten_to_codec(pmf, k_rot.codec)
 
-    # tv arrays indexed [n, start]. One step from state i lands on
-    # rows[reads[i]], so the curves from every state run over the r distinct
-    # rows only and are broadcast back to the states: entry [n - 1, i] is
-    # the distance after n steps from state i.
-    tv_block = tv_curve(k_block, k_block.rows, pi_xyz, nmax - 1)[:, k_block.reads]
+    # tv arrays indexed [n, start]: entry [n - 1, j] is the distance after n
+    # steps; a kernel's starts are its distinct rows.
+    tv_block = tv_curve(k_block, k_block.rows, pi_xyz, nmax - 1)  # row z
     tv_z = tv_curve(k_z, np.eye(dims.nz), pi_z, nmax - 1)
     tv_nu_z = tv_curve(k_ooo, nu_z(pmf), pi_star_yzx, nmax - 2)
 
-    tv_ooo = tv_curve(k_ooo, k_ooo.rows, pi_star_yzx, nmax - 1)[:, k_ooo.reads]
+    tv_ooo = tv_curve(k_ooo, k_ooo.rows, pi_star_yzx, nmax - 1)  # row z * nx + x
     nu_flat_bank, nu_lift_bank = nu_xz(pmf)
-    tv_nu_xy = tv_curve(k_xy, nu_flat_bank, pi_xy, nmax - 1)
+    tv_nu_xy = tv_curve(k_xy, nu_flat_bank, pi_xy, nmax - 1)  # row x * nz + z
     tv_nu_rot = tv_curve(k_rot, nu_lift_bank, pi_zxy, nmax - 1)
-
-    # coordinate maps from kernel states to the index of the bound they obey
-    states = np.arange(k_block.codec.size)
-    z_of_block_state = np.unravel_index(states, k_block.codec.sizes)[2]
-    _, z_ooo, x_ooo = np.unravel_index(states, k_ooo.codec.sizes)
-    xz_of_ooo_state = x_ooo * dims.nz + z_ooo  # row of (x, z) in the nu_xz banks
+    # the nu_xz row of each ooo row
+    xz_of_ooo_row = np.arange(dims.nx * dims.nz).reshape(dims.nx, dims.nz).T.ravel()
 
     chain1 = np.full((nmax, 3), np.nan)
     chain1[:, 0] = tv_block.max(axis=1)
@@ -238,12 +238,13 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
 
     # The four checked (chain, codec of the starts, lhs, rhs) pairs in the
     # order each n records them; lhs and rhs are [n, start] arrays from the
-    # pair's first checked n (3 for chain 1, 1 for chain 2) to nmax. Starts
-    # without a codec are nu_xz indices.
+    # pair's first checked n (3 for chain 1, 1 for chain 2) to nmax. A start
+    # with a codec is a row, named by its first reader; one without is a
+    # nu_xz index.
     pairs = (
-        (1, k_block.codec, tv_block[2:], tv_z[2:, z_of_block_state]),
+        (1, k_block.codec, tv_block[2:], tv_z[2:]),
         (1, k_z.codec, tv_z[2:], tv_nu_z[1:]),
-        (2, k_ooo.codec, tv_ooo, tv_nu_xy[:, xz_of_ooo_state]),
+        (2, k_ooo.codec, tv_ooo, tv_nu_xy[:, xz_of_ooo_row]),
         (2, None, tv_nu_xy, tv_nu_rot),
     )
     # largest gap lhs - rhs per (n, pair), -inf where a pair is not checked

@@ -334,11 +334,11 @@ def parse_config(argv) -> RunConfig:
         if not sources:
             errors.append("no pmf source: give --dims NX,NY,NZ, --pmf FILE, or an inline pmf in --config")
 
+        seed, floor = read("seed"), read("floor")
         source: dict = {}
         if dims is not None and len(sources) == 1:
             dims = read("dims")
             if dims is not None:
-                seed, floor = read("seed"), read("floor")
                 source = {"kind": "random", "dims": dims, "seed": seed, "floor": floor}
                 try:
                     size = Dims(*dims).size
@@ -395,8 +395,11 @@ def parse_config(argv) -> RunConfig:
             f"need at least 100 post-burn-in states for estimates; "
             f"n={n} with burn_in={burn_in} leaves {n + 1 - burn_in}"
         )
-    if n is not None and variant == "block" and n < 100:
-        errors.append(f"n must be >= 100 for a block run, whose shifted view has n states, got {n}")
+    if n is not None and burn_in is not None and variant == "block" and n - burn_in < 100:
+        errors.append(
+            f"n must be >= 100 for a block run, plus its burn-in, since its shifted view "
+            f"has n states: n={n} with burn_in={burn_in} leaves {n - burn_in}"
+        )
     if errors:
         raise ConfigError(errors)
     return RunConfig(
@@ -527,7 +530,7 @@ def _run_simulate(cfg: RunConfig) -> int:
         shifted = shifted_view(trajectory)
         shifted_estimates = {}
         for name, values in (("A", shifted.A), ("A_times_mu", shifted.A * shifted.mu)):
-            mean, se = estimate(values, min(model.burn_in, shifted.A.size - 100))
+            mean, se = estimate(values, model.burn_in)
             shifted_estimates[name] = {"mean": mean, "se": se}
         doc["shifted_view_estimates"] = shifted_estimates
 

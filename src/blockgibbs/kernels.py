@@ -14,19 +14,21 @@ tuple ordering per chain:
   z-marginal     codec (Z,):
       P[z, z'] = sum_{x',y'} P(x',y' | z) * P(z' | x',y')
 
-plus single-site sweeps in any of the six update orders (``gibbs_kernel``).
-The block, rotated, and out-of-order sweeps compose the same three
-single-coordinate update operators in cyclically shifted orders, which is
-why their nonzero spectra coincide.
+plus single-site sweeps in any of the six update orders (``gibbs_kernel``),
+each on the codec of its update order. The block, rotated, and
+out-of-order sweeps compose the same three single-coordinate update
+operators in cyclically shifted orders, which is why their nonzero spectra
+coincide.
 
 A sweep's rows read only part of the current state: z for block, (x, y)
 for rotated, (z, x) for out-of-order, and all but the first-updated
-coordinate for a single-site sweep. Each kernel is therefore stored as
-K = R C: the r distinct rows C (r x s) and the 0/1 selector R that maps each
-state to the row it reads. The nonzero spectrum of K is the spectrum of the
-r x r core C R (Liu, Wong & Kong 1994), and one step v K = (v R) C costs
-O(r s). The block kernel's core is the z-marginal kernel and the rotated
-kernel's core is the xy-marginal kernel.
+coordinate for a single-site sweep. Each codec lists the coordinates its
+rows do not read first, so state i reads row i mod r, and each kernel is
+stored as K = R C: the r distinct rows C (r x s) and the 0/1 selector R, the
+r x r identity stacked s / r times. The nonzero spectrum of K is the
+spectrum of the r x r core C R (Liu, Wong & Kong 1994), and one step
+v K = (v R) C costs O(r s). The block kernel's core is the z-marginal
+kernel and the rotated kernel's core is the xy-marginal kernel.
 
 The five kernel factories build their kernel once per pmf and keep it on
 the pmf, so every caller shares one read-only kernel, its core and its
@@ -118,54 +120,34 @@ class Kernel:
     """Row-stochastic transition kernel K = R C plus the codec describing
     its rows.
 
-    ``rows`` holds the r distinct rows C (r x s) and ``reads`` maps each of
-    the s states to the row it reads, so K[i] = rows[reads[i]]; every row
-    is read by at least one state. Without ``reads`` the rows are a dense
-    s x s matrix and the index is the identity.
+    ``rows`` holds the r distinct rows C (r x s), with r dividing s, and
+    state i reads row i % r: K is C stacked s / r times. A codec that lists
+    the coordinates the rows do not read first gives every sweep this
+    layout. With r = s the rows are a dense s x s matrix.
     """
 
     codec: StateCodec
     rows: np.ndarray
-    reads: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.rows, dtype=float)
         n = self.codec.size
-        if c.ndim != 2 or c.shape[1] != n:
+        if c.ndim != 2 or c.shape[1] != n or n % c.shape[0]:
             raise ValueError(f"rows shape {c.shape} does not match codec size {n}")
-        r = c.shape[0]
-        reads = np.arange(r) if self.reads is None else np.asarray(self.reads)
-        if reads.shape != (n,) or not np.issubdtype(reads.dtype, np.integer):
-            raise ValueError(f"reads must be {n} integer row indices")
-        if reads.min() < 0 or reads.max() >= r:
-            raise ValueError(f"reads must index rows in [0, {r})")
-        if (np.bincount(reads, minlength=r) == 0).any():
-            raise ValueError("every row must be read by at least one state")
         if (c < 0).any():
             raise ValueError("kernel entries must be nonnegative")
         if np.abs(c.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("every kernel row must sum to 1")
         c = c.copy()
         c.setflags(write=False)
-        reads = reads.astype(np.intp)
-        reads.setflags(write=False)
         object.__setattr__(self, "rows", c)
-        object.__setattr__(self, "reads", reads)
-        # column order and segment starts that sum a vector over each
-        # row's readers: (v R)[j] = sum of v[i] with reads[i] == j. With the
-        # identity index every segment holds one entry, which the sum would
-        # return unchanged, so v R is v itself.
-        order = None
-        if not np.array_equal(reads, np.arange(n)):
-            order = np.argsort(reads, kind="stable")
-            object.__setattr__(self, "_starts", np.searchsorted(reads[order], np.arange(r)))
-        object.__setattr__(self, "_order", order)
 
     def _select(self, v: np.ndarray) -> np.ndarray:
-        """v R: the mass of v (or of each row of a bank) on each row."""
-        if self._order is None:
-            return np.asarray(v)
-        return np.add.reduceat(np.asarray(v).take(self._order, axis=-1), self._starts, axis=-1)
+        """v R: the mass of v (or of each row of a bank) on each row, summed
+        over its s / r readers; v itself when r = s."""
+        v = np.asarray(v)
+        r, n = self.rows.shape
+        return v if r == n else v.reshape(v.shape[:-1] + (n // r, r)).sum(axis=-2)
 
     def step(self, v: np.ndarray) -> np.ndarray:
         """v K = (v R) C for a vector or each row of a bank of vectors."""
@@ -189,8 +171,8 @@ class Kernel:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Dense s x s view rows[reads]."""
-        m = self.rows[self.reads]
+        """Dense s x s view: ``rows`` stacked s / r times."""
+        m = np.tile(self.rows, (self.codec.size // self.rows.shape[0], 1))
         m.setflags(write=False)
         return m
 
@@ -211,31 +193,25 @@ def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
 
 
 def _kernel_from_einsum(
-    codec: StateCodec, read_labels: Iterable[str], inputs: str, operands: Iterable[np.ndarray]
+    codec: StateCodec, unread: int, inputs: str, operands: Iterable[np.ndarray]
 ) -> Kernel:
-    """Factored kernel whose rows read only the current coordinates
-    ``read_labels``. ``inputs`` are the einsum subscripts of the operands,
+    """Factored kernel whose rows do not read the first ``unread`` codec
+    coordinates. ``inputs`` are the einsum subscripts of the operands,
     current coordinates in lower case x, y, z and next ones in a, b, c."""
-    read = set(read_labels)
-    keep = [i for i, lab in enumerate(codec.labels) if lab in read]
-    output = "".join(_CUR[codec.labels[i]] for i in keep) + "".join(
+    output = "".join(_CUR[lab] for lab in codec.labels[unread:]) + "".join(
         _NXT[lab] for lab in codec.labels
     )
     rows = np.einsum(f"{inputs}->{output}", *operands)
-    coords = np.unravel_index(np.arange(codec.size), codec.sizes)
-    reads = np.ravel_multi_index(
-        [coords[i] for i in keep], [codec.sizes[i] for i in keep]
-    )
-    return Kernel(codec, rows.reshape(-1, codec.size), reads)
+    return Kernel(codec, rows.reshape(-1, codec.size))
 
 
 def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
     """Single-site sweep updating each coordinate from its full conditional,
     in the given order, always conditioning on the freshest values.
 
-    The codec is (X, Y, Z) regardless of the update order; any of the six
-    orders leaves the input pmf invariant. Rows never read the current value
-    of the first-updated coordinate.
+    The codec is the update order, first-updated coordinate first: rows
+    never read its current value, so there is one row per value of the
+    other two. Any of the six orders leaves the input pmf invariant.
     """
     order = tuple(ordering)
     if sorted(order) != sorted(AXES):
@@ -250,8 +226,8 @@ def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
         )
         operands.append(conditional(pmf, (label,), others))
         drawn.add(label)
-    codec = StateCodec.for_labels(pmf, ("X", "Y", "Z"))
-    return _kernel_from_einsum(codec, order[1:], ",".join(subs), operands)
+    codec = StateCodec.for_labels(pmf, order)
+    return _kernel_from_einsum(codec, 1, ",".join(subs), operands)
 
 
 @_once_per_pmf
@@ -261,7 +237,7 @@ def block_kernel(pmf: JointPmf3) -> Kernel:
     c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
     c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x', y', z')
     codec = StateCodec.for_labels(pmf, ("X", "Y", "Z"))
-    return _kernel_from_einsum(codec, ("Z",), "zab,abc", [c_xy, c_z])
+    return _kernel_from_einsum(codec, 2, "zab,abc", [c_xy, c_z])
 
 
 @_once_per_pmf
@@ -274,7 +250,7 @@ def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
     c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y, z')
     c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z', x', y')
     codec = StateCodec.for_labels(pmf, ("Z", "X", "Y"))
-    return _kernel_from_einsum(codec, ("X", "Y"), "xyc,cab", [c_z, c_xy])
+    return _kernel_from_einsum(codec, 1, "xyc,cab", [c_z, c_xy])
 
 
 @_once_per_pmf
@@ -290,7 +266,7 @@ def ooo_kernel(pmf: JointPmf3) -> Kernel:
     c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y', z')
     c_x = conditional(pmf, ("X",), ("Z",))  # (z', x')
     codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
-    return _kernel_from_einsum(codec, ("Z", "X"), "xzb,xbc,ca", [c_y, c_z, c_x])
+    return _kernel_from_einsum(codec, 1, "xzb,xbc,ca", [c_y, c_z, c_x])
 
 
 @_once_per_pmf
@@ -300,7 +276,7 @@ def marginal_xy_kernel(pmf: JointPmf3) -> Kernel:
     c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y, z)
     c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
     codec = StateCodec.for_labels(pmf, ("X", "Y"))
-    return _kernel_from_einsum(codec, ("X", "Y"), "xyz,zab", [c_z, c_xy])
+    return _kernel_from_einsum(codec, 0, "xyz,zab", [c_z, c_xy])
 
 
 @_once_per_pmf
@@ -310,7 +286,7 @@ def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
     c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
     c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x', y', z')
     codec = StateCodec.for_labels(pmf, ("Z",))
-    return _kernel_from_einsum(codec, ("Z",), "zab,abc", [c_xy, c_z])
+    return _kernel_from_einsum(codec, 0, "zab,abc", [c_xy, c_z])
 
 
 @_once_per_pmf

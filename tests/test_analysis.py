@@ -353,6 +353,16 @@ def test_analyze_report_serializes(pmf_322):
     assert max(report.stationary_target_gap.values()) <= 1e-10
 
 
+def test_analyze_never_builds_a_dense_kernel():
+    # the dense s x s view is the only O(s^2) object; the exact path runs
+    # on the distinct rows and the core alone
+    pmf = random_pmf(Dims(3, 2, 4), seed=2024, floor=0.005)  # not kept elsewhere
+    analyze(pmf, nmax=10)
+    for factory in (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
+                    marginal_z_kernel):
+        assert "matrix" not in factory(pmf).__dict__, factory.__name__
+
+
 def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
     # every check reads the same five kernels and pi_star off the pmf: one
     # construction and one core eigensolve per kernel, one pi_star

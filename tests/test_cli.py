@@ -20,16 +20,19 @@ from blockgibbs.cli import ConfigError, main, parse_config
 
 MODEL = {"y": [1.2, -0.3, 0.7, 2.1, -1.0, 0.4], "V": 1.0, "a": 2.0, "b": 2.0}
 
+#: A 2x1x1 product pmf, as an inline pmf or a pmf file.
+SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
+
 #: sha256 of (report.json, tv_curves.csv) for three exact runs; see
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "bd3c2b17a2700d58753b654b032ae4da632cd67adb453c63845d7841c8cda096",
-        "8dbf1ad96e2314a53e12545fbf29ae9e37ed634bbed0aafc1f1471cdb0be1ddf",
+        "2031c1f149c62183aa3c496d8332fbdee0359a37b387042255c23f1fa482dcb6",
+        "c9b1933fd56f741226fd23bdfab407b0496743c4c170dc18c6ab01cfcb69dba8",
     ),
     "dims-4,4,4-seed-11": (
-        "0839f34d7078a92c30940d799b6435f4b45a87f95f64693a3af2fef8710428a0",
-        "93b3b1f35592588131ec1645a4f10e301fe1e895526b1312ab31cbaab021d16a",
+        "f5af4ad2fb049740cd82766bb0ebee21825281313a3074e11de0aef0cda76d9e",
+        "4d8d081dc18241ba2a0f48cc6c0fda18619d6874c602910ec5bdb1296f05648c",
     ),
     "anti-example": (
         "37cb0101e9c2b64fc7235ced7ade955c806d4dc1387d29e09f626327fc07cb41",
@@ -172,6 +175,7 @@ def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
         ("simulate", {"variant": "zigzag"}, "variant"),
         ("exact", {"nmx": 80}, "nmx"),
         ("simulate", {"burnin": 150}, "burnin"),
+        ("exact", {"dims": None, "pmf": SMALL_PMF, "seed": "x", "floor": "abc"}, "seed"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(
@@ -186,6 +190,24 @@ def test_invalid_config_values_exit_2_naming_the_key(
     assert main([mode, "--config", str(path)]) == 2
     assert f"error: {key} must be" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("form", ["file", "inline"])
+def test_exact_reads_seed_and_floor_beside_any_pmf_source(tmp_path, capsys, form):
+    # seed and floor only shape a random pmf, but a bad value is refused
+    # whatever the source, and a good one is accepted
+    pmf_path = tmp_path / "pmf.json"
+    pmf_path.write_text(json.dumps(SMALL_PMF))
+    source = {"pmf_file": str(pmf_path)} if form == "file" else {"pmf": SMALL_PMF}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(source, seed="x", floor="abc")))
+    assert main(["exact", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert "error: seed must be an integer, got 'x'" in err
+    assert "error: floor must be a number, got 'abc'" in err
+    assert not (tmp_path / "bad").exists()
+    path.write_text(json.dumps(dict(source, seed=3, floor=0.01)))
+    assert main(["exact", "--config", str(path), "--out", str(tmp_path / "good")]) == 0
 
 
 def test_config_integers_may_be_integral_floats_or_numeric_strings(tmp_path):
@@ -225,11 +247,12 @@ def test_simulate_settings_list_every_error(tmp_path, capsys, doc, messages):
 
 
 def test_simulate_run_settings_may_be_integral_floats_or_numeric_strings(tmp_path):
-    # 109 sweeps after a burn-in of 10 leave exactly the 100 states needed
+    # 110 sweeps after a burn-in of 10 leave exactly the 100 states a block
+    # run's shifted view needs
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(dict(MODEL, n=109.0, burn_in="10", seed="3")))
+    path.write_text(json.dumps(dict(MODEL, n=110.0, burn_in="10", seed="3")))
     model = parse_config(["simulate", "--config", str(path)]).model
-    assert (model.n, model.burn_in, model.seed, model.variant) == (109, 10, 3, "block")
+    assert (model.n, model.burn_in, model.seed, model.variant) == (110, 10, 3, "block")
     assert all(type(v) is int for v in (model.n, model.burn_in, model.seed))
 
 
@@ -503,6 +526,22 @@ def test_block_run_needs_100_sweeps_for_its_shifted_view(tmp_path, model_file, c
     assert main(["simulate", "--config", model_file, "--variant", "ooo", "--n", "99",
                  "--out", str(out)]) == 0
     assert json.loads((out / "estimates.json").read_text())["config"]["n"] == 99
+
+
+def test_block_run_needs_100_sweeps_past_its_burn_in(tmp_path, model_file, capsys):
+    # the shifted view's estimates drop the same burn-in as the trajectory's
+    argv = ["simulate", "--config", model_file, "--n", "150"]
+    out = tmp_path / "block"
+    assert main(argv + ["--burn-in", "51", "--out", str(out)]) == 2
+    assert ("error: n must be >= 100 for a block run, plus its burn-in, since its "
+            "shifted view has n states: n=150 with burn_in=51 leaves 99") in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--burn-in", "50", "--out", str(out)]) == 0
+    doc = json.loads((out / "estimates.json").read_text())
+    assert doc["config"]["burn_in"] == 50 and "shifted_view_estimates" in doc
+    # an ooo run has no shifted view: 151 states leave 100 past a burn-in of 51
+    out = tmp_path / "ooo"
+    assert main(argv + ["--burn-in", "51", "--variant", "ooo", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATE_SHA256))

@@ -8,12 +8,15 @@ unit-eigenvector, and power curves from every start state. The factored
 results must agree within the tolerances the verdicts themselves use.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from blockgibbs import (
     block_kernel,
     check_prop1,
+    gibbs_kernel,
     marginal_xy_kernel,
     marginal_z_kernel,
     ooo_kernel,
@@ -74,6 +77,26 @@ def distinct_rows(pmf) -> dict:
             "marginal_xy": nx * ny, "marginal_z": nz}
 
 
+def gibbs_reference(pmf, order: str) -> np.ndarray:
+    """The single-site sweep in update order ``order`` as a dense matrix on
+    the codec ``order``: each entry is the product of the three full
+    conditionals, each read at the freshest values."""
+    p = pmf.p
+    full = {lab: p / p.sum(axis=i, keepdims=True) for i, lab in enumerate("XYZ")}
+    sizes = dict(zip("XYZ", p.shape))
+    states = list(itertools.product(*(range(sizes[lab]) for lab in order)))
+    out = np.empty((len(states), len(states)))
+    for i, cur in enumerate(states):
+        for j, nxt in enumerate(states):
+            state = dict(zip(order, cur))
+            entry = 1.0
+            for lab, value in zip(order, nxt):
+                state[lab] = value
+                entry *= full[lab][state["X"], state["Y"], state["Z"]]
+            out[i, j] = entry
+    return out
+
+
 def multiset_gap(a: np.ndarray, b: np.ndarray) -> float:
     n = max(a.size, b.size)
     a = np.sort_complex(np.concatenate([a, np.zeros(n - a.size)]))
@@ -92,6 +115,24 @@ def test_matrix_and_steps_match_reference(corpus):
             np.testing.assert_allclose(k.matrix, ref[name], rtol=0, atol=1e-15)
             bank = rng.random((3, k.codec.size))
             np.testing.assert_allclose(k.step(bank), bank @ ref[name], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("order", ["".join(o) for o in itertools.permutations("XYZ")])
+def test_gibbs_matrix_and_steps_match_reference(corpus, order):
+    # one pmf of each corpus shape, plus a second 2x2x2 one
+    rng = np.random.default_rng(0)
+    for pmf in corpus[:5]:
+        k = gibbs_kernel(pmf, order)
+        ref = gibbs_reference(pmf, order)
+        s = k.codec.size
+        assert k.codec.labels == tuple(order)
+        # rows never read the first-updated coordinate
+        n_first = pmf.dims.shape["XYZ".index(order[0])]
+        assert k.rows.shape == (s // n_first, s)
+        np.testing.assert_array_equal(k.matrix, k.rows[np.arange(s) % (s // n_first)])
+        np.testing.assert_allclose(k.matrix, ref, rtol=0, atol=1e-15)
+        bank = rng.random((3, s))
+        np.testing.assert_allclose(k.step(bank), bank @ ref, rtol=0, atol=1e-15)
 
 
 def test_stationary_and_spectrum_match_reference(corpus):

@@ -77,28 +77,47 @@ def test_kernel_rejects_bad_matrices(pmf_322):
         Kernel(codec, np.array([[0.5, 0.4], [0.5, 0.5]]))  # row sums 0.9
     with pytest.raises(ValueError):
         Kernel(codec, np.array([[1.5, -0.5], [0.0, 1.0]]))  # negative entry
-    rows = np.array([[0.5, 0.5], [0.1, 0.9]])
-    with pytest.raises(ValueError, match="integer row indices"):
-        Kernel(codec, rows, np.array([0, 1, 1]))  # one index per state
-    with pytest.raises(ValueError, match="index rows"):
-        Kernel(codec, rows, np.array([0, 2]))
-    with pytest.raises(ValueError, match="read by at least one"):
-        Kernel(codec, rows, np.array([1, 1]))
-    shared = Kernel(codec, rows[:1], np.array([0, 0]))
+    # state i reads row i % r, so the row count must divide the state count
+    yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))  # 12 states
+    for r in (5, 7, 13):
+        with pytest.raises(ValueError, match="does not match codec size"):
+            Kernel(yzx, np.full((r, yzx.size), 1.0 / yzx.size))
+    shared = Kernel(codec, np.array([[0.5, 0.5]]))
     np.testing.assert_array_equal(shared.matrix, [[0.5, 0.5], [0.5, 0.5]])
     np.testing.assert_array_equal(shared.core, [[1.0]])
 
 
 def test_step_sums_over_readers_unless_the_index_is_the_identity(pmf_322):
-    # the identity index has nothing to sum; a permuted index reads every
-    # row once too, but not from its own state
+    # with r = s every state reads its own row and a step is one product
     codec = StateCodec.for_labels(pmf_322, ("Z",))
     rows = np.array([[0.5, 0.5], [0.1, 0.9]])
     v = np.array([[0.3, 0.7], [1.0, 0.0]])
     np.testing.assert_array_equal(Kernel(codec, rows).step(v), v @ rows)
-    swapped = Kernel(codec, rows, np.array([1, 0]))
-    np.testing.assert_array_equal(swapped.step(v), np.ascontiguousarray(v[:, ::-1]) @ rows)
-    np.testing.assert_array_equal(swapped.core, rows[:, ::-1])
+    np.testing.assert_array_equal(Kernel(codec, rows).step(v[0]), v[0] @ rows)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_a_tiled_kernel_sums_each_rows_readers_left_to_right(pmf_322, r):
+    # state i reads row i % r: 6, 4 or 3 readers per row of 12 states
+    yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))
+    s = yzx.size
+    rng = np.random.default_rng(r)
+    rows = rng.random((r, s))
+    k = Kernel(yzx, rows / rows.sum(axis=1, keepdims=True))
+    for i in range(s):
+        np.testing.assert_array_equal(k.matrix[i], k.rows[i % r])
+    bank = rng.random((5, s))
+    bank /= bank.sum(axis=1, keepdims=True)
+    readers = bank[:, :r].copy()
+    for start in range(r, s, r):
+        readers = readers + bank[:, start:start + r]
+    np.testing.assert_array_equal(k.step(bank), readers @ k.rows)
+    np.testing.assert_array_equal(k.step(bank[0]), readers[0] @ k.rows)
+    np.testing.assert_allclose(k.step(bank), bank @ k.matrix, rtol=0, atol=1e-15)
+    core = k.rows[:, :r].copy()
+    for start in range(r, s, r):
+        core = core + k.rows[:, start:start + r]
+    np.testing.assert_array_equal(k.core, core)
 
 
 # ---------------------------------------------------------------------------

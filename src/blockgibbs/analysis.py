@@ -1,12 +1,12 @@
 """Stationary distributions, exact TV convergence curves, spectra, and the
 automated inequality/rate checkers for the sweep family.
 
-All checks run on factored kernels K = R C (see ``kernels``): spectra and
-stationary solves on the r x r core C R, distance curves by steps
-v K = (v R) C from the r distinct rows. State i reads row i mod r, so the
-curve from row j is the curve from every state that reads it. "Verified"
-still means verified to the stated floating-point slack, state by state and
-step by step:
+All checks run on factored kernels K = R C (see ``kernels``): spectra,
+stationary solves and distance curves on the r x r core C R, each distance
+on the coordinates the sweep's last update reads. State i reads row i mod r,
+so the curve from row j is the curve from every state that reads it.
+"Verified" still means verified to the stated floating-point slack, state by
+state and step by step:
 
   * the two total-variation inequality chains linking the block sweep, its
     z-marginal, the out-of-order sweep, the xy-marginal, and the rotated
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_model import JointPmf3, marginal, pi_star, tv
+from .finite_model import JointPmf3, conditional, marginal, pi_star, tv
 from .kernels import (
     Kernel,
     block_kernel,
@@ -84,8 +84,8 @@ def spectrum(kernel: Kernel, tol: float = UNIT_EIG_TOL) -> SpectrumSummary:
     return SpectrumSummary(moduli, slem, unit_multiplicity)
 
 
-def stationary(kernel: Kernel) -> np.ndarray:
-    """Unique probability vector v with v K = v.
+def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
+    """Unique probability vector v with v K = v, and its residual |v K - v|_1.
 
     With K = R C, mu = v R is stationary for the core C R and v = mu C. So
     this solves (core^T - I) mu = 0 with a normalization row appended, after
@@ -109,25 +109,42 @@ def stationary(kernel: Kernel) -> np.ndarray:
     residual = float(np.abs(kernel.step(v) - v).sum())
     if residual > STATIONARY_RESIDUAL_TOL:
         raise RuntimeError(f"stationary solve residual {residual:.3g} exceeds tolerance")
-    return v
+    return v, residual
 
 
-def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int) -> np.ndarray:
-    """Exact distance-to-target curves by iterated factored steps: entry
-    [n] is tv(start K^n, target) for a probability vector ``start``, and
-    entry [n, i] is tv(start[i] K^n, target) for a bank of them, one per
-    row, for n = 0..nmax. Each step's L1 distances are summed straight into
-    the curves, which are halved once at the end."""
+def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, reads=None):
+    """Exact distance-to-target curves: entry [n] is tv(start K^n, target)
+    for a probability vector ``start``, and entry [n, i] is tv(start[i] K^n,
+    target) for a bank of them, one per row, for n = 0..nmax. Past step 0
+    the steps run on the r x r core: start K^n = w_n C, with weights
+    w_n = (start R) core^(n-1). ``reads`` returns one curve per (P, t)
+    instead, whose entries past [0] are tv(w_n P, t), P None reading w_n."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     cur = np.asarray(start, dtype=float)
-    out = np.empty((nmax + 1,) + cur.shape[:-1])
-    np.add.reduce(np.abs(cur - target), axis=-1, out=out[0, ...])
+    laws = ((kernel.rows, target),) if reads is None else reads
+    out = np.empty((len(laws), nmax + 1) + cur.shape[:-1])
+    out[:, 0] = np.add.reduce(np.abs(cur - target), axis=-1)
+    cur = kernel.select(cur)
     for n in range(1, nmax + 1):
-        cur = kernel.step(cur)
-        np.add.reduce(np.abs(cur - target), axis=-1, out=out[n, ...])
+        if n > 1:
+            cur = cur @ kernel.core
+        for curve, (law, t) in zip(out, laws):
+            read = cur if law is None else cur @ law
+            np.add.reduce(np.abs(read - t), axis=-1, out=curve[n, ...])
     out *= 0.5
-    return out
+    return out[0] if reads is None else out
+
+
+def _sweeps(pmf: JointPmf3) -> dict:
+    """The five kernels by report name, each with its target pmf."""
+    return {
+        "block": (block_kernel(pmf), pmf),
+        "rotated": (rotated_block_kernel(pmf), pmf),
+        "marginal_xy": (marginal_xy_kernel(pmf), pmf),
+        "marginal_z": (marginal_z_kernel(pmf), pmf),
+        "ooo": (ooo_kernel(pmf), pi_star(pmf)),
+    }
 
 
 @dataclass
@@ -197,38 +214,43 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
           <= tv(nu_xz * xy-marginal^(n-1), xy-target)
           <= tv(lifted nu_xz * rotated^(n-1), target)
 
+    Past step 0 each distance is taken on the coordinates the last update
+    reads, exactly, since the target shares it (Roberts & Rosenthal 2001).
+    Block and z-marginal share an iteration (the block core is K_z), as do
+    xy-marginal and rotated (the rotated core is K_xy), so chain 1's first
+    pair and chain 2's second pair hold by construction, up to rounding.
+
     A state's curve is its row's, so each pair is compared over the distinct
     rows of the left-hand kernel, and a violation names the row's first
     reader.
     """
     if nmax < 3:
         raise ValueError("nmax must be >= 3")
-    dims = pmf.dims
-    k_block = block_kernel(pmf)
-    k_z = marginal_z_kernel(pmf)
-    k_ooo = ooo_kernel(pmf)
-    k_xy = marginal_xy_kernel(pmf)
-    k_rot = rotated_block_kernel(pmf)
+    nx, ny, nz = pmf.dims.shape
+    k_block, k_rot, k_xy, k_z, k_ooo = (kernel for kernel, _ in _sweeps(pmf).values())
 
     star = pi_star(pmf)
-    pi_xyz = flatten_to_codec(pmf, k_block.codec)
-    pi_z = flatten_to_codec(pmf, k_z.codec)
-    pi_star_yzx = flatten_to_codec(star, k_ooo.codec)
-    pi_xy = flatten_to_codec(pmf, k_xy.codec)
-    pi_zxy = flatten_to_codec(pmf, k_rot.codec)
+    pi_z, pi_xy = flatten_to_codec(pmf, k_z.codec), flatten_to_codec(pmf, k_xy.codec)
+    pi_zxy, pi_yzx = flatten_to_codec(pmf, k_rot.codec), flatten_to_codec(star, k_ooo.codec)
+    # the laws of what the last update reads, one step from each row:
+    # (x', y') | z for block, z' | (x, y) for rotated, (y', z') | (z, x) for ooo
+    p_block = conditional(pmf, ("X", "Y"), ("Z",)).reshape(nz, nx * ny)
+    p_rot = conditional(pmf, ("Z",), ("X", "Y")).reshape(nx * ny, nz)
+    c_y, c_z = conditional(pmf, ("Y",), ("X", "Z")), conditional(pmf, ("Z",), ("X", "Y"))
+    p_ooo = np.einsum("xzb,xbc->zxbc", c_y, c_z).reshape(nz * nx, ny * nz)
 
     # tv arrays indexed [n, start]: entry [n - 1, j] is the distance after n
     # steps; a kernel's starts are its distinct rows.
-    tv_block = tv_curve(k_block, k_block.rows, pi_xyz, nmax - 1)  # row z
-    tv_z = tv_curve(k_z, np.eye(dims.nz), pi_z, nmax - 1)
-    tv_nu_z = tv_curve(k_ooo, nu_z(pmf), pi_star_yzx, nmax - 2)
-
-    tv_ooo = tv_curve(k_ooo, k_ooo.rows, pi_star_yzx, nmax - 1)  # row z * nx + x
-    nu_flat_bank, nu_lift_bank = nu_xz(pmf)
-    tv_nu_xy = tv_curve(k_xy, nu_flat_bank, pi_xy, nmax - 1)  # row x * nz + z
-    tv_nu_rot = tv_curve(k_rot, nu_lift_bank, pi_zxy, nmax - 1)
-    # the nu_xz row of each ooo row
-    xz_of_ooo_row = np.arange(dims.nx * dims.nz).reshape(dims.nx, dims.nz).T.ravel()
+    tv_z, tv_block = tv_curve(k_z, np.eye(nz), pi_z, nmax, ((None, pi_z), (p_block, pi_xy)))[:, 1:]
+    bank_xz = nu_xz(pmf)  # row x * nz + z; lifted, it sits on the rotated z = 0 slice
+    tv_nu_xy, tv_nu_rot = tv_curve(k_xy, bank_xz, pi_xy, nmax, ((None, pi_xy), (p_rot, pi_z)))[:, 1:]
+    lifted = np.abs(bank_xz - pi_zxy[: nx * ny]).sum(axis=1) + pi_zxy[nx * ny :].sum()
+    tv_nu_rot = np.vstack([0.5 * lifted, tv_nu_rot[:-1]])
+    r = nz * nx  # the ooo rows (row z * nx + x), then nu_z
+    reads = ((p_ooo, marginal(star, ("Y", "Z")).ravel()),)
+    (tv_ooo,) = tv_curve(k_ooo, np.vstack([k_ooo.rows, nu_z(pmf)]), pi_yzx, nmax - 1, reads)
+    tv_ooo, tv_nu_z = tv_ooo[:, :r], tv_ooo[: nmax - 1, r:]
+    xz_of_ooo_row = np.arange(r).reshape(nx, nz).T.ravel()  # the nu_xz row of each ooo row
 
     chain1 = np.full((nmax, 3), np.nan)
     chain1[:, 0] = tv_block.max(axis=1)
@@ -332,13 +354,7 @@ def _multiset_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def check_rate_equality(pmf: JointPmf3, tol: float = RATE_TOL) -> RateEqualityReport:
     """Check that all five kernels converge at the same geometric rate."""
-    kernels = {
-        "block": block_kernel(pmf),
-        "rotated": rotated_block_kernel(pmf),
-        "marginal_xy": marginal_xy_kernel(pmf),
-        "marginal_z": marginal_z_kernel(pmf),
-        "ooo": ooo_kernel(pmf),
-    }
+    kernels = {name: kernel for name, (kernel, _) in _sweeps(pmf).items()}
     spectra = {name: spectrum(k) for name, k in kernels.items()}
     base = nonzero_eigs(kernels["block"], tol)
     multiset_gap = max(
@@ -411,19 +427,9 @@ class ChainReport:
 
 def analyze(pmf: JointPmf3, nmax: int = 50) -> ChainReport:
     """Run every check against one pmf and bundle the results."""
-    star = pi_star(pmf)
-    kernels = {
-        "block": (block_kernel(pmf), pmf),
-        "rotated": (rotated_block_kernel(pmf), pmf),
-        "marginal_xy": (marginal_xy_kernel(pmf), pmf),
-        "marginal_z": (marginal_z_kernel(pmf), pmf),
-        "ooo": (ooo_kernel(pmf), star),
-    }
-    residuals = {}
-    target_gap = {}
-    for name, (kernel, target_pmf) in kernels.items():
-        v = stationary(kernel)
-        residuals[name] = float(np.abs(kernel.step(v) - v).sum())
+    residuals, target_gap = {}, {}
+    for name, (kernel, target_pmf) in _sweeps(pmf).items():
+        v, residuals[name] = stationary(kernel)
         target_gap[name] = float(
             np.abs(v - flatten_to_codec(target_pmf, kernel.codec)).sum()
         )

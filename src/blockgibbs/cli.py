@@ -148,7 +148,7 @@ def _parser() -> argparse.ArgumentParser:
     exact.add_argument("--out", help="output directory (default .)")
     exact.add_argument("--dims", help="random pmf dims as NX,NY,NZ")
     exact.add_argument("--pmf", dest="pmf_file", help="pmf JSON file")
-    exact.add_argument("--floor", type=float, help=f"random pmf floor (default {CORPUS_FLOOR})")
+    exact.add_argument("--floor", type=float, help=f"random pmf floor (default min({CORPUS_FLOOR}, 0.5/states))")
     exact.add_argument("--nmax", type=int, help="max step count for the inequality chains (default 50)")
     exact.add_argument(
         "--check",
@@ -345,6 +345,8 @@ def parse_config(argv) -> RunConfig:
                 except ValueError as exc:
                     errors.append(f"--dims {','.join(map(str, dims))}: {exc}")
                 else:
+                    if settings.get("floor") is None:  # a default valid at every size
+                        floor = source["floor"] = min(floor, 0.5 / size)
                     # random_pmf needs every entry >= floor, so floor * size < 1
                     if floor is not None and not 0.0 < floor < 1.0 / size:
                         errors.append(

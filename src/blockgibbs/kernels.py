@@ -142,7 +142,7 @@ class Kernel:
         c.setflags(write=False)
         object.__setattr__(self, "rows", c)
 
-    def _select(self, v: np.ndarray) -> np.ndarray:
+    def select(self, v: np.ndarray) -> np.ndarray:
         """v R: the mass of v (or of each row of a bank) on each row, summed
         over its s / r readers; v itself when r = s."""
         v = np.asarray(v)
@@ -151,13 +151,13 @@ class Kernel:
 
     def step(self, v: np.ndarray) -> np.ndarray:
         """v K = (v R) C for a vector or each row of a bank of vectors."""
-        return self._select(v) @ self.rows
+        return self.select(v) @ self.rows
 
     @functools.cached_property
     def core(self) -> np.ndarray:
         """The r x r core C R (read-only); K's nonzero spectrum is the
         core's."""
-        core = self._select(self.rows)
+        core = self.select(self.rows)
         core.setflags(write=False)
         return core
 
@@ -308,24 +308,16 @@ def nu_z(pmf: JointPmf3) -> np.ndarray:
 
 
 @_once_per_pmf
-def nu_xz(pmf: JointPmf3) -> tuple[np.ndarray, np.ndarray]:
+def nu_xz(pmf: JointPmf3) -> np.ndarray:
     """The nx * nz start measures pinning X = x with Y drawn from
-    P(Y | X=x, Z=z), row x * nz + z (read-only), in two forms: flat on codec
-    (X, Y), and lifted to the rotated codec (Z, X, Y) with a dummy Z slot at
-    index 0 (the rotated kernel never reads the current z).
-
-    One rotated step from a lifted row has the same (X, Y) distribution as
-    one xy-marginal step from the flat row, exactly.
-    """
+    P(Y | X=x, Z=z), row x * nz + z (read-only), on codec (X, Y). Lifted to
+    the rotated codec (Z, X, Y) with a dummy Z slot, which the rotated kernel
+    never reads, they are the rotated chain's starts too."""
     nx, ny, nz = pmf.dims.shape
     c_y = conditional(pmf, ("Y",), ("X", "Z"))  # (x, z, y)
-    flat = np.zeros((nx, nz, nx, ny))
+    bank = np.zeros((nx, nz, nx, ny))
     x = np.arange(nx)
-    flat[x, :, x] = c_y
-    flat = flat.reshape(nx * nz, nx * ny)
-    # the lifted codec's z = 0 states come first, in the flat codec's order
-    lifted = np.zeros((nx * nz, nz * nx * ny))
-    lifted[:, : nx * ny] = flat
-    flat.setflags(write=False)
-    lifted.setflags(write=False)
-    return flat, lifted
+    bank[x, :, x] = c_y
+    bank = bank.reshape(nx * nz, nx * ny)
+    bank.setflags(write=False)
+    return bank

@@ -20,7 +20,9 @@ from blockgibbs import (
     check_pistar_invariance,
     check_prop1,
     check_rate_equality,
+    conditional,
     flatten_to_codec,
+    marginal,
     marginal_xy_kernel,
     marginal_z_kernel,
     ooo_kernel,
@@ -56,18 +58,20 @@ def two_state_kernel(p: float) -> Kernel:
 def test_stationary_of_rank_one_kernel_is_its_row(product_222):
     k = block_kernel(product_222)
     np.testing.assert_allclose(
-        stationary(k), flatten_to_codec(product_222, k.codec), atol=1e-13
+        stationary(k)[0], flatten_to_codec(product_222, k.codec), atol=1e-13
     )
 
 
 def test_stationary_matches_power_iteration(pmf_322):
     k = block_kernel(pmf_322)
-    assert np.abs(stationary(k) - stationary_by_power_iteration(k.matrix)).sum() < 1e-10
+    v, residual = stationary(k)
+    assert np.abs(v - stationary_by_power_iteration(k.matrix)).sum() < 1e-10
+    assert residual == float(np.abs(k.step(v) - v).sum())  # the one analyze reports
 
 
 def test_stationary_of_ooo_matches_pi_star_by_power_iteration(pmf_322):
     k = ooo_kernel(pmf_322)
-    v = stationary(k)
+    v, _ = stationary(k)
     assert np.abs(v - stationary_by_power_iteration(k.matrix)).sum() < 1e-10
     assert np.abs(v - flatten_to_codec(pi_star(pmf_322), k.codec)).sum() < 1e-10
 
@@ -83,7 +87,7 @@ def test_stationary_rejects_reducible_kernel():
 # ---------------------------------------------------------------------------
 def test_tv_curve_from_stationary_is_zero(pmf_322):
     k = block_kernel(pmf_322)
-    v = stationary(k)
+    v, _ = stationary(k)
     assert tv_curve(k, v, v, 10).max() < 1e-13
 
 
@@ -113,6 +117,21 @@ def test_tv_curve_of_a_bank_is_the_curves_of_its_rows(pmf_322):
     for nmax in (0, -1):
         with pytest.raises(ValueError, match="nmax"):
             tv_curve(k, bank, target, nmax)
+
+
+def test_tv_curve_reads_the_coordinates_the_last_update_reads(pmf_322):
+    # the block sweep ends with Z | (X, Y), which its target shares, so the
+    # distance over (x', y') is the distance over all states; read with P =
+    # rows, a curve is the default curve bit for bit
+    k = block_kernel(pmf_322)
+    target = flatten_to_codec(pmf_322, k.codec)
+    start = np.vstack([np.eye(k.codec.size)[:5], target])
+    full = tv_curve(k, start, target, 6)
+    p_xy = conditional(pmf_322, ("X", "Y"), ("Z",)).reshape(k.rows.shape[0], -1)
+    reads = ((k.rows, target), (p_xy, marginal(pmf_322, ("X", "Y")).ravel()))
+    rows, read = tv_curve(k, start, target, 6, reads)
+    np.testing.assert_array_equal(rows, full)
+    np.testing.assert_allclose(read, full, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("index", [1, 2, 3, 7])
@@ -361,6 +380,17 @@ def test_analyze_never_builds_a_dense_kernel():
     for factory in (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
                     marginal_z_kernel):
         assert "matrix" not in factory(pmf).__dict__, factory.__name__
+
+
+def test_check_prop1_takes_no_full_space_step(monkeypatch):
+    # every curve steps weights through an r x r core and reads the last
+    # update's coordinates, so no s-wide Kernel.step runs
+    pmf = random_pmf(Dims(3, 2, 4), seed=2025, floor=0.005)  # not kept elsewhere
+    calls = []
+    step = Kernel.step
+    monkeypatch.setattr(Kernel, "step", lambda self, v: calls.append(self) or step(self, v))
+    assert check_prop1(pmf, nmax=10).verdict
+    assert calls == []
 
 
 def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):

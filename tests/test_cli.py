@@ -27,16 +27,16 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "2031c1f149c62183aa3c496d8332fbdee0359a37b387042255c23f1fa482dcb6",
-        "c9b1933fd56f741226fd23bdfab407b0496743c4c170dc18c6ab01cfcb69dba8",
+        "bf5531e125763fea73ae87589ea049ad98dd686cd43a3918a1e5b4cea105c38b",
+        "81b187b3e2b105eed2de922d7abcc9ca9ec122d976eb8dd09266425f5368c2ce",
     ),
     "dims-4,4,4-seed-11": (
-        "f5af4ad2fb049740cd82766bb0ebee21825281313a3074e11de0aef0cda76d9e",
-        "4d8d081dc18241ba2a0f48cc6c0fda18619d6874c602910ec5bdb1296f05648c",
+        "00e00c6b09e2b9582c3dd4b648c64dc3687956218c9e602b3917ed608624421b",
+        "e3fa4c50d5177e982a39a53bd08eeb4626d1f46f5a58ae664edd6633294ab51f",
     ),
     "anti-example": (
-        "37cb0101e9c2b64fc7235ced7ade955c806d4dc1387d29e09f626327fc07cb41",
-        "06c1d792bfe243d0563291aba6bbceacab309044118c11d423b13a3ee9e9c24c",
+        "c708e8416d480e8767a5fe996f6be5362a59ec2710582250e459bbd7613b80d1",
+        "ca6b1da5509e6a3c03540a402eb3dcb24a737d6c4a48d228ff09d2f42fd4ff0a",
     ),
 }
 
@@ -119,15 +119,27 @@ def test_parse_simulate_requires_n(model_file):
 
 
 def test_parse_checks_random_floor_against_state_count(capsys):
-    # the default floor 0.005 is too large for 216 states: 1/216 < 0.005
-    with pytest.raises(ConfigError, match=r"--floor must lie in \(0, 0.00462963\)"):
-        parse_config(["exact", "--dims", "6,6,6"])
+    # a given floor must lie below 1/states: 0.01 is too large for 512
+    with pytest.raises(ConfigError, match=r"--floor must lie in \(0, 0.00195312\)"):
+        parse_config(["exact", "--dims", "8,8,8", "--floor", "0.01"])
     with pytest.raises(ConfigError, match="--dims 0,6,6"):
         parse_config(["exact", "--dims", "0,6,6"])
-    assert main(["exact", "--dims", "6,6,6", "--out", "unused"]) == 2
+    assert main(["exact", "--dims", "8,8,8", "--floor", "0.01", "--out", "unused"]) == 2
     assert "--floor" in capsys.readouterr().err
     cfg = parse_config(["exact", "--dims", "6,6,6", "--floor", "0.004"])
     assert cfg.pmf_source["floor"] == 0.004
+
+
+def test_default_floor_is_valid_at_every_size(tmp_path):
+    # the default is min(CORPUS_FLOOR, 0.5 / states): CORPUS_FLOOR up to 100
+    # states, half of 1/states above, where CORPUS_FLOOR would be refused
+    for dims, floor in (("2,2,2", 0.005), ("4,5,5", 0.005), ("5,5,5", 0.004),
+                        ("6,6,6", 0.5 / 216), ("8,8,8", 0.5 / 512)):
+        assert parse_config(["exact", "--dims", dims]).pmf_source["floor"] == floor
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dims": [6, 6, 6], "floor": None}))  # null: the default
+    assert parse_config(["exact", "--config", str(cfg_path)]).pmf_source["floor"] == 0.5 / 216
+    assert main(["exact", "--dims", "6,6,6", "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -307,20 +307,20 @@ def test_nu_z_product_x_component(product_222):
 
 
 def test_nu_xz_mass_and_lift_identity(pmf_322):
-    flat_bank, lifted_bank = nu_xz(pmf_322)
+    flat_bank = nu_xz(pmf_322)
     nx, ny, nz = pmf_322.dims.shape
     assert flat_bank.shape == (nx * nz, nx * ny)
-    assert lifted_bank.shape == (nx * nz, nz * nx * ny)
     np.testing.assert_allclose(flat_bank.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(lifted_bank.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
-    # one rotated step from the lift, projected onto (X, Y), equals one
-    # xy-marginal step from the flat measure, exactly; row x * nz + z
-    # pins (x, z) = (1, 0)
+    # one rotated step from the lift to codec (Z, X, Y) with a dummy z = 0,
+    # projected onto (X, Y), equals one xy-marginal step from the flat
+    # measure, exactly; row x * nz + z pins (x, z) = (1, 0)
     k_rot = rotated_block_kernel(pmf_322)
     k_xy = marginal_xy_kernel(pmf_322)
     i = 1 * nz + 0
-    after_rot = lifted_bank[i] @ k_rot.matrix
+    lifted = np.zeros(k_rot.codec.size)
+    lifted[: nx * ny] = flat_bank[i]  # the z = 0 states, in the flat codec's order
+    after_rot = lifted @ k_rot.matrix
     proj = np.zeros(k_xy.codec.size)
     for flat, mass in enumerate(after_rot):
         z, x, y = k_rot.codec.decode(flat)
@@ -331,35 +331,32 @@ def test_nu_xz_mass_and_lift_identity(pmf_322):
 
 def test_start_measures_are_rows_of_the_kept_banks(pmf_322):
     # each bank is built once per pmf, kept on it and read-only; row z of
-    # nu_z and row x * nz + z of both nu_xz banks hold the measure pinning
-    # those coordinates, built here one row at a time from the conditionals
+    # nu_z and row x * nz + z of nu_xz hold the measure pinning those
+    # coordinates, built here one row at a time from the conditionals
     nx, ny, nz = pmf_322.dims.shape
     z_bank = nu_z(pmf_322)
-    flat, lifted = nu_xz(pmf_322)
-    assert z_bank is nu_z(pmf_322) and flat is nu_xz(pmf_322)[0]
-    assert not (z_bank.flags.writeable or flat.flags.writeable or lifted.flags.writeable)
+    flat = nu_xz(pmf_322)
+    assert z_bank is nu_z(pmf_322) and flat is nu_xz(pmf_322)
+    assert not (z_bank.flags.writeable or flat.flags.writeable)
     p_x_z = conditional(pmf_322, ("X",), ("Z",))  # (z, x)
     p_y_xz = conditional(pmf_322, ("Y",), ("X", "Z"))  # (x, z, y)
     yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))
     xy = StateCodec.for_labels(pmf_322, ("X", "Y"))
-    zxy = StateCodec.for_labels(pmf_322, ("Z", "X", "Y"))
     for z in range(nz):
         row = np.zeros(yzx.size)
         for x in range(nx):
             row[yzx.encode((0, z, x))] = p_x_z[z, x]
         np.testing.assert_array_equal(z_bank[z], row)
     for x, z in itertools.product(range(nx), range(nz)):
-        row_flat, row_lifted = np.zeros(xy.size), np.zeros(zxy.size)
+        row_flat = np.zeros(xy.size)
         for y in range(ny):
             row_flat[xy.encode((x, y))] = p_y_xz[x, z, y]
-            row_lifted[zxy.encode((0, x, y))] = p_y_xz[x, z, y]
         np.testing.assert_array_equal(flat[x * nz + z], row_flat)
-        np.testing.assert_array_equal(lifted[x * nz + z], row_lifted)
 
 
 def test_nu_xz_product_y_component(product_222):
     codec = StateCodec.for_labels(product_222, ("X", "Y"))
-    flat_bank, _ = nu_xz(product_222)
+    flat_bank = nu_xz(product_222)
     y_mass = np.zeros(2)
     for flat, mass in enumerate(flat_bank[0 * product_222.dims.nz + 1]):  # (x, z) = (0, 1)
         _, y = codec.decode(flat)

@@ -9,9 +9,9 @@ tuple ordering per chain:
       P[(z,x,y), (z',x',y')] = P(z' | x,y) * P(x',y' | z')
   out-of-order   codec (Y, Z, X):
       P[(y,z,x), (y',z',x')] = P(y' | x,z) * P(z' | x,y') * P(x' | z')
-  xy-marginal    codec (X, Y):
+  xy-marginal    codec (X, Y):   K_xy, the rotated sweep's core
       P[(x,y), (x',y')] = sum_z P(z | x,y) * P(x',y' | z)
-  z-marginal     codec (Z,):
+  z-marginal     codec (Z,):     K_z, the block sweep's core
       P[z, z'] = sum_{x',y'} P(x',y' | z) * P(z' | x',y')
 
 plus single-site sweeps in any of the six update orders (``gibbs_kernel``),
@@ -27,10 +27,10 @@ rows do not read first, so state i reads row i mod r, and each kernel is
 stored as K = R C: the r distinct rows C (r x s) and the 0/1 selector R, the
 r x r identity stacked s / r times. The nonzero spectrum of K is the
 spectrum of the r x r core C R (Liu, Wong & Kong 1994), and one step
-v K = (v R) C costs O(r s). The block kernel's core is the z-marginal
-kernel and the rotated kernel's core is the xy-marginal kernel.
+v K = (v R) C costs O(r s). The marginal factories build nothing: they
+return the block and rotated cores, K_z and K_xy, sharing their eigenvalues.
 
-The five kernel factories build their kernel once per pmf and keep it on
+The five kernel factories make their kernel once per pmf and keep it on
 the pmf, so every caller shares one read-only kernel, its core and its
 core eigenvalues. The prop1 start measures are kept the same way, as
 banks with one probability vector per row: ``nu_z`` (one row per z) and
@@ -269,24 +269,25 @@ def ooo_kernel(pmf: JointPmf3) -> Kernel:
     return _kernel_from_einsum(codec, 1, "xzb,xbc,ca", [c_y, c_z, c_x])
 
 
+def _core_chain(pmf: JointPmf3, kernel: Kernel, labels: Sequence[str]) -> Kernel:
+    """The kernel's core as a chain on ``labels``, sharing its eigenvalues."""
+    chain = Kernel(StateCodec.for_labels(pmf, labels), kernel.core)
+    vars(chain)["core_eigenvalues"] = kernel.core_eigenvalues
+    return chain
+
+
 @_once_per_pmf
 def marginal_xy_kernel(pmf: JointPmf3) -> Kernel:
-    """Projection of the block sweep onto (X, Y); reversible with respect to
-    the (X, Y)-marginal of the pmf."""
-    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y, z)
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
-    codec = StateCodec.for_labels(pmf, ("X", "Y"))
-    return _kernel_from_einsum(codec, 0, "xyz,zab", [c_z, c_xy])
+    """K_xy, the rotated sweep's core: the block sweep projected onto (X, Y),
+    reversible with respect to the (X, Y)-marginal of the pmf."""
+    return _core_chain(pmf, rotated_block_kernel(pmf), ("X", "Y"))
 
 
 @_once_per_pmf
 def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
-    """Projection of the block sweep onto Z; reversible with respect to the
-    Z-marginal of the pmf."""
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
-    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x', y', z')
-    codec = StateCodec.for_labels(pmf, ("Z",))
-    return _kernel_from_einsum(codec, 0, "zab,abc", [c_xy, c_z])
+    """K_z, the block sweep's core: the block sweep projected onto Z,
+    reversible with respect to the Z-marginal of the pmf."""
+    return _core_chain(pmf, block_kernel(pmf), ("Z",))
 
 
 @_once_per_pmf

@@ -473,6 +473,17 @@ def test_exact_missing_pmf_file_is_io_error(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def test_exact_stationary_residual_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a residual over the tolerance is reported like any other bad pmf, not
+    # as a traceback, and no report is written
+    monkeypatch.setattr(blockgibbs.analysis, "STATIONARY_RESIDUAL_TOL", 0.0)
+    out = tmp_path / "out"
+    assert main(["exact", "--dims", "3,2,2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error: stationary solve residual \S+ exceeds tolerance 0\b", err), err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate mode
 # ---------------------------------------------------------------------------

@@ -247,6 +247,19 @@ def test_marginal_z_reversible(pmf_322):
     assert np.abs(flow - flow.T).max() < 1e-12
 
 
+def test_marginal_kernels_are_the_sweep_cores(corpus, anti_pmf):
+    # K_z is the block core and K_xy the rotated core, bit for bit, and each
+    # pair shares one array of core eigenvalues
+    pairs = ((marginal_z_kernel, block_kernel, ("Z",)),
+             (marginal_xy_kernel, rotated_block_kernel, ("X", "Y")))
+    for pmf in corpus[:4] + [anti_pmf]:
+        for marginal_factory, sweep_factory, labels in pairs:
+            chain, sweep = marginal_factory(pmf), sweep_factory(pmf)
+            assert chain.codec == StateCodec.for_labels(pmf, labels)
+            np.testing.assert_array_equal(chain.rows, sweep.core)
+            assert chain.core_eigenvalues is sweep.core_eigenvalues
+
+
 def test_marginal_kernels_share_nonzero_spectrum(pmf_322):
     a = nonzero_eig_multiset(marginal_xy_kernel(pmf_322).matrix)
     b = nonzero_eig_multiset(marginal_z_kernel(pmf_322).matrix)

@@ -46,6 +46,7 @@ from .random_effects import (
     shifted_view,
     trajectory_to_csv,
 )
+from .streams import _MAX_ITERATION
 
 CHECK_NAMES = ("prop1", "rates", "invariance", "marginals")
 
@@ -286,7 +287,9 @@ _SETTINGS = {
     },
     "simulate": {
         "out": _OUT,
-        "n": (_rule(lambda n: n >= 1, "{key} must be >= 1", config_int), None),
+        # a run reads noise up to iteration n + 1 (ooo A, or a shifted check's extra sweep)
+        "n": (_rule(lambda n: n <= _MAX_ITERATION - 2, f"{{key}} must be <= {_MAX_ITERATION - 2}",
+                    _rule(lambda n: n >= 1, "{key} must be >= 1", config_int)), None),
         "burn_in": (_rule(lambda n: n >= 0, "{key} must be >= 0", config_int), 0),
         "seed": (_rule(lambda n: 0 <= n < 1 << 64, "{key} must be in [0, 2**64)", config_int), 0),
         "V": (_number, None),
@@ -515,25 +518,15 @@ def _run_simulate(cfg: RunConfig) -> int:
     chain = run_chain(model.variant, init, data, hyper, model.n + extra, model.seed)
     trajectory = Trajectory(*(column[: model.n + 1] for column in chain))
 
-    estimates = {}
-    for name, values in (
-        ("A", trajectory.A),
-        ("mu", trajectory.mu),
-        ("A_times_mu", trajectory.A * trajectory.mu),
-    ):
-        mean, se = estimate(values, model.burn_in)
-        estimates[name] = {"mean": mean, "se": se}
-    doc = {
-        "config": model.to_json_dict(),
-        "estimates": estimates,
-    }
+    def estimates(states: Trajectory, names) -> dict:
+        columns = {"A": states.A, "mu": states.mu, "A_times_mu": states.A * states.mu}
+        return {name: dict(zip(("mean", "se"), estimate(columns[name], model.burn_in)))
+                for name in names}
+
+    doc = {"config": model.to_json_dict(),
+           "estimates": estimates(trajectory, ("A", "mu", "A_times_mu"))}
     if model.variant == "block":
-        shifted = shifted_view(trajectory)
-        shifted_estimates = {}
-        for name, values in (("A", shifted.A), ("A_times_mu", shifted.A * shifted.mu)):
-            mean, se = estimate(values, model.burn_in)
-            shifted_estimates[name] = {"mean": mean, "se": se}
-        doc["shifted_view_estimates"] = shifted_estimates
+        doc["shifted_view_estimates"] = estimates(shifted_view(trajectory), ("A", "A_times_mu"))
 
     ok = True
     if cfg.shifted_check:
@@ -552,7 +545,7 @@ def _run_simulate(cfg: RunConfig) -> int:
     _write_json(doc, est_path)
 
     print(f"simulated {model.n} {model.variant} sweeps (m={model.data.m}, seed={model.seed})")
-    for name, e in estimates.items():
+    for name, e in doc["estimates"].items():
         print(f"  {name:<11} {e['mean']:.6g} +- {e['se']:.3g}")
     if cfg.shifted_check:
         print(f"  shifted-chain identity "
@@ -569,7 +562,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: i/o failure on {getattr(exc, 'filename', '?')}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (MemoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

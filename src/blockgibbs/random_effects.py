@@ -10,11 +10,15 @@ is one vector draw and a sweep reads three labels of keyed noise (see
 ``streams``). No draw depends on the state: A is the rate over a unit gamma
 whose shape a + (m - 1) / 2 is fixed for the chain, and mu and theta are
 mean + sd * z. So ``run_chain`` draws a chain's noise first, one bulk draw
-per label and block of ``streams.BLOCK`` sweeps, and ``block_step`` and
-``ooo_step`` are pure functions of a state and one sweep's noise. The
-out-of-order A draw is read one iteration ahead, so the out-of-order
-trajectory is bit-for-bit the shifted view (mu_n, theta_n, A_{n+1}) of the
-block trajectory, which ``shifted_view`` slices out of its arrays.
+per label and block of ``streams.BLOCK`` sweeps. The A and mu draws read
+theta only through its mean and sum of squared deviations SS, so
+``block_step`` and ``ooo_step`` are pure functions of the scalar state
+(A, mu, theta-bar, SS) and one sweep's noise, whose theta part enters
+through three statistics (see ``_mu_theta``), and theta is built after the
+sweeps. The out-of-order A draw is read one iteration ahead, so the
+out-of-order trajectory is bit-for-bit the shifted view (mu_n, theta_n,
+A_{n+1}) of the block trajectory, which ``shifted_view`` slices out of its
+arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ VARIANTS = ("block", "ooo")
 
 @dataclass(frozen=True, eq=False)
 class RemData:
-    """Observations and the known error variance."""
+    """Observations and the known error variance; ``y_bar`` and ``syy`` are
+    the mean of y and its sum of squared deviations."""
 
     y: np.ndarray
     V: float
@@ -54,6 +59,8 @@ class RemData:
         y = y.copy()
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
+        for name, value in zip(("y_bar", "syy"), _mean_ss(y)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -74,16 +81,20 @@ class RemHyper:
 
 
 class Trajectory(NamedTuple):
-    """A chain as read-only arrays A[n + 1], mu[n + 1] and theta[n + 1, m]."""
+    """A chain as read-only arrays A[n + 1], mu[n + 1], theta[n + 1, m], and the
+    recursion's theta mean and SS, theta_bar[n + 1] and ss[n + 1], for a continuation."""
 
     A: np.ndarray
     mu: np.ndarray
     theta: np.ndarray
+    theta_bar: np.ndarray
+    ss: np.ndarray
 
 
-def _ig_rate(theta: np.ndarray, mean: float, hyper: RemHyper) -> float:
-    d = theta - mean
-    return hyper.b + 0.5 * float(np.add.reduce(d * d))
+def _mean_ss(x: np.ndarray) -> tuple[float, float]:
+    mean = float(np.add.reduce(x)) / x.size
+    d = x - mean
+    return mean, float(np.add.reduce(d * d))
 
 
 def ig_params(theta: np.ndarray, hyper: RemHyper) -> tuple[float, float]:
@@ -92,7 +103,7 @@ def ig_params(theta: np.ndarray, hyper: RemHyper) -> tuple[float, float]:
     m = theta.size
     if m < 2:
         raise ValueError("need at least 2 components")
-    return hyper.a + (m - 1) / 2.0, _ig_rate(theta, float(np.add.reduce(theta)) / m, hyper)
+    return hyper.a + (m - 1) / 2.0, hyper.b + 0.5 * _mean_ss(theta)[1]
 
 
 def mu_params(theta: np.ndarray, A: float) -> tuple[float, float]:
@@ -103,37 +114,45 @@ def mu_params(theta: np.ndarray, A: float) -> tuple[float, float]:
 def theta_params(mu: float, A: float, data: RemData) -> tuple[np.ndarray, float]:
     """Normal parameters for the theta draw: one mean per coordinate,
     (V mu + A y_i) / (A + V), a convex combination of mu and y_i with weight
-    A / (A + V) on the observation, and the common variance A V / (A + V).
+    A / (A + V) on the observation, and the common variance A V / (A + V),
+    with A floored at ``A_FLOOR``. Columns mu[k, None] and A[k, None] give
+    one row of parameters per sweep k.
     """
-    if A < A_FLOOR:
-        logger.warning("flooring A=%r at %r in theta draw", A, A_FLOOR)
-        A = A_FLOOR
+    A = np.maximum(A, A_FLOOR)
     V = data.V
     return (V * mu + A * data.y) / (A + V), A * V / (A + V)
 
 
-def block_step(A, mu, theta, g, z_mu, z_theta, data: RemData, hyper: RemHyper):
-    """One block sweep from the state (A, mu, theta), given the sweep's
-    noise: a unit gamma ``g`` and standard normals ``z_mu`` and ``z_theta``.
-    A from theta, then mu given the new A, then theta given the new (mu, A).
-    Returns the new state."""
-    m = theta.size
-    mean = float(np.add.reduce(theta)) / m  # mu_params' mean, reduced once
-    A = _ig_rate(theta, mean, hyper) / g
-    mu = mean + math.sqrt(A / m) * z_mu
-    mean, var = theta_params(mu, A, data)
-    return A, mu, mean + math.sqrt(var) * z_theta
+def _mu_theta(A, theta_bar, z_mu, z_bar, s_yz, s_zz, data: RemData):
+    """mu given (theta, A), then theta = theta_params' mean + s Z, which is
+    c (y - y_bar) + s (Z - z_bar) about its mean, c = A / (A + V). Returns mu
+    and theta's mean and SS, from z_bar, s_yz = sum (y - y_bar)(Z - z_bar)
+    and s_zz = sum (Z - z_bar)^2."""
+    mu = theta_bar + math.sqrt(A / data.y.size) * z_mu
+    if A < A_FLOOR:
+        logger.warning("flooring A=%r at %r in theta draw", A, A_FLOOR)
+        A = A_FLOOR
+    V = data.V
+    c, s = A / (A + V), math.sqrt(A * V / (A + V))
+    return mu, (V * mu + A * data.y_bar) / (A + V) + s * z_bar, (
+        c * c * data.syy + 2 * c * s * s_yz + s * s * s_zz)
 
 
-def ooo_step(A, mu, theta, g, z_mu, z_theta, data: RemData, hyper: RemHyper):
-    """One out-of-order sweep from the state (A, mu, theta), given the same
-    noise as ``block_step``: mu given the current A, then theta given
-    (new mu, current A), then A from the new theta. Returns the new state."""
-    mean, var = mu_params(theta, A)
-    mu = mean + math.sqrt(var) * z_mu
-    mean, var = theta_params(mu, A, data)
-    theta = mean + math.sqrt(var) * z_theta
-    return ig_params(theta, hyper)[1] / g, mu, theta
+def block_step(A, mu, theta_bar, ss, g, z_mu, z_bar, s_yz, s_zz, data, hyper):
+    """One block sweep from the state (A, mu, theta_bar, ss), given a unit
+    gamma ``g``, a standard normal ``z_mu`` and the statistics of the theta
+    noise: A from theta, then mu given the new A, then theta given the new
+    (mu, A). Returns the new state."""
+    A = (hyper.b + 0.5 * ss) / g
+    return (A, *_mu_theta(A, theta_bar, z_mu, z_bar, s_yz, s_zz, data))
+
+
+def ooo_step(A, mu, theta_bar, ss, g, z_mu, z_bar, s_yz, s_zz, data, hyper):
+    """One out-of-order sweep from the same state and noise as
+    ``block_step``: mu given the current A, then theta given (new mu,
+    current A), then A from the new theta. Returns the new state."""
+    mu, theta_bar, ss = _mu_theta(A, theta_bar, z_mu, z_bar, s_yz, s_zz, data)
+    return (hyper.b + 0.5 * ss) / g, mu, theta_bar, ss
 
 
 def default_init(data: RemData) -> tuple[float, float, np.ndarray]:
@@ -178,19 +197,21 @@ def run_chain(
     stream: KeyedStream | None = None,
     first_iteration: int = 1,
 ) -> Trajectory:
-    """Apply n sweeps to the state ``init`` = (A, mu, theta) and return all
-    n + 1 states, the initial one included.
+    """Apply n sweeps to the state ``init`` = (A, mu, theta), or a trajectory
+    row (A, mu, theta, theta_bar, ss), and return all n + 1 states, the
+    initial one included.
 
     Every sweep's noise is drawn first, into the output arrays, one bulk
     draw per label and block of ``streams.BLOCK`` iterations: a unit
     gamma(a + (m - 1) / 2) under ``A`` (read at iteration + 1 by the
     out-of-order sweep), standard normals under ``mu`` and ``theta``. No
-    draw depends on the state, so the sweeps then run as pure functions of
-    it and overwrite each row with the state. Passing an explicit ``stream``
-    allows chunked continuation (with ``first_iteration`` advanced, also to
-    a point inside a block) and key auditing; results are identical to a
-    monolithic run because each variate is addressed by its iteration, not
-    by its position in the stream. An invalid initial state, or a sweep
+    draw depends on the state, so per chunk of rows the statistics of the
+    theta noise take one pass, the sweeps one step each, and theta one pass
+    over its noise. Passing an explicit ``stream`` allows chunked
+    continuation (with ``first_iteration`` advanced, also to a point inside
+    a block) and key auditing; from a trajectory row, results are identical
+    to a monolithic run because each variate is addressed by its iteration,
+    not by its position in the stream. An invalid initial state, or a sweep
     that produces one, raises, naming its iteration and the bad field.
     """
     if n < 1:
@@ -200,8 +221,10 @@ def run_chain(
     if np.shape(init[2]) != (data.m,):
         raise ValueError("init theta length does not match data")
     A, mu, theta = np.empty(n + 1), np.empty(n + 1), np.empty((n + 1, data.m))
-    A[0], mu[0], theta[0] = init
+    theta_bar, ss = np.empty(n + 1), np.empty(n + 1)
+    A[0], mu[0], theta[0] = init[:3]
     _check_states(A[:1], mu[:1], theta[:1], variant, first_iteration - 1)
+    theta_bar[0], ss[0] = init[3:] or _mean_ss(theta[0])
     if stream is None:
         stream = KeyedStream(seed)
     shape = ig_params(theta[0], hyper)[0]  # the same for every sweep
@@ -210,14 +233,27 @@ def run_chain(
     stream.normal(StreamKey(first_iteration, STEP_MU), mu[1:])
     stream.normal(StreamKey(first_iteration, STEP_THETA), theta[1:])
     step = _STEPS[variant]
-    state = A[0], mu[0], theta[0]
-    for k in range(1, n + 1):
-        state = step(*state, A[k], mu[k], theta[k], data, hyper)
-        A[k], mu[k], theta[k] = state
+    state = A[0].item(), mu[0].item(), theta_bar[0].item(), ss[0].item()
+    dy = data.y - data.y_bar
+    chunk = max(1, 4096 // data.m)  # rows per pass: 32 KB per temporary, whatever n and m
+    for start in range(1, n + 1, chunk):
+        rows = slice(start, min(start + chunk, n + 1))
+        z = theta[rows]  # the rows' theta noise, overwritten with their theta
+        z_bar = np.add.reduce(z, axis=1) / data.m
+        dz = z - z_bar[:, None]
+        noise = zip(A[rows].tolist(), mu[rows].tolist(), z_bar.tolist(),
+                    *(np.add.reduce(dz * w, axis=1).tolist() for w in (dy, dz)))
+        states = [state := step(*state, *sweep, data, hyper) for sweep in noise]
+        A[rows], mu[rows], theta_bar[rows], ss[rows] = zip(*states)
+        # each row's theta draw read the sweep's A (ooo: the one before it)
+        a = A[start - a_ahead : rows.stop - a_ahead, None]
+        mean, var = theta_params(mu[rows, None], a, data)
+        z *= np.sqrt(var)
+        z += mean
     _check_states(A, mu, theta, variant, first_iteration - 1)
-    for column in (A, mu, theta):
+    for column in (A, mu, theta, theta_bar, ss):
         column.setflags(write=False)
-    return Trajectory(A, mu, theta)
+    return Trajectory(A, mu, theta, theta_bar, ss)
 
 
 def shifted_view(trajectory: Trajectory) -> Trajectory:
@@ -229,7 +265,7 @@ def shifted_view(trajectory: Trajectory) -> Trajectory:
     """
     if trajectory.A.size < 2:
         raise ValueError("trajectory must have at least 2 states")
-    return Trajectory(trajectory.A[1:], trajectory.mu[:-1], trajectory.theta[:-1])
+    return Trajectory(trajectory.A[1:], *(column[:-1] for column in trajectory[1:]))
 
 
 def estimate(values: np.ndarray, burn_in: int) -> tuple[float, float]:
@@ -259,7 +295,7 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
         fh.write(",".join(["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, m + 1)]))
         fh.write("\r\n")
         for start in range(0, trajectory.A.size, 1024):
-            values = np.column_stack([c[start : start + 1024] for c in trajectory]).tolist()
+            values = np.column_stack([c[start : start + 1024] for c in trajectory[:3]]).tolist()
             fh.writelines(row % (start + k, *v) for k, v in enumerate(values))
 
 

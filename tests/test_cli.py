@@ -17,6 +17,7 @@ import pytest
 import blockgibbs
 from blockgibbs import anti_example_pmf, cli, product_pmf, run_chain
 from blockgibbs.cli import ConfigError, main, parse_config
+from blockgibbs.streams import _MAX_ITERATION
 
 MODEL = {"y": [1.2, -0.3, 0.7, 2.1, -1.0, 0.4], "V": 1.0, "a": 2.0, "b": 2.0}
 
@@ -44,12 +45,12 @@ GOLDEN_EXACT_SHA256 = {
 #: test_simulate_outputs_golden_digest.
 GOLDEN_SIMULATE_SHA256 = {
     "block-shifted": (
-        "85fbda9639c14216ebb60f23895d3e81664443e1bc7755a6fc00b46cfcf2017b",
-        "01a358863c7bf5e70bd06cb6861f046c1c3bf26e0787bae49993c88d13def2ae",
+        "7495f1c84dc6c4a2f1fa86494ca1664c1c2745269799dc75c93af888ff9b0327",
+        "b656d93866f9d00ea81fec41af2e72091192fa499abd609e4b29f4c4a8535e95",
     ),
     "ooo-from-config": (
-        "b8885b9d8e93cbe4277377f9dac6061bdc8afb9a7087975e7f1f1471a13a4c46",
-        "5de7eafc006167d66239790434524afd2a7bcdbd42bea856b5eb49bab60e1b98",
+        "2b75f799dc0c5b32edf54347c91ae9d2c7d9efb05bcdd30a7c4d93db579ea7cc",
+        "f9f7664cc3df391e9c04cce40ea7907b494c21bd7a8d1d4538867f5101800aaa",
     ),
 }
 
@@ -256,6 +257,27 @@ def test_simulate_settings_list_every_error(tmp_path, capsys, doc, messages):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in messages]
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_n_beyond_the_stream_bound_exits_2(tmp_path, capsys, model_file):
+    # the keyed noise addresses iterations below _MAX_ITERATION, and a run
+    # reads up to iteration n + 1
+    out = tmp_path / "out"
+    bound = _MAX_ITERATION - 2
+    argv = ["simulate", "--config", model_file, "--out", str(out), "--n"]
+    assert main(argv + [str(bound + 1)]) == 2
+    assert capsys.readouterr().err == f"error: n must be <= {bound}, got {bound + 1}\n"
+    assert not out.exists()
+    assert parse_config(argv + [str(bound)]).model.n == bound
+
+
+def test_simulate_n_too_large_to_allocate_exits_1(tmp_path, capsys, model_file):
+    # 10^15 sweeps is within the stream bound; its trajectory (8 PB per
+    # column) fails to allocate at once, so no memory is touched
+    assert main(["simulate", "--config", model_file, "--n", str(10**15),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
 
 def test_simulate_run_settings_may_be_integral_floats_or_numeric_strings(tmp_path):

@@ -1,9 +1,10 @@
 """Tests for the random effects samplers.
 
-The two sweep orders are checked three ways: parameter formulas against
+The two sweep orders are checked four ways: parameter formulas against
 hand-worked values, composition against hand evaluation at the noise
-medians (zero normals and the gamma median), and the trajectory-level
-shifted re-indexing bit for bit.
+medians (zero normals and the gamma median), the sufficient-statistic
+chain against the vector step formulas it replaced, and the
+trajectory-level shifted re-indexing bit for bit.
 """
 
 import csv
@@ -34,16 +35,16 @@ from blockgibbs import (
     shifted_view,
     theta_params,
 )
-from blockgibbs.random_effects import trajectory_to_csv
+from blockgibbs.random_effects import A_FLOOR, VARIANTS, trajectory_to_csv
 from blockgibbs.streams import BLOCK
 
 
 #: sha256 of trajectory.csv for a 20-sweep block run (seed 2024) on the
 #: fixture data, under block keys; ``reference_chain`` gives the same file.
 #: See test_trajectory_csv_golden_digest.
-GOLDEN_SHA256 = "e7ed06996b211eb7bbe346dec226fa312022d3b3493c5d9bf9dd4e2bc28220e4"
+GOLDEN_SHA256 = "48f586fdb7cd601761f2a50af22b8f22abe4a057d5d36bfb5c5760a38052f932"
 #: The same for an out-of-order run, which reads its A noise one iteration ahead.
-GOLDEN_OOO_SHA256 = "90489ea87533444f5466a74cb2ab20644781f3fbee9c93b35d60344b80a82525"
+GOLDEN_OOO_SHA256 = "c6a3c0c41486e85272b2097e17e98e78f18b6f3d846cd3e7428b00b66d3d1e53"
 
 
 @pytest.fixture()
@@ -91,15 +92,27 @@ class PoisonedStream(KeyedStream):
         return out
 
 
-def reference_chain(variant, init, data, hyper, n, seed):
-    """The chain rebuilt from the key layout alone: a fresh Philox generator
-    per (block, label) makes the block's bulk draw, iteration i reads row
-    i % BLOCK of block i // BLOCK, and the steps run one sweep at a time."""
-    shape = ig_params(init[2], hyper)[0]
+class MedianStream(KeyedStream):
+    """Keyed stream whose noise is the median of each draw: zero normals and
+    the gamma median."""
+
+    def normal(self, key, out):
+        out[...] = 0.0
+        return out
+
+    def gamma(self, key, shape, out):
+        out[...] = gammainccinv(shape, 0.5)
+        return out
+
+
+def key_layout_noise(seed, shape, m):
+    """noise(iteration, code) from the key layout alone: a fresh Philox
+    generator per (block, label) makes the block's bulk draw, and iteration
+    i reads row i % BLOCK of block i // BLOCK."""
     draws = {
         0: lambda gen: gen.standard_gamma(shape, BLOCK),
         1: lambda gen: gen.standard_normal(BLOCK),
-        2: lambda gen: gen.standard_normal((BLOCK, data.m)),
+        2: lambda gen: gen.standard_normal((BLOCK, m)),
     }
     blocks = {}
 
@@ -110,12 +123,75 @@ def reference_chain(variant, init, data, hyper, n, seed):
             blocks[block, code] = draws[code](np.random.Generator(np.random.Philox(key=key)))
         return blocks[block, code][row]
 
-    step = {"block": block_step, "ooo": ooo_step}[variant]
+    return noise
+
+
+def reference_chain(variant, init, data, hyper, n, seed):
+    """The chain rebuilt from the key layout with its own recursion, one
+    sweep at a time: the scalar state (A, mu, theta mean, sum of squares)
+    steps on three statistics of the theta noise z, and each theta row is
+    the theta draw's mean + sd * z."""
+    m, V, b = data.m, data.V, hyper.b
+    noise = key_layout_noise(seed, hyper.a + (m - 1) / 2, m)
+    y_bar = float(np.add.reduce(data.y)) / m
+    dy = data.y - y_bar
+    syy = float(np.add.reduce(dy * dy))
+    A, mu, theta = init
+    theta_bar = float(np.add.reduce(theta)) / m
+    ss = float(np.add.reduce((theta - theta_bar) ** 2))
+    states = [(A, mu, theta, theta_bar, ss)]
+    ahead = 1 if variant == "ooo" else 0
+    for i in range(1, n + 1):
+        g, z_mu, z = noise(i + ahead, 0), noise(i, 1), noise(i, 2)
+        z_bar = float(np.add.reduce(z)) / m
+        dz = z - z_bar
+        if variant == "block":
+            A = (b + 0.5 * ss) / g
+        mu = theta_bar + math.sqrt(A / m) * z_mu
+        c, s = A / (A + V), math.sqrt(A * V / (A + V))
+        theta = (V * mu + A * data.y) / (A + V) + s * z
+        theta_bar = (V * mu + A * y_bar) / (A + V) + s * z_bar
+        ss = c * c * syy + 2 * c * s * float(np.add.reduce(dz * dy)) + s * s * float(
+            np.add.reduce(dz * dz))
+        if variant == "ooo":
+            A = (b + 0.5 * ss) / g
+        states.append((A, mu, theta, theta_bar, ss))
+    return Trajectory(*(np.array(column) for column in zip(*states)))
+
+
+def vector_block_step(A, mu, theta, g, z_mu, z_theta, data, hyper):
+    """The block sweep on the vector state (A, mu, theta), as the sampler
+    computed it before it ran on sufficient statistics."""
+    m = theta.size
+    mean = float(np.add.reduce(theta)) / m
+    d = theta - mean
+    A = (hyper.b + 0.5 * float(np.add.reduce(d * d))) / g
+    mu = mean + math.sqrt(A / m) * z_mu
+    mean, var = theta_params(mu, A, data)
+    return A, mu, mean + math.sqrt(var) * z_theta
+
+
+def vector_ooo_step(A, mu, theta, g, z_mu, z_theta, data, hyper):
+    """The out-of-order sweep on the vector state, as ``vector_block_step``."""
+    mean, var = mu_params(theta, A)
+    mu = mean + math.sqrt(var) * z_mu
+    mean, var = theta_params(mu, A, data)
+    theta = mean + math.sqrt(var) * z_theta
+    return ig_params(theta, hyper)[1] / g, mu, theta
+
+
+def vector_chain(variant, init, data, hyper, n, seed):
+    """The chain by the vector step formulas on the key layout's noise, with
+    each theta row's mean and sum of squared deviations appended."""
+    noise = key_layout_noise(seed, ig_params(init[2], hyper)[0], data.m)
+    step = {"block": vector_block_step, "ooo": vector_ooo_step}[variant]
     ahead = 1 if variant == "ooo" else 0
     states = [init]
     for i in range(1, n + 1):
         states.append(step(*states[-1], noise(i + ahead, 0), noise(i, 1), noise(i, 2), data, hyper))
-    return Trajectory(*(np.array(column) for column in zip(*states)))
+    A, mu, theta = (np.array(column) for column in zip(*states))
+    d = theta - theta.mean(axis=1, keepdims=True)
+    return Trajectory(A, mu, theta, theta.mean(axis=1), (d * d).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +248,14 @@ def test_invalid_state_raises_at_the_sweep_that_made_it(data, hyper, variant, po
 
 def test_a_floor_warning_fires_once_per_sweep(data, hyper, caplog):
     # A below A_FLOOR (reachable only from an initial state) floors the theta
-    # draw's A; the warning is per sweep, not per coordinate
-    g = gammainccinv(ig_params(data.y, hyper)[0], 0.5)
+    # draw's A; the warning is per sweep, not per coordinate, and building
+    # the theta rows after the sweeps adds none
     with caplog.at_level(logging.WARNING, logger="blockgibbs.random_effects"):
-        ooo_step(1e-310, 0.0, data.y, g, 0.0, np.zeros(data.m), data, hyper)
+        chain = run_chain("ooo", (1e-310, 0.0, data.y), data, hyper, n=1, seed=0,
+                          stream=MedianStream(0))
     assert [r.getMessage().startswith("flooring A") for r in caplog.records] == [True]
+    # the stored theta row is the floored draw's
+    np.testing.assert_array_equal(chain.theta[1], theta_params(chain.mu[1], A_FLOOR, data)[0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -277,11 +356,20 @@ def test_sample_ig_distribution_ks():
 # ---------------------------------------------------------------------------
 # sweep composition
 # ---------------------------------------------------------------------------
+#: The steps' theta mean and sum of squares against the same of a theta
+#: vector: the mean rounds differently from a sum over coordinates, and SS
+#: is the expansion c^2 Syy, which rounds differently from a sum of squared
+#: deviations, each by a few eps relative.
+STATS_RTOL = 1e-14
+
+
 def test_block_step_median_composition(data, hyper):
     A0, mu0, theta0 = default_init(data)
     shape, rate = ig_params(theta0, hyper)
     median = gammainccinv(shape, 0.5)
-    A, mu, theta = block_step(A0, mu0, theta0, median, 0.0, np.zeros(data.m), data, hyper)
+    chain = run_chain("block", (A0, mu0, theta0), data, hyper, n=1, seed=0,
+                      stream=MedianStream(0))
+    A, mu, theta, theta_bar, ss = (column[1] for column in chain)
 
     a_hand = rate / median
     mu_hand = mu_params(theta0, a_hand)[0]
@@ -290,12 +378,19 @@ def test_block_step_median_composition(data, hyper):
     assert A == a_hand
     assert mu == mu_hand
     np.testing.assert_array_equal(theta, theta_hand)
+    # the step itself, from the chain's initial state and the median noise
+    start = (chain.A[0], chain.mu[0], chain.theta_bar[0], chain.ss[0])
+    assert block_step(*start, median, 0.0, 0.0, 0.0, 0.0, data, hyper) == (A, mu, theta_bar, ss)
+    assert theta_bar == pytest.approx(np.mean(theta_hand), rel=STATS_RTOL)
+    assert ss == pytest.approx(2 * (ig_params(theta, hyper)[1] - hyper.b), rel=STATS_RTOL)
 
 
 def test_ooo_step_median_composition(data, hyper):
     A0, mu0, theta0 = default_init(data)
     median = gammainccinv(ig_params(theta0, hyper)[0], 0.5)
-    A, mu, theta = ooo_step(A0, mu0, theta0, median, 0.0, np.zeros(data.m), data, hyper)
+    chain = run_chain("ooo", (A0, mu0, theta0), data, hyper, n=1, seed=0,
+                      stream=MedianStream(0))
+    A, mu, theta, theta_bar, ss = (column[1] for column in chain)
 
     mu_hand = mu_params(theta0, A0)[0]
     V = data.V
@@ -303,7 +398,12 @@ def test_ooo_step_median_composition(data, hyper):
     shape, rate = ig_params(theta_hand, hyper)
     assert mu == mu_hand
     np.testing.assert_array_equal(theta, theta_hand)
-    assert A == rate / gammainccinv(shape, 0.5)
+    start = (chain.A[0], chain.mu[0], chain.theta_bar[0], chain.ss[0])
+    assert ooo_step(*start, median, 0.0, 0.0, 0.0, 0.0, data, hyper) == (A, mu, theta_bar, ss)
+    # A reads the recursion's SS, not theta_hand's sum of squares
+    assert A == (hyper.b + 0.5 * ss) / median
+    assert A == pytest.approx(rate / gammainccinv(shape, 0.5), rel=STATS_RTOL)
+    assert theta_bar == pytest.approx(np.mean(theta_hand), rel=STATS_RTOL)
 
 
 def test_ooo_key_audit(data, hyper):
@@ -349,7 +449,7 @@ def test_run_chain_chunked_equals_monolithic(data, hyper):
     # label's mark (the first chunk drew A up to iteration 26)
     stream = KeyedStream(13)
     first = run_chain("ooo", init, data, hyper, n=25, seed=13, stream=stream)
-    last = first.A[-1], first.mu[-1], first.theta[-1]
+    last = tuple(column[-1] for column in first)  # with the recursion's state
     second = run_chain(
         "ooo", last, data, hyper, n=15, seed=13, stream=stream, first_iteration=26
     )
@@ -369,6 +469,29 @@ def test_run_chain_matches_an_independent_block_key_reimplementation(data, hyper
     assert trajectories_equal(chain, reference_chain(variant, default_init(data), data, hyper, n, 77))
 
 
+#: run_chain against the vector step formulas, per column, relative to the
+#: column's largest magnitude. Each sweep rounds SS's three-term expansion
+#: c^2 Syy + 2 c s Syz + s^2 Szz with an absolute error of a few
+#: eps * (c^2 Syy + s^2 Szz); that is large against SS only when SS nearly
+#: cancels (m = 2, theta_1 ~ theta_2), where A = (b + SS / 2) / g hides it
+#: behind b. The chain contracts, so the per-sweep errors do not add up
+#: over sweeps: at m = 2, 3, 8 and 64, four seeds, n = 20,000 and both
+#: sweeps the largest movement was 3.4 eps; 16 eps leaves room for that.
+VECTOR_RTOL = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("m", [2, 3, 8, 64])
+def test_run_chain_matches_the_vector_step_formulas(hyper, variant, m):
+    data = RemData(1.5 * np.random.default_rng(100 + m).normal(size=m), V=1.0)
+    n = 2 * BLOCK + 100
+    chain = run_chain(variant, default_init(data), data, hyper, n=n, seed=m)
+    vector = vector_chain(variant, default_init(data), data, hyper, n, m)
+    for name, got, want in zip(Trajectory._fields, chain, vector):
+        scale = np.abs(want).max(axis=0)
+        assert (np.abs(got - want).max(axis=0) <= VECTOR_RTOL * scale).all(), name
+
+
 @pytest.mark.parametrize("variant", ["block", "ooo"])
 @pytest.mark.parametrize(
     "split",
@@ -384,7 +507,7 @@ def test_run_chain_chunks_split_at_and_across_block_boundaries(data, hyper, vari
     whole = run_chain(variant, init, data, hyper, n=n, seed=21)
     stream = KeyedStream(21)
     first = run_chain(variant, init, data, hyper, n=split, seed=21, stream=stream)
-    last = first.A[-1], first.mu[-1], first.theta[-1]
+    last = tuple(column[-1] for column in first)  # with the recursion's state
     second = run_chain(variant, last, data, hyper, n=n - split, seed=21, stream=stream,
                        first_iteration=split + 1)
     stitched = Trajectory(*(np.concatenate((a, b[1:])) for a, b in zip(first, second)))

@@ -3,10 +3,6 @@ out-of-order reordering, plus keyed-stream samplers for the hierarchical
 normal random effects model."""
 
 from .analysis import (
-    ChainReport,
-    Prop1Report,
-    RateEqualityReport,
-    SpectrumSummary,
     analyze,
     check_marginal_agreement,
     check_pistar_invariance,
@@ -42,7 +38,6 @@ from .kernels import (
     rotated_block_kernel,
 )
 from .random_effects import (
-    ModelConfig,
     RemData,
     RemHyper,
     Trajectory,
@@ -55,8 +50,7 @@ from .random_effects import (
     run_chain,
     shifted_view,
     theta_params,
-    trajectory_to_csv,
 )
-from .streams import STEP_A, STEP_MU, KeyedStream, StreamKey
+from .streams import KeyedStream, StreamKey
 
 __version__ = "0.1.0"

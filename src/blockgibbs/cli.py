@@ -435,40 +435,18 @@ def _check_verdicts(report: ChainReport) -> dict[str, bool]:
 
 
 def _write_tv_curves(report: ChainReport, path) -> None:
-    def cell(x: float) -> str:
-        return "" if math.isnan(x) else format(x, ".17g")
-
     p = report.prop1
-    chain1, chain2 = p.chain1.tolist(), p.chain2.tolist()
+    flag = {None: "", True: "true", False: "false"}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [
-                "n",
-                "tv_block_from_worst_state",
-                "tv_Kz",
-                "tv_ooo_from_nu_z",
-                "chain1_ok",
-                "tv_ooo_from_state",
-                "tv_Kxy_from_nu",
-                "tv_Kdagger_from_nu",
-                "chain2_ok",
-            ]
+            ["n", "tv_block_from_worst_state", "tv_Kz", "tv_ooo_from_nu_z", "chain1_ok",
+             "tv_ooo_from_state", "tv_Kxy_from_nu", "tv_Kdagger_from_nu", "chain2_ok"]
         )
-        for i, n in enumerate(p.n_values.tolist()):
-            writer.writerow(
-                [
-                    n,
-                    cell(chain1[i][0]),
-                    cell(chain1[i][1]),
-                    cell(chain1[i][2]),
-                    "" if p.chain1_ok[i] is None else str(bool(p.chain1_ok[i])).lower(),
-                    cell(chain2[i][0]),
-                    cell(chain2[i][1]),
-                    cell(chain2[i][2]),
-                    str(bool(p.chain2_ok[i])).lower(),
-                ]
-            )
+        rows = zip(p.n_values.tolist(), p.chain1.tolist(), p.chain1_ok, p.chain2.tolist(), p.chain2_ok)
+        for n, chain1, ok1, chain2, ok2 in rows:
+            cells = ["" if math.isnan(x) else format(x, ".17g") for x in chain1 + chain2]
+            writer.writerow([n, *cells[:3], flag[ok1], *cells[3:], flag[ok2]])
 
 
 def _run_exact(cfg: RunConfig) -> int:

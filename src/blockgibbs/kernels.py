@@ -107,13 +107,6 @@ class StateCodec:
             f"{lab.lower()}{i}" for lab, i in zip(self.labels, self.decode(flat))
         )
 
-    def flatten_canonical(self, table: np.ndarray) -> np.ndarray:
-        """Ravel a table whose axes follow canonical (X, Y, Z) order into
-        this codec's state order."""
-        canon = sorted(self.labels, key=AXES.index)
-        perm = [canon.index(lab) for lab in self.labels]
-        return np.transpose(np.asarray(table, dtype=float), perm).ravel()
-
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
@@ -189,7 +182,9 @@ class Kernel:
 def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
     """Marginal of the pmf on the codec's variables, flattened to its state
     order. For a three-variable codec this is the full joint."""
-    return codec.flatten_canonical(marginal(pmf, codec.labels))
+    canon = sorted(codec.labels, key=AXES.index)  # the marginal's axis order
+    perm = [canon.index(lab) for lab in codec.labels]
+    return np.transpose(marginal(pmf, codec.labels), perm).ravel()
 
 
 def _kernel_from_einsum(

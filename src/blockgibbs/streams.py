@@ -21,7 +21,6 @@ Draws are standard variates; the samplers scale them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -29,7 +28,7 @@ STEP_A = "A"
 STEP_MU = "mu"
 STEP_THETA = "theta"
 
-#: Iterations per keyed block: one key bind per label covers this many sweeps.
+#: Iterations per keyed block: one generator per label covers this many sweeps.
 BLOCK = 1024
 
 #: Step code per label. A key packs block << 16 | code into one 64-bit word,
@@ -59,43 +58,32 @@ class KeyedStream:
     """Counter-based generator bank: one independent stream per label and
     block of ``BLOCK`` iterations.
 
-    A single Philox generator is reused by resetting its 128-bit key to
-    (seed, block << 16 | step code) once per block a draw covers; this is
-    equivalent to constructing a fresh generator per block but faster.
+    Each block a draw covers gets a fresh Philox generator keyed by
+    (seed, block << 16 | step code), so a stream holds only its seed and
+    its audit.
 
     With ``audit`` on (the default), ``consumed`` maps each step label to the
     last iteration drawn under it; samplers draw each label in increasing
     iteration order, so a draw that starts at or below its label's mark is a
-    reuse and raises. A draw may start inside a block an earlier draw ended
-    in.
+    reuse and raises. A draw that raises marks nothing. A draw may start
+    inside a block an earlier draw ended in.
     """
 
     def __init__(self, seed: int, audit: bool = True):
         self.seed = int(seed)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        self._key = np.array([self.seed, 0], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=self._key.copy())
-        self._gen = np.random.Generator(self._bitgen)
-        # the state setter copies every value, so one template serves all binds
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
         self.consumed: dict[str, int] | None = {} if audit else None
 
-    def _bind(self, block: int, key: StreamKey) -> None:
-        self._key[1] = (block << 16) | key.code()
-        self._bitgen.state = self._state
+    def _generator(self, block: int, key: StreamKey) -> np.random.Generator:
+        """The generator of one block of the key's label."""
+        return np.random.Generator(np.random.Philox(key=[self.seed, block << 16 | key.code()]))
 
-    def _fill(self, key: StreamKey, out: np.ndarray, draw) -> np.ndarray:
+    def _fill(self, key: StreamKey, out: np.ndarray, draw, *args) -> np.ndarray:
         """Write the variates of iterations key.iteration, key.iteration + 1,
-        ... into the rows of ``out``, binding once per block; ``draw(size)``
-        and ``draw(out=...)`` are the generator's bulk draw."""
+        ... into the rows of ``out``, one generator per block; ``draw`` is the
+        ``Generator`` bulk draw, called as ``draw(gen, *args, size)`` and
+        ``draw(gen, *args, out=...)``."""
         first, stop = key.iteration, key.iteration + len(out)
         if not first < stop <= _MAX_ITERATION:
             raise ValueError(f"cannot draw {len(out)} rows from iteration {first}")
@@ -105,28 +93,29 @@ class KeyedStream:
                 raise ValueError(
                     f"substream key {key} already consumed or out of order (mark {mark})"
                 )
-            self.consumed[key.step] = stop - 1
         width = out[:1].size  # variates per iteration
         row = first
         while row < stop:
             block, skip = divmod(row, BLOCK)
             end = min(stop, row - skip + BLOCK)
-            self._bind(block, key)
+            gen = self._generator(block, key)
             if skip:  # rows of this block before the draw's first
-                draw(skip * width)
-            draw(out=out[row - first : end - first])
+                draw(gen, *args, skip * width)
+            draw(gen, *args, out=out[row - first : end - first])
             row = end
+        if self.consumed is not None:
+            self.consumed[key.step] = stop - 1
         return out
 
     def normal(self, key: StreamKey, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with the standard normals at ``key`` and after: row r
         holds iteration key.iteration + r, and a 2-D ``out`` gives each
         iteration a vector (the theta draw)."""
-        return self._fill(key, out, self._gen.standard_normal)
+        return self._fill(key, out, np.random.Generator.standard_normal)
 
     def gamma(self, key: StreamKey, shape: float, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with the unit-scale gamma(shape) variates at ``key``
         and after, one per iteration."""
         if shape <= 0:
             raise ValueError("gamma shape must be positive")
-        return self._fill(key, out, partial(self._gen.standard_gamma, shape))
+        return self._fill(key, out, np.random.Generator.standard_gamma, shape)

@@ -62,16 +62,16 @@ def trajectories_equal(s: Trajectory, t: Trajectory) -> bool:
 
 
 class RecordingStream(KeyedStream):
-    """Audited keyed stream that also lists every (block, label) it binds, in
-    order."""
+    """Audited keyed stream that also lists every (block, label) it builds a
+    generator for, in order."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.binds = []
 
-    def _bind(self, block, key):
+    def _generator(self, block, key):
         self.binds.append((block, key.step))
-        super()._bind(block, key)
+        return super()._generator(block, key)
 
 
 class PoisonedStream(KeyedStream):
@@ -407,7 +407,7 @@ def test_ooo_step_median_composition(data, hyper):
 
 
 def test_ooo_key_audit(data, hyper):
-    # one bind per label and block: the out-of-order A noise is read one
+    # one generator per label and block: the out-of-order A noise is read one
     # iteration ahead, so it reaches block 1 a sweep before mu and theta do;
     # the noise is drawn before the sweeps run, A first as in the block sweep
     stream = RecordingStream(3)

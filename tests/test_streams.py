@@ -43,8 +43,7 @@ def test_different_keys_and_seeds_differ():
     assert KeyedStream(1).normal(StreamKey(1, "A"), np.empty(1))[0] != base
 
 
-def test_state_reset_equals_fresh_generator():
-    # the reused-generator fast path must reproduce a generator per block:
+def test_draws_follow_the_key_layout():
     # iteration i reads row i % BLOCK of block i // BLOCK's bulk draw
     gamma = KeyedStream(42).gamma(StreamKey(7, "theta"), 2.5, np.empty(2 * BLOCK))
     reference = np.concatenate(
@@ -68,6 +67,22 @@ def test_audit_rejects_key_reuse():
     # the next iteration is fine, though its block has been bound before
     s.normal(StreamKey(5, "mu"), np.empty(1))
     assert s.consumed == {"mu": 5}
+
+
+def test_a_failed_draw_consumes_no_keys():
+    # numpy refuses a float32 or a non-contiguous ``out``; the keys stay
+    # unused, so the corrected retry reads them
+    s = KeyedStream(0)
+    with pytest.raises(TypeError):
+        s.normal(StreamKey(1, "mu"), np.empty(3, np.float32))
+    with pytest.raises(ValueError, match="contiguous"):
+        s.normal(StreamKey(1, "mu"), np.empty((3, 4))[:, ::2])
+    assert s.consumed == {}
+    np.testing.assert_array_equal(
+        s.normal(StreamKey(1, "mu"), np.empty(3)),
+        KeyedStream(0).normal(StreamKey(1, "mu"), np.empty(3)),
+    )
+    assert s.consumed == {"mu": 3}
 
 
 def test_audit_rejects_a_lower_iteration():

@@ -440,10 +440,21 @@ def _write_tv_curves(report: ChainReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["n", "tv_block_from_worst_state", "tv_Kz", "tv_ooo_from_nu_z", "chain1_ok",
-             "tv_ooo_from_state", "tv_Kxy_from_nu", "tv_Kdagger_from_nu", "chain2_ok"]
+            [
+                "n",
+                "tv_block_from_worst_state",
+                "tv_Kz",
+                "tv_ooo_from_nu_z",
+                "chain1_ok",
+                "tv_ooo_from_state",
+                "tv_Kxy_from_nu",
+                "tv_Kdagger_from_nu",
+                "chain2_ok",
+            ]
         )
-        rows = zip(p.n_values.tolist(), p.chain1.tolist(), p.chain1_ok, p.chain2.tolist(), p.chain2_ok)
+        rows = zip(
+            p.n_values.tolist(), p.chain1.tolist(), p.chain1_ok, p.chain2.tolist(), p.chain2_ok
+        )
         for n, chain1, ok1, chain2, ok2 in rows:
             cells = ["" if math.isnan(x) else format(x, ".17g") for x in chain1 + chain2]
             writer.writerow([n, *cells[:3], flag[ok1], *cells[3:], flag[ok2]])

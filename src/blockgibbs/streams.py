@@ -77,7 +77,8 @@ class KeyedStream:
 
     def _generator(self, block: int, key: StreamKey) -> np.random.Generator:
         """The generator of one block of the key's label."""
-        return np.random.Generator(np.random.Philox(key=[self.seed, block << 16 | key.code()]))
+        word = np.array([self.seed, block << 16 | key.code()], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=word))
 
     def _fill(self, key: StreamKey, out: np.ndarray, draw, *args) -> np.ndarray:
         """Write the variates of iterations key.iteration, key.iteration + 1,

@@ -119,7 +119,7 @@ def key_layout_noise(seed, shape, m):
     def noise(iteration, code):
         block, row = divmod(iteration, BLOCK)
         if (block, code) not in blocks:
-            key = [seed, block << 16 | code]
+            key = np.array([seed, block << 16 | code], dtype=np.uint64)
             blocks[block, code] = draws[code](np.random.Generator(np.random.Philox(key=key)))
         return blocks[block, code][row]
 

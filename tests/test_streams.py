@@ -9,7 +9,8 @@ from blockgibbs.streams import BLOCK
 
 def fresh_block(seed, block, code):
     """A block's generator built from scratch, as the key layout defines it."""
-    return np.random.Generator(np.random.Philox(key=[seed, block << 16 | code]))
+    key = np.array([seed, block << 16 | code], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def test_stream_key_labels():
@@ -64,7 +65,7 @@ def test_audit_rejects_key_reuse():
         s.normal(StreamKey(1, "mu"), np.empty(1))
     with pytest.raises(ValueError, match="already consumed"):
         s.normal(StreamKey(4, "mu"), np.empty(1))  # the last iteration drawn
-    # the next iteration is fine, though its block has been bound before
+    # the next iteration is fine, though an earlier draw read its block
     s.normal(StreamKey(5, "mu"), np.empty(1))
     assert s.consumed == {"mu": 5}
 
@@ -111,6 +112,21 @@ def test_seed_must_fit_the_philox_key_word():
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             KeyedStream(seed)
     KeyedStream((1 << 64) - 1)  # the largest seed is accepted
+
+
+def test_key_words_keep_all_64_bits():
+    # seeds at or above 2**63 and blocks whose word reaches bit 63 keep
+    # every bit of the key, so no two keys share a stream
+    draws = {}
+    for seed in (5, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1):
+        for step, code in (("A", 0), ("mu", 1), ("theta", 2)):
+            for iteration in (1, 1 << 57):
+                got = KeyedStream(seed).normal(StreamKey(iteration, step), np.empty(2))
+                block, row = divmod(iteration, BLOCK)
+                want = fresh_block(seed, block, code).standard_normal(BLOCK)[row : row + 2]
+                np.testing.assert_array_equal(got, want)
+                draws[seed, step, iteration] = got.tobytes()
+    assert len(set(draws.values())) == len(draws)
 
 
 def test_gamma_validates_shape():

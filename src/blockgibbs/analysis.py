@@ -119,21 +119,51 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
     target) for a bank of them, one per row, for n = 0..nmax. Past step 0
     the steps run on the r x r core: start K^n = w_n C, with weights
     w_n = (start R) core^(n-1). ``reads`` returns one curve per (P, t)
-    instead, whose entries past [0] are tv(w_n P, t), P None reading w_n."""
+    instead, whose entries past [0] are tv(w_n P, t), P None reading w_n.
+
+    The weights are stepped a chunk of steps at a time, and each law's
+    distances for the chunk are one product, subtract, abs and reduce. A
+    chunk is the most steps whose (steps x start rows x widest read)
+    temporaries fit in 4,096 float64s (32 KB), at least one, so memory
+    past the output does not grow with nmax. Every product and reduce is
+    the one a step at a time would make, so the curves are bit-identical
+    to stepping one at a time."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     cur = np.asarray(start, dtype=float)
+    r, s = kernel.rows.shape
+    if cur.shape[-1:] != (s,):
+        raise ValueError(f"start shape {cur.shape} does not end in the kernel's {s} states")
+    if np.shape(target) != (s,):
+        raise ValueError(f"target shape {np.shape(target)} is not the kernel's ({s},) states")
     laws = ((kernel.rows, target),) if reads is None else reads
-    out = np.empty((len(laws), nmax + 1) + cur.shape[:-1])
-    out[:, 0] = np.add.reduce(np.abs(cur - target), axis=-1)
-    cur = kernel.select(cur)
-    for n in range(1, nmax + 1):
-        if n > 1:
-            cur = cur @ kernel.core
+    widths = [r if law is None else np.shape(law)[-1] for law, _ in laws]
+    for (law, t), width in zip(laws, widths):
+        if np.shape(t) != (width,):
+            raise ValueError(
+                f"read law of shape {np.shape(law) if law is not None else (r, r)} "
+                f"does not match its target shape {np.shape(t)}"
+            )
+    bank = cur.reshape(-1, s)  # a single vector steps as a one-row bank
+    out = np.empty((len(laws), nmax + 1, len(bank)))
+    d = bank - target
+    out[:, 0] = np.add.reduce(np.abs(d, out=d), axis=-1)
+    chunk = min(nmax, max(1, 4096 // max(1, len(bank) * max(widths))))
+    # two buffers in turn, so no step's product writes over its own input
+    bufs = np.empty((2, chunk, len(bank), r))
+    w = bufs[0, 0]
+    w[...] = kernel.select(bank)
+    for i, first in enumerate(range(1, nmax + 1, chunk)):
+        stop = min(first + chunk, nmax + 1)
+        ws = bufs[i % 2, : stop - first]
+        for wn in ws[1 if first == 1 else 0 :]:
+            w = np.matmul(w, kernel.core, out=wn)
         for curve, (law, t) in zip(out, laws):
-            read = cur if law is None else cur @ law
-            np.add.reduce(np.abs(read - t), axis=-1, out=curve[n, ...])
+            d = (ws if law is None else ws @ law) - t
+            np.abs(d, out=d)
+            np.add.reduce(d, axis=-1, out=curve[first:stop])
     out *= 0.5
+    out = out.reshape(out.shape[:2] + cur.shape[:-1])
     return out[0] if reads is None else out
 
 

@@ -5,6 +5,7 @@ for the linear-solve and iterated-product paths respectively.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from blockgibbs import (
     JointPmf3,
     Kernel,
     StateCodec,
+    analysis,
     analyze,
     block_kernel,
     check_marginal_agreement,
@@ -25,6 +27,7 @@ from blockgibbs import (
     marginal,
     marginal_xy_kernel,
     marginal_z_kernel,
+    nu_z,
     ooo_kernel,
     pi_star,
     product_pmf,
@@ -132,6 +135,108 @@ def test_tv_curve_reads_the_coordinates_the_last_update_reads(pmf_322):
     rows, read = tv_curve(k, start, target, 6, reads)
     np.testing.assert_array_equal(rows, full)
     np.testing.assert_allclose(read, full, rtol=0, atol=1e-15)
+
+
+def tv_curve_one_step_at_a_time(kernel, start, target, nmax, reads=None):
+    """The curve loop as it was before steps were chunked: one core product
+    and one distance per law per step. The reference for bit-identity."""
+    cur = np.asarray(start, dtype=float)
+    laws = ((kernel.rows, target),) if reads is None else reads
+    out = np.empty((len(laws), nmax + 1) + cur.shape[:-1])
+    out[:, 0] = np.add.reduce(np.abs(cur - target), axis=-1)
+    cur = kernel.select(cur)
+    for n in range(1, nmax + 1):
+        if n > 1:
+            cur = cur @ kernel.core
+        for curve, (law, t) in zip(out, laws):
+            read = cur if law is None else cur @ law
+            np.add.reduce(np.abs(read - t), axis=-1, out=curve[n, ...])
+    out *= 0.5
+    return out[0] if reads is None else out
+
+
+def prop1_curve_calls(monkeypatch, pmf, nmax):
+    """The (kernel, start, target, nmax, reads) of check_prop1's three
+    tv_curve calls."""
+    calls = []
+    real = analysis.tv_curve
+    monkeypatch.setattr(analysis, "tv_curve", lambda *args: calls.append(args) or real(*args))
+    check_prop1(pmf, nmax)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "dims, nmax, regime",
+    [
+        ((2, 2, 2), 50, "one chunk"),  # 6 rows x 4 wide x 50 steps fit in 4,096
+        ((8, 8, 8), 12, "one step"),  # 72 rows x 64 wide > 4,096
+        ((2, 2, 2), 200, "partial"),  # chunks of 170 steps, then 30
+    ],
+)
+def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dims, nmax, regime):
+    # the regime is that of the ooo rows with nu_z stacked below them, read
+    # through P(Y | X,Z) P(Z | X,Y'); check_prop1's other two calls and the
+    # full-width reads fall in one regime or another too
+    pmf = corpus[0] if dims == (2, 2, 2) else random_pmf(Dims(*dims), seed=15, floor=1e-4)
+    assert tuple(pmf.dims.shape) == dims
+    calls = prop1_curve_calls(monkeypatch, pmf, nmax)
+    _, start, _, n, ((law, _),) = calls[2]
+    chunk = min(n, max(1, 4096 // (len(start) * law.shape[1])))
+    assert {"one chunk": chunk == n, "one step": chunk == 1, "partial": 1 < chunk < n and n % chunk}[regime]
+    for kernel, start, target, n, reads in calls:
+        for bank, laws in ((start, reads), (start, None), (start[0], reads), (start[-1], None)):
+            chunked = tv_curve(kernel, bank, target, n, laws)
+            stepped = tv_curve_one_step_at_a_time(kernel, bank, target, n, laws)
+            assert chunked.shape == stepped.shape
+            assert chunked.tobytes() == stepped.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_tv_curve_memory_does_not_grow_with_nmax(n):
+    # past its output, tv_curve holds a chunk of steps at a time: the peak
+    # is the same at nmax 50 and 3,200, where stacking every step's weights
+    # would add 3,200 x rows x r float64s (2.7 MB at 3^3). The slack covers
+    # the int objects of a longer range.
+    pmf = random_pmf(Dims(n, n, n), seed=16, floor=1e-4)
+    k = ooo_kernel(pmf)
+    bank = np.vstack([k.rows, nu_z(pmf)])
+    target = flatten_to_codec(pi_star(pmf), k.codec)
+    tv_curve(k, bank, target, 3)  # cached cores and first-call allocations
+
+    def peak(nmax):
+        tracemalloc.start()
+        try:
+            out = tv_curve(k, bank, target, nmax)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(50), peak(3200)
+    assert abs(long - short) < 1024, (short, long)
+
+
+def test_tv_curve_rejects_shapes_that_would_broadcast(corpus):
+    # numpy would broadcast each of these into wrong curves (a one-entry
+    # target gives distances near 0.25 at every step) instead of failing
+    pmf = corpus[2]
+    k = block_kernel(pmf)
+    s, r = k.codec.size, k.core.shape[0]
+    target = flatten_to_codec(pmf, k.codec)
+    start = np.eye(s)[:4]
+    p_xy = conditional(pmf, ("X", "Y"), ("Z",)).reshape(r, -1)
+    pi_xy = marginal(pmf, ("X", "Y")).ravel()
+    bad = [
+        ((k, start[:, :1], target, 5), rf"start shape \(4, 1\).*\b{s}\b"),
+        ((k, np.ones(s + 1) / (s + 1), target, 5), rf"start shape \({s + 1},\).*\b{s}\b"),
+        ((k, start, target[:1], 5), rf"target shape \(1,\).*\({s},\)"),
+        ((k, start, target, 5, ((p_xy, pi_xy[:1]),)), rf"\({r}, {p_xy.shape[1]}\).*\(1,\)"),
+        ((k, start, target, 5, ((p_xy, target),)), rf"\({r}, {p_xy.shape[1]}\).*\({s},\)"),
+        ((k, start, target, 5, ((None, target),)), rf"\({r}, {r}\).*\({s},\)"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            tv_curve(*args)
 
 
 @pytest.mark.parametrize("index", [1, 2, 3, 7])

@@ -32,6 +32,7 @@ import numpy as np
 from .finite_model import JointPmf3, conditional, marginal, pi_star, tv
 from .kernels import (
     Kernel,
+    StateCodec,
     block_kernel,
     flatten_to_codec,
     marginal_xy_kernel,
@@ -182,13 +183,13 @@ def _sweeps(pmf: JointPmf3) -> dict:
 class Prop1Report:
     """Per-step record of the two total-variation inequality chains.
 
-    ``chain1`` rows are worst-case (over start states) triples
-    (block sweep at n, z-marginal at n-1, out-of-order from nu_z at n-2),
-    verified for n >= 3; the n = 2 triple is reported without a verdict
-    because its rightmost term depends on the dummy Y slot of nu_z.
+    ``chain1`` rows are worst-case (over start states) triples (block sweep
+    at n, z-marginal at n-1, out-of-order from nu_z at n-2), verified for
+    n >= 3; the n = 2 triple is reported without a verdict because its
+    rightmost term, nu_z's step-0 distance, depends on nu_z's dummy Y slot.
     ``chain2`` rows are (out-of-order at n, xy-marginal from nu_xz at n-1,
-    rotated from lifted nu_xz at n-1), verified for n >= 1. Verification is
-    per start state, not on the worst-case aggregates.
+    rotated from lifted nu_xz at n-1), verified for n >= 1, per start state.
+    Past step 0 every term is read off K_z or K_xy (see ``check_prop1``).
     """
 
     nmax: int
@@ -247,9 +248,13 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
 
     Past step 0 each distance is taken on the coordinates the last update
     reads, exactly, since the target shares it (Roberts & Rosenthal 2001).
-    Block and z-marginal share an iteration (the block core is K_z), as do
-    xy-marginal and rotated (the rotated core is K_xy), so chain 1's first
-    pair and chain 2's second pair hold by construction, up to rounding.
+    With A = P(X,Y | Z), B = P(Z | X,Y) and Q[(x, y), (y', z')] = 1{y' = y}
+    P(z' | x, y), e_z K_z^n read through 1, A and A Q gives the z-marginal,
+    block and nu_z curves, and nu_xz K_xy^n through 1, B and Q the
+    xy-marginal, rotated and ooo ones: the ooo sweep is the block chain half
+    a sweep late. So every pair compares a law with its image under a Markov
+    kernel and holds by construction, up to rounding; ``ooo_kernel`` is not
+    stepped, and the tests' dense and exact witnesses check the ooo curves.
 
     A state's curve is its row's, so each pair is compared over the distinct
     rows of the left-hand kernel. A violation names the first reader of the
@@ -258,46 +263,39 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     if nmax < 3:
         raise ValueError("nmax must be >= 3")
     nx, ny, nz = pmf.dims.shape
-    k_block, k_rot, k_xy, k_z, k_ooo = (kernel for kernel, _ in _sweeps(pmf).values())
-
+    k_z, k_xy = marginal_z_kernel(pmf), marginal_xy_kernel(pmf)
+    block, rot, ooo = (StateCodec.for_labels(pmf, labels) for labels in ("XYZ", "ZXY", "YZX"))
     star = pi_star(pmf)
-    pi_z, pi_xy = flatten_to_codec(pmf, k_z.codec), flatten_to_codec(pmf, k_xy.codec)
-    pi_zxy, pi_yzx = flatten_to_codec(pmf, k_rot.codec), flatten_to_codec(star, k_ooo.codec)
-    # the laws of what the last update reads, one step from each row:
-    # (x', y') | z for block, z' | (x, y) for rotated, (y', z') | (z, x) for ooo
-    p_block = conditional(pmf, ("X", "Y"), ("Z",)).reshape(nz, nx * ny)
-    p_rot = conditional(pmf, ("Z",), ("X", "Y")).reshape(nx * ny, nz)
-    c_y, c_z = conditional(pmf, ("Y",), ("X", "Z")), conditional(pmf, ("Z",), ("X", "Y"))
-    p_ooo = np.einsum("xzb,xbc->zxbc", c_y, c_z).reshape(nz * nx, ny * nz)
-
-    # tv arrays indexed [n, start]: entry [n - 1, j] is the distance after n
-    # steps; a kernel's starts are its distinct rows.
-    tv_z, tv_block = tv_curve(k_z, np.eye(nz), pi_z, nmax, ((None, pi_z), (p_block, pi_xy)))[:, 1:]
-    bank_xz = nu_xz(pmf)  # row x * nz + z; lifted, it sits on the rotated z = 0 slice
-    tv_nu_xy, tv_nu_rot = tv_curve(k_xy, bank_xz, pi_xy, nmax, ((None, pi_xy), (p_rot, pi_z)))[:, 1:]
+    pi_z, pi_xy, pi_zxy = (flatten_to_codec(pmf, c) for c in (k_z.codec, k_xy.codec, rot))
+    star_yz = marginal(star, ("Y", "Z")).ravel()
+    a = conditional(pmf, ("X", "Y"), ("Z",)).reshape(nz, nx * ny)
+    b = conditional(pmf, ("Z",), ("X", "Y"))
+    q = np.einsum("xyc,yb->xybc", b, np.eye(ny)).reshape(nx * ny, ny * nz)
+    # tv arrays indexed [n, start]: entry [n - 1, j] is read after n steps;
+    # the starts are K_z's rows and nu_xz's, row x * nz + z
+    reads = ((None, pi_z), (a, pi_xy), (a @ q, star_yz))
+    tv_z, tv_block, tv_nu_z = tv_curve(k_z, np.eye(nz), pi_z, nmax, reads)[:, 1:]
+    bank_xz = nu_xz(pmf)  # lifted, it sits on the rotated z = 0 slice
+    reads = ((None, pi_xy), (b.reshape(nx * ny, nz), pi_z), (q, star_yz))
+    tv_nu_xy, tv_nu_rot, tv_ooo = tv_curve(k_xy, bank_xz, pi_xy, nmax, reads)[:, 1:]
+    # each curve's step 0 heads it; nu_z's term at n is n - 2 steps in, none at n = 1
     lifted = np.abs(bank_xz - pi_zxy[: nx * ny]).sum(axis=1) + pi_zxy[nx * ny :].sum()
     tv_nu_rot = np.vstack([0.5 * lifted, tv_nu_rot[:-1]])
-    r = nz * nx  # the ooo rows (row z * nx + x), then nu_z
-    reads = ((p_ooo, marginal(star, ("Y", "Z")).ravel()),)
-    (tv_ooo,) = tv_curve(k_ooo, np.vstack([k_ooo.rows, nu_z(pmf)]), pi_yzx, nmax - 1, reads)
-    tv_ooo, tv_nu_z = tv_ooo[:, :r], tv_ooo[: nmax - 1, r:]
-    xz_of_ooo_row = np.arange(r).reshape(nx, nz).T.ravel()  # the nu_xz row of each ooo row
-
-    chain1 = np.full((nmax, 3), np.nan)
-    chain1[:, 0] = tv_block.max(axis=1)
-    chain1[:, 1] = tv_z.max(axis=1)
-    chain1[1:, 2] = tv_nu_z.max(axis=1)
-    chain2 = np.column_stack([a.max(axis=1) for a in (tv_ooo, tv_nu_xy, tv_nu_rot)])
+    at_0 = np.abs(nu_z(pmf) - flatten_to_codec(star, ooo)).sum(axis=1)
+    tv_nu_z = np.vstack([np.full(nz, np.nan), 0.5 * at_0, tv_nu_z[:-2]])
+    xz_of_ooo_row = np.arange(nz * nx).reshape(nx, nz).T.ravel()  # ooo row z * nx + x
+    tv_ooo, tv_nu_xz = tv_ooo[:, xz_of_ooo_row], tv_nu_xy[:, xz_of_ooo_row]
+    chain1 = np.column_stack([t.max(axis=1) for t in (tv_block, tv_z, tv_nu_z)])
+    chain2 = np.column_stack([t.max(axis=1) for t in (tv_ooo, tv_nu_xy, tv_nu_rot)])
 
     # The four checked (chain, codec of the starts, lhs, rhs) pairs in the
-    # order each n records them; lhs and rhs are [n, start] arrays from the
-    # pair's first checked n (3 for chain 1, 1 for chain 2) to nmax. A start
-    # with a codec is a row, named by its first reader; one without is a
-    # nu_xz index.
+    # order each n records them, as [n, start] arrays from the pair's first
+    # checked n (3 for chain 1, 1 for chain 2) to nmax. A start with a codec
+    # is a row, named by its first reader; one without is a nu_xz index.
     pairs = (
-        (1, k_block.codec, tv_block[2:], tv_z[2:]),
-        (1, k_z.codec, tv_z[2:], tv_nu_z[1:]),
-        (2, k_ooo.codec, tv_ooo, tv_nu_xy[:, xz_of_ooo_row]),
+        (1, block, tv_block[2:], tv_z[2:]),
+        (1, k_z.codec, tv_z[2:], tv_nu_z[2:]),
+        (2, ooo, tv_ooo, tv_nu_xz),
         (2, None, tv_nu_xy, tv_nu_rot),
     )
     # largest gap lhs - rhs per (n, pair), -inf where a pair is not checked

@@ -33,7 +33,7 @@ import numpy as np
 
 from .analysis import ChainReport, analyze
 from .corpus import CORPUS_FLOOR
-from .finite_model import Dims, JointPmf3, random_pmf
+from .finite_model import Dims, JointPmf3, conditional, random_pmf
 from .random_effects import (
     VARIANTS,
     ModelConfig,
@@ -367,6 +367,8 @@ def parse_config(argv) -> RunConfig:
             where = f"--pmf {pmf_file}" if pmf_file is not None else "inline pmf"
             try:
                 pmf = _load_pmf(source)
+                for given in ("Z", "XY", "XZ"):  # the sweeps' tables, so a zero cell fails here
+                    conditional(pmf, set("XYZ") - set(given), given)
             except OSError:
                 pass  # the run reports an unreadable file as an i/o failure
             except (ValueError, TypeError, KeyError) as exc:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blockgibbs import Dims, anti_example_pmf, random_pmf, seeded_corpus
+
+#: ``--hypothesis-profile=ci``: the same examples on every run, and no
+#: per-example deadline on a shared runner.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

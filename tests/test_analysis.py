@@ -156,7 +156,7 @@ def tv_curve_one_step_at_a_time(kernel, start, target, nmax, reads=None):
 
 
 def prop1_curve_calls(monkeypatch, pmf, nmax):
-    """The (kernel, start, target, nmax, reads) of check_prop1's three
+    """The (kernel, start, target, nmax, reads) of check_prop1's
     tv_curve calls."""
     calls = []
     real = analysis.tv_curve
@@ -169,20 +169,22 @@ def prop1_curve_calls(monkeypatch, pmf, nmax):
 @pytest.mark.parametrize(
     "dims, nmax, regime",
     [
-        ((2, 2, 2), 50, "one chunk"),  # 6 rows x 4 wide x 50 steps fit in 4,096
-        ((8, 8, 8), 12, "one step"),  # 72 rows x 64 wide > 4,096
-        ((2, 2, 2), 200, "partial"),  # chunks of 170 steps, then 30
+        ((2, 2, 2), 50, "one chunk"),  # 4 rows x 4 wide x 50 steps fit in 4,096
+        ((8, 8, 8), 12, "one step"),  # 64 rows x 64 wide = 4,096
+        ((3, 2, 2), 200, "partial"),  # 6 rows x 6 wide: chunks of 113 steps, then 87
     ],
 )
 def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dims, nmax, regime):
-    # the regime is that of the ooo rows with nu_z stacked below them, read
-    # through P(Y | X,Z) P(Z | X,Y'); check_prop1's other two calls and the
-    # full-width reads fall in one regime or another too
+    # the regime is that of the K_xy call: the nx * nz rows of nu_xz, read
+    # through K_xy itself, P(Z | X,Y) and Q, the widest; check_prop1's K_z
+    # call and the full-width reads fall in one regime or another too
     pmf = corpus[0] if dims == (2, 2, 2) else random_pmf(Dims(*dims), seed=15, floor=1e-4)
     assert tuple(pmf.dims.shape) == dims
     calls = prop1_curve_calls(monkeypatch, pmf, nmax)
-    _, start, _, n, ((law, _),) = calls[2]
-    chunk = min(n, max(1, 4096 // (len(start) * law.shape[1])))
+    kernel, start, _, n, reads = calls[1]
+    assert kernel is marginal_xy_kernel(pmf)
+    widest = max(kernel.core.shape[0] if law is None else law.shape[1] for law, _ in reads)
+    chunk = min(n, max(1, 4096 // (len(start) * widest)))
     assert {"one chunk": chunk == n, "one step": chunk == 1, "partial": 1 < chunk < n and n % chunk}[regime]
     for kernel, start, target, n, reads in calls:
         for bank, laws in ((start, reads), (start, None), (start[0], reads), (start[-1], None)):
@@ -512,6 +514,16 @@ def test_check_prop1_takes_no_full_space_step(monkeypatch):
     monkeypatch.setattr(Kernel, "step", lambda self, v: calls.append(self) or step(self, v))
     assert check_prop1(pmf, nmax=10).verdict
     assert calls == []
+
+
+def test_check_prop1_reads_the_ooo_curves_off_the_two_cores(monkeypatch):
+    # the out-of-order sweep is the block chain half a sweep late, so two
+    # iterations, on K_z and on K_xy, carry all six curves; the out-of-order
+    # kernel is neither built nor read
+    pmf = random_pmf(Dims(3, 2, 4), seed=2026, floor=0.005)  # not kept elsewhere
+    monkeypatch.setattr(analysis, "ooo_kernel", lambda pmf: pytest.fail("built the ooo kernel"))
+    calls = prop1_curve_calls(monkeypatch, pmf, 10)
+    assert [args[0] for args in calls] == [marginal_z_kernel(pmf), marginal_xy_kernel(pmf)]
 
 
 def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):

@@ -28,16 +28,16 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "bf5531e125763fea73ae87589ea049ad98dd686cd43a3918a1e5b4cea105c38b",
-        "81b187b3e2b105eed2de922d7abcc9ca9ec122d976eb8dd09266425f5368c2ce",
+        "2ee0542541c2b8dc0920153b67dbb6dbeb1a4f182b13635ff847c3eabf5e43fe",
+        "6f93ef19ab0e0adbd5ee1a12615c339f96abd3ccd260766edbd759ab75ddaed8",
     ),
     "dims-4,4,4-seed-11": (
-        "00e00c6b09e2b9582c3dd4b648c64dc3687956218c9e602b3917ed608624421b",
-        "e3fa4c50d5177e982a39a53bd08eeb4626d1f46f5a58ae664edd6633294ab51f",
+        "0b5595a3d2c73df0038e13308903ac179e4d40ede55d5cd58de34e67c849c8d3",
+        "948886b179415deeec4d60ba7d65536c14d85e5ee58a9cae2469f09d0d94e486",
     ),
     "anti-example": (
-        "c708e8416d480e8767a5fe996f6be5362a59ec2710582250e459bbd7613b80d1",
-        "ca6b1da5509e6a3c03540a402eb3dcb24a737d6c4a48d228ff09d2f42fd4ff0a",
+        "2196b4822543906f092bcd3e77de78b39e67455f74d051f6ce7d165598c32717",
+        "a12c4e1e1e0d33207faf4ac7af0d8ab6fcc28f04104a23c4ce85e3eb1e33051e",
     ),
 }
 
@@ -487,6 +487,29 @@ def test_exact_pmf_dims_must_be_whole_numbers(tmp_path, capsys, dims, form):
     doc["dims"] = [2.0, 1, 1]
     path.write_text(json.dumps(doc if form == "--pmf" else {"pmf": doc}))
     assert parse_config(argv).pmf.dims.shape == (2, 1, 1)
+
+
+@pytest.mark.parametrize("form", ["--pmf", "inline"])
+def test_exact_zero_conditioning_cell_exits_2_naming_the_source(tmp_path, capsys, form):
+    # the z = 1 slice is empty, so P(X,Y | Z=1) does not exist: the sweeps'
+    # conditional tables are built while the pmf is loaded, and the run
+    # stops with a config error before any analysis
+    doc = {"dims": [2, 2, 2], "p": [0.25, 0, 0.25, 0, 0.25, 0, 0.25, 0]}
+    if form == "--pmf":
+        path = tmp_path / "pmf.json"
+        path.write_text(json.dumps(doc))
+        argv, where = ["exact", "--pmf", str(path)], f"--pmf {path}"
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pmf": doc}))
+        argv, where = ["exact", "--config", str(path)], "inline pmf"
+    with pytest.raises(ConfigError, match=r"conditioning cell \(Z=1\) has zero probability"):
+        parse_config(argv)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid pmf in {where}: conditioning cell (Z=1) has zero probability" in err
+    assert not out.exists()
 
 
 def test_exact_missing_pmf_file_is_io_error(tmp_path, capsys):

@@ -73,16 +73,16 @@ class SpectrumSummary:
         }
 
 
-def spectrum(kernel: Kernel, tol: float = UNIT_EIG_TOL) -> SpectrumSummary:
+def spectrum(kernel: Kernel) -> SpectrumSummary:
     """Eigenvalue summary of all s eigenvalues: the core's r plus s - r
     structural zeros. The slem is the largest modulus among eigenvalues with
-    |lambda - 1| > tol."""
+    |lambda - 1| > UNIT_EIG_TOL."""
     core_eigs = kernel.core_eigenvalues
     eigs = np.concatenate([core_eigs, np.zeros(kernel.codec.size - core_eigs.size)])
     moduli = np.sort(np.abs(eigs))[::-1]
-    non_unit = eigs[np.abs(eigs - 1.0) > tol]
+    non_unit = eigs[np.abs(eigs - 1.0) > UNIT_EIG_TOL]
     slem = float(np.abs(non_unit).max()) if non_unit.size else 0.0
-    unit_multiplicity = int(np.count_nonzero(np.abs(eigs - 1.0) <= tol))
+    unit_multiplicity = int(np.count_nonzero(np.abs(eigs - 1.0) <= UNIT_EIG_TOL))
     return SpectrumSummary(moduli, slem, unit_multiplicity)
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from .analysis import ChainReport, analyze
 from .corpus import CORPUS_FLOOR
 from .finite_model import Dims, JointPmf3, conditional, random_pmf
+from .kernels import STEPS
 from .random_effects import (
     VARIANTS,
     ModelConfig,
@@ -367,8 +368,8 @@ def parse_config(argv) -> RunConfig:
             where = f"--pmf {pmf_file}" if pmf_file is not None else "inline pmf"
             try:
                 pmf = _load_pmf(source)
-                for given in ("Z", "XY", "XZ"):  # the sweeps' tables, so a zero cell fails here
-                    conditional(pmf, set("XYZ") - set(given), given)
+                for target, given in STEPS:  # the sweeps' tables, so a zero cell fails here
+                    conditional(pmf, target, given)
             except OSError:
                 pass  # the run reports an unreadable file as an i/o failure
             except (ValueError, TypeError, KeyError) as exc:
@@ -397,15 +398,16 @@ def parse_config(argv) -> RunConfig:
     shifted_check = read("shifted_check")
     if "n" not in settings:
         errors.append("number of sweeps required: give --n or put \"n\" in the config")
-    if n is not None and burn_in is not None and n + 1 - burn_in < 100:
-        errors.append(
-            f"need at least 100 post-burn-in states for estimates; "
-            f"n={n} with burn_in={burn_in} leaves {n + 1 - burn_in}"
-        )
+    # a block run's shifted view has n states, so its bound implies the general one
     if n is not None and burn_in is not None and variant == "block" and n - burn_in < 100:
         errors.append(
             f"n must be >= 100 for a block run, plus its burn-in, since its shifted view "
             f"has n states: n={n} with burn_in={burn_in} leaves {n - burn_in}"
+        )
+    elif n is not None and burn_in is not None and n + 1 - burn_in < 100:
+        errors.append(
+            f"need at least 100 post-burn-in states for estimates; "
+            f"n={n} with burn_in={burn_in} leaves {n + 1 - burn_in}"
         )
     if errors:
         raise ConfigError(errors)

@@ -29,8 +29,7 @@ RENORM_LIMIT = 1e-6
 
 #: Dims enforces this cap at construction. The exact path works on factored
 #: kernels (O(r s) per step for r distinct rows), but ``Kernel.matrix``, the
-#: dense s x s view behind CSV export and the test oracles, is about 134 MB
-#: at the cap.
+#: dense s x s view behind the test oracles, is about 134 MB at the cap.
 DEFAULT_STATE_CAP = 4096
 
 

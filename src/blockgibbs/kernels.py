@@ -1,31 +1,30 @@
 """Transition kernels for the two-block sweep family, in factored form.
 
 Rows index the current state, columns the next state, and a codec fixes the
-tuple ordering per chain:
+tuple ordering per chain. A sweep is a list of conditional updates, each
+drawing one coordinate given the freshest values of the ones it names. The
+block sweep's list is
 
-  block          codec (X, Y, Z):
-      P[(x,y,z), (x',y',z')] = P(x',y' | z) * P(z' | x',y')
-  rotated block  codec (Z, X, Y):
-      P[(z,x,y), (z',x',y')] = P(z' | x,y) * P(x',y' | z')
-  out-of-order   codec (Y, Z, X):
-      P[(y,z,x), (y',z',x')] = P(y' | x,z) * P(z' | x,y') * P(x' | z')
-  xy-marginal    codec (X, Y):   K_xy, the rotated sweep's core
-      P[(x,y), (x',y')] = sum_z P(z | x,y) * P(x',y' | z)
+  STEPS = (X | Z,  Y | (X, Z),  Z | (X, Y))
+
+and the two-block sweeps are its rotations:
+
+  block          STEPS rotated by 0, codec (X, Y, Z), rows read z
+  out-of-order   STEPS rotated by 1, codec (Y, Z, X), rows read (z, x)
+  rotated block  STEPS rotated by 2, codec (Z, X, Y), rows read (x, y)
   z-marginal     codec (Z,):     K_z, the block sweep's core
-      P[z, z'] = sum_{x',y'} P(x',y' | z) * P(z' | x',y')
+  xy-marginal    codec (X, Y):   K_xy, the rotated sweep's core
 
-plus single-site sweeps in any of the six update orders (``gibbs_kernel``),
-each on the codec of its update order. The block, rotated, and
-out-of-order sweeps compose the same three single-coordinate update
-operators in cyclically shifted orders, which is why their nonzero spectra
-coincide.
+plus single-site sweeps, the three full conditionals in any of the six
+update orders (``gibbs_kernel``). The block, rotated, and out-of-order
+sweeps compose the same three single-coordinate update operators in
+cyclically shifted orders, which is why their nonzero spectra coincide.
 
-A sweep's rows read only part of the current state: z for block, (x, y)
-for rotated, (z, x) for out-of-order, and all but the first-updated
-coordinate for a single-site sweep. Each codec lists the coordinates its
-rows do not read first, so state i reads row i mod r, and each kernel is
-stored as K = R C: the r distinct rows C (r x s) and the 0/1 selector R, the
-r x r identity stacked s / r times. The nonzero spectrum of K is the
+A sweep's codec is its draw order, and its rows read only the coordinates
+some update reads before drawing them: a suffix of the draw order. So
+state i reads row i mod r, and each kernel is stored as K = R C: the r
+distinct rows C (r x s) and the 0/1 selector R, the r x r identity stacked
+s / r times. The nonzero spectrum of K is the
 spectrum of the r x r core C R (Liu, Wong & Kong 1994), and one step
 v K = (v R) C costs O(r s). The marginal factories build nothing: they
 return the block and rotated cores, K_z and K_xy, sharing their eigenvalues.
@@ -39,11 +38,10 @@ banks with one probability vector per row: ``nu_z`` (one row per z) and
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +49,10 @@ from .finite_model import AXES, JointPmf3, _once_per_pmf, conditional, marginal
 
 #: Row-stochasticity tolerance for kernel rows.
 ROW_SUM_TOL = 1e-12
+
+#: The block sweep's conditional updates in order, each (drawn coordinate,
+#: coordinates it is drawn given). The other two-block sweeps rotate it.
+STEPS = (("X", "Z"), ("Y", "XZ"), ("Z", "XY"))
 
 # einsum letters: current state coordinates and next state coordinates
 _CUR = {"X": "x", "Y": "y", "Z": "z"}
@@ -125,7 +127,7 @@ class Kernel:
     def __post_init__(self) -> None:
         c = np.asarray(self.rows, dtype=float)
         n = self.codec.size
-        if c.ndim != 2 or c.shape[1] != n or n % c.shape[0]:
+        if c.ndim != 2 or c.shape[1] != n or not c.shape[0] or n % c.shape[0]:
             raise ValueError(f"rows shape {c.shape} does not match codec size {n}")
         if (c < 0).any():
             raise ValueError("kernel entries must be nonnegative")
@@ -169,15 +171,6 @@ class Kernel:
         m.setflags(write=False)
         return m
 
-    def to_csv(self, path) -> None:
-        """Dense dump with state labels on the header row and first column."""
-        labels = [self.codec.state_label(j) for j in range(self.codec.size)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state"] + labels)
-            for i, row in enumerate(self.matrix):
-                writer.writerow([labels[i]] + [format(v, ".17g") for v in row])
-
 
 def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
     """Marginal of the pmf on the codec's variables, flattened to its state
@@ -187,16 +180,27 @@ def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
     return np.transpose(marginal(pmf, codec.labels), perm).ravel()
 
 
-def _kernel_from_einsum(
-    codec: StateCodec, unread: int, inputs: str, operands: Iterable[np.ndarray]
-) -> Kernel:
-    """Factored kernel whose rows do not read the first ``unread`` codec
-    coordinates. ``inputs`` are the einsum subscripts of the operands,
-    current coordinates in lower case x, y, z and next ones in a, b, c."""
-    output = "".join(_CUR[lab] for lab in codec.labels[unread:]) + "".join(
-        _NXT[lab] for lab in codec.labels
-    )
-    rows = np.einsum(f"{inputs}->{output}", *operands)
+def _sweep_kernel(pmf: JointPmf3, updates: Sequence[tuple[str, Sequence[str]]]) -> Kernel:
+    """Kernel of the sweep that runs ``updates`` in order, each a (drawn
+    coordinate, given coordinates) pair read off its conditional table at
+    the freshest values.
+
+    The codec is the draw order. The rows read the coordinates some update
+    reads before drawing them, a suffix of the draw order, and are one
+    einsum of the tables: current coordinates in lower case x, y, z, next
+    ones in a, b, c.
+    """
+    drawn, read, subs = "", set(), []
+    for target, given in updates:
+        read |= set(given) - set(drawn)
+        # a conditional table's axes are (given..., target), given in AXES order
+        at = "".join(_NXT[u] if u in drawn else _CUR[u] for u in AXES if u in given)
+        subs.append(at + _NXT[target])
+        drawn += target
+    output = "".join(map(_CUR.get, drawn[len(drawn) - len(read):])) + "".join(map(_NXT.get, drawn))
+    tables = [conditional(pmf, target, given) for target, given in updates]
+    codec = StateCodec.for_labels(pmf, drawn)
+    rows = np.einsum(f"{','.join(subs)}->{output}", *tables)
     return Kernel(codec, rows.reshape(-1, codec.size))
 
 
@@ -211,57 +215,37 @@ def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
     order = tuple(ordering)
     if sorted(order) != sorted(AXES):
         raise ValueError(f"ordering must be a permutation of {AXES}, got {order!r}")
-    operands = []
-    subs = []
-    drawn: set[str] = set()
-    for label in order:
-        others = tuple(a for a in AXES if a != label)
-        subs.append(
-            "".join(_NXT[u] if u in drawn else _CUR[u] for u in others) + _NXT[label]
-        )
-        operands.append(conditional(pmf, (label,), others))
-        drawn.add(label)
-    codec = StateCodec.for_labels(pmf, order)
-    return _kernel_from_einsum(codec, 1, ",".join(subs), operands)
+    return _sweep_kernel(pmf, [(lab, tuple(a for a in AXES if a != lab)) for lab in order])
 
 
 @_once_per_pmf
 def block_kernel(pmf: JointPmf3) -> Kernel:
-    """Joint (X, Y) refresh given Z, then Z refresh. Rows depend only on z:
-    nz distinct rows."""
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z, x', y')
-    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x', y', z')
-    codec = StateCodec.for_labels(pmf, ("X", "Y", "Z"))
-    return _kernel_from_einsum(codec, 2, "zab,abc", [c_xy, c_z])
+    """``STEPS``: X given z, Y given (x', z), then Z given (x', y'). Rows
+    depend only on z: nz distinct rows."""
+    return _sweep_kernel(pmf, STEPS)
 
 
 @_once_per_pmf
 def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
-    """Z refresh first, then the joint (X, Y) refresh given the new z.
+    """``STEPS`` rotated by 2: Z given (x, y), then X given z', then Y given
+    (x', z'), the block sweep's (X, Y) refresh given the new z.
 
     This is the one reordering of the block sweep that stays valid; rows
     depend only on (x, y): nx * ny distinct rows.
     """
-    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y, z')
-    c_xy = conditional(pmf, ("X", "Y"), ("Z",))  # (z', x', y')
-    codec = StateCodec.for_labels(pmf, ("Z", "X", "Y"))
-    return _kernel_from_einsum(codec, 1, "xyc,cab", [c_z, c_xy])
+    return _sweep_kernel(pmf, STEPS[2:] + STEPS[:2])
 
 
 @_once_per_pmf
 def ooo_kernel(pmf: JointPmf3) -> Kernel:
-    """Out-of-order sweep: Y given (x, z), then Z given (x, y'), then X
-    given z'. Splitting the joint (X, Y) refresh across iterations is what
-    changes the invariant distribution.
+    """Out-of-order sweep, ``STEPS`` rotated by 1: Y given (x, z), then Z
+    given (x, y'), then X given z'. Splitting the (X, Y) refresh across
+    iterations is what changes the invariant distribution.
 
     Rows never read the current y, so there are nz * nx distinct rows, one
     per (z, x).
     """
-    c_y = conditional(pmf, ("Y",), ("X", "Z"))  # (x, z, y')
-    c_z = conditional(pmf, ("Z",), ("X", "Y"))  # (x, y', z')
-    c_x = conditional(pmf, ("X",), ("Z",))  # (z', x')
-    codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
-    return _kernel_from_einsum(codec, 1, "xzb,xbc,ca", [c_y, c_z, c_x])
+    return _sweep_kernel(pmf, STEPS[1:] + STEPS[:1])
 
 
 def _core_chain(pmf: JointPmf3, kernel: Kernel, labels: Sequence[str]) -> Kernel:

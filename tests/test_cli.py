@@ -28,12 +28,12 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "2ee0542541c2b8dc0920153b67dbb6dbeb1a4f182b13635ff847c3eabf5e43fe",
-        "6f93ef19ab0e0adbd5ee1a12615c339f96abd3ccd260766edbd759ab75ddaed8",
+        "5e5887ab790f088975b63e2dfa8e6ab7b7f243d93442b7691332ff803782e300",
+        "88491cc56f567c7b6265d99ec7b302d38cb45db6fd8f409e68d5f7df9bde4640",
     ),
     "dims-4,4,4-seed-11": (
-        "0b5595a3d2c73df0038e13308903ac179e4d40ede55d5cd58de34e67c849c8d3",
-        "948886b179415deeec4d60ba7d65536c14d85e5ee58a9cae2469f09d0d94e486",
+        "f8ceb3cf8a731682a53b376764807cb3b0af3e282ea9fe4f8531eed989bb82cf",
+        "53844ce050b5076fae090237605695319ae2f582c753efd9a3bbe4a12183b2b6",
     ),
     "anti-example": (
         "2196b4822543906f092bcd3e77de78b39e67455f74d051f6ce7d165598c32717",
@@ -596,6 +596,20 @@ def test_block_run_needs_100_sweeps_for_its_shifted_view(tmp_path, model_file, c
     assert json.loads((out / "estimates.json").read_text())["config"]["n"] == 99
 
 
+@pytest.mark.parametrize("variant, message", [
+    ("block", "error: n must be >= 100 for a block run, plus its burn-in, since its shifted "
+              "view has n states: n=50 with burn_in=0 leaves 50"),
+    ("ooo", "error: need at least 100 post-burn-in states for estimates; "
+            "n=50 with burn_in=0 leaves 51"),
+])
+def test_a_short_run_reports_its_one_bound(tmp_path, model_file, capsys, variant, message):
+    # the block bound implies the general one, so a short block run names only its own
+    argv = ["simulate", "--config", model_file, "--n", "50", "--variant", variant]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [message]
+
+
 def test_block_run_needs_100_sweeps_past_its_burn_in(tmp_path, model_file, capsys):
     # the shifted view's estimates drop the same burn-in as the trajectory's
     argv = ["simulate", "--config", model_file, "--n", "150"]
@@ -659,3 +673,19 @@ def test_a_run_never_imports_scipy(tmp_path, model_file):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_python_dash_m_runs_main_and_passes_its_exit_code(tmp_path):
+    src = Path(blockgibbs.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "blockgibbs", *argv], env=env,
+                              capture_output=True, text=True)
+
+    ok = run("exact", "--dims", "2,2,2", "--out", str(tmp_path / "out"))
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "out" / "report.json").exists()
+    no_source = run("exact", "--out", str(tmp_path / "none"))
+    assert no_source.returncode == 2
+    assert "no pmf source" in no_source.stderr

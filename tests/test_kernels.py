@@ -5,7 +5,6 @@ of the transpose), which shares no code with the package's least-squares
 stationary solver.
 """
 
-import csv
 import itertools
 
 import numpy as np
@@ -79,12 +78,22 @@ def test_kernel_rejects_bad_matrices(pmf_322):
         Kernel(codec, np.array([[1.5, -0.5], [0.0, 1.0]]))  # negative entry
     # state i reads row i % r, so the row count must divide the state count
     yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))  # 12 states
-    for r in (5, 7, 13):
+    for r in (0, 5, 7, 13):
         with pytest.raises(ValueError, match="does not match codec size"):
             Kernel(yzx, np.full((r, yzx.size), 1.0 / yzx.size))
     shared = Kernel(codec, np.array([[0.5, 0.5]]))
     np.testing.assert_array_equal(shared.matrix, [[0.5, 0.5], [0.5, 0.5]])
     np.testing.assert_array_equal(shared.core, [[1.0]])
+
+
+@pytest.mark.parametrize("factory", [block_kernel, rotated_block_kernel, ooo_kernel])
+def test_two_block_sweeps_refuse_an_empty_xz_cell(factory):
+    # every z-slice and every (x, y) cell has mass, but (x, z) = (0, 0) has
+    # none: all three sweeps draw Y given (x, z), so none of them exists
+    p = np.array([0, 0.2, 0, 0.2, 0.15, 0.15, 0.15, 0.15]).reshape(2, 2, 2)
+    pmf = JointPmf3(Dims(2, 2, 2), p)
+    with pytest.raises(ValueError, match=r"conditioning cell \(X=0, Z=0\) has zero probability"):
+        factory(pmf)
 
 
 def test_step_sums_over_readers_unless_the_index_is_the_identity(pmf_322):
@@ -393,17 +402,3 @@ def test_pi_is_not_ooo_invariant(anti_pmf):
     k = ooo_kernel(anti_pmf)
     pi_vec = flatten_to_codec(anti_pmf, k.codec)
     assert np.abs(pi_vec @ k.matrix - pi_vec).sum() > 1e-6
-
-
-# ---------------------------------------------------------------------------
-# csv export
-# ---------------------------------------------------------------------------
-def test_kernel_csv_round_trip(tmp_path, anti_pmf):
-    k = block_kernel(anti_pmf)
-    path = tmp_path / "kernel.csv"
-    k.to_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["state", "x0_y0_z0", "x0_y1_z0", "x1_y0_z0", "x1_y1_z0"]
-    values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    np.testing.assert_array_equal(values, k.matrix)

@@ -23,7 +23,6 @@ import test_prop1_reference
 import test_read_coordinates_exact
 from blockgibbs import (
     Dims,
-    StateCodec,
     analysis,
     analyze,
     cli,
@@ -35,17 +34,10 @@ from blockgibbs import (
 
 
 def ooo_in_block_order(monkeypatch):
-    # (X, Y) | Z, then Z | (X, Y), laid out on the out-of-order codec
-    def block_order(pmf):
-        codec = StateCodec.for_labels(pmf, ("Y", "Z", "X"))
-        tables = [
-            finite_model.conditional(pmf, ("X", "Y"), ("Z",)),
-            finite_model.conditional(pmf, ("Z",), ("X", "Y")),
-            np.ones(pmf.dims.nx),
-        ]
-        return kernels._kernel_from_einsum(codec, 1, "zab,abc,x", tables)
-
-    monkeypatch.setattr(analysis, "ooo_kernel", block_order)
+    # the block sweep's steps unrotated: X | Z, Y | (X, Z), then Z | (X, Y)
+    monkeypatch.setattr(
+        analysis, "ooo_kernel", lambda pmf: kernels._sweep_kernel(pmf, kernels.STEPS)
+    )
 
 
 def table_fault(target, given, mutate):

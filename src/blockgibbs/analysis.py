@@ -92,8 +92,8 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
     With K = R C, mu = v R is stationary for the core C R and v = mu C. So
     this solves (core^T - I) mu = 0 with a normalization row appended, after
     checking that the unit eigenvalue is simple (it always is for kernels
-    built from strictly positive pmfs), and lifts mu to v = mu C. The
-    residual is checked against the full kernel.
+    built from strictly positive pmfs), and lifts mu to v = mu C, a step from
+    mu on states 0..r-1. The residual is checked against the full kernel.
     """
     core = kernel.core
     r = core.shape[0]
@@ -106,7 +106,7 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
     b = np.zeros(r + 1)
     b[-1] = 1.0
     mu, *_ = np.linalg.lstsq(a, b, rcond=None)
-    v = np.maximum(mu @ kernel.rows, 0.0)
+    v = np.maximum(kernel.step(np.concatenate([mu, np.zeros(kernel.codec.size - r)])), 0.0)
     v /= v.sum()
     residual = float(np.abs(kernel.step(v) - v).sum())
     if residual > STATIONARY_RESIDUAL_TOL:
@@ -114,13 +114,13 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
     return v, residual
 
 
-def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, reads=None):
-    """Exact distance-to-target curves: entry [n] is tv(start K^n, target)
-    for a probability vector ``start``, and entry [n, i] is tv(start[i] K^n,
-    target) for a bank of them, one per row, for n = 0..nmax. Past step 0
-    the steps run on the r x r core: start K^n = w_n C, with weights
-    w_n = (start R) core^(n-1). ``reads`` returns one curve per (P, t)
-    instead, whose entries past [0] are tv(w_n P, t), P None reading w_n.
+def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, reads):
+    """Exact distance-to-target curves, one per (P, t) in ``reads``, for
+    n = 0..nmax: entry [0] is tv(start, target), and past step 0 the steps
+    run on the r x r core, start K^n = w_n C with weights w_n = (start R)
+    core^(n-1), and entry [n] is tv(w_n P, t), P None reading w_n itself.
+    ``start`` is a probability vector, or a bank of them with one per row,
+    which gives each curve entry one value per row.
 
     The weights are stepped a chunk of steps at a time, and each law's
     distances for the chunk are one product, subtract, abs and reduce. A
@@ -132,40 +132,38 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     cur = np.asarray(start, dtype=float)
-    r, s = kernel.rows.shape
+    r, s = kernel.core.shape[0], kernel.codec.size
     if cur.shape[-1:] != (s,):
         raise ValueError(f"start shape {cur.shape} does not end in the kernel's {s} states")
     if np.shape(target) != (s,):
         raise ValueError(f"target shape {np.shape(target)} is not the kernel's ({s},) states")
-    laws = ((kernel.rows, target),) if reads is None else reads
-    widths = [r if law is None else np.shape(law)[-1] for law, _ in laws]
-    for (law, t), width in zip(laws, widths):
+    widths = [r if law is None else np.shape(law)[-1] for law, _ in reads]
+    for (law, t), width in zip(reads, widths):
         if np.shape(t) != (width,):
             raise ValueError(
                 f"read law of shape {np.shape(law) if law is not None else (r, r)} "
                 f"does not match its target shape {np.shape(t)}"
             )
     bank = cur.reshape(-1, s)  # a single vector steps as a one-row bank
-    out = np.empty((len(laws), nmax + 1, len(bank)))
+    out = np.empty((len(reads), nmax + 1, len(bank)))
     d = bank - target
     out[:, 0] = np.add.reduce(np.abs(d, out=d), axis=-1)
     chunk = min(nmax, max(1, 4096 // max(1, len(bank) * max(widths))))
     # two buffers in turn, so no step's product writes over its own input
     bufs = np.empty((2, chunk, len(bank), r))
     w = bufs[0, 0]
-    w[...] = kernel.select(bank)
+    w[...] = bank.reshape(len(bank), -1, r).sum(axis=1)  # start R
     for i, first in enumerate(range(1, nmax + 1, chunk)):
         stop = min(first + chunk, nmax + 1)
         ws = bufs[i % 2, : stop - first]
         for wn in ws[1 if first == 1 else 0 :]:
             w = np.matmul(w, kernel.core, out=wn)
-        for curve, (law, t) in zip(out, laws):
+        for curve, (law, t) in zip(out, reads):
             d = (ws if law is None else ws @ law) - t
             np.abs(d, out=d)
             np.add.reduce(d, axis=-1, out=curve[first:stop])
     out *= 0.5
-    out = out.reshape(out.shape[:2] + cur.shape[:-1])
-    return out[0] if reads is None else out
+    return out.reshape(out.shape[:2] + cur.shape[:-1])
 
 
 def _sweeps(pmf: JointPmf3) -> dict:

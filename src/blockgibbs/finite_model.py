@@ -27,9 +27,8 @@ AXES = ("X", "Y", "Z")
 SUM_TOL = 1e-14
 RENORM_LIMIT = 1e-6
 
-#: Dims enforces this cap at construction. The exact path works on factored
-#: kernels (O(r s) per step for r distinct rows), but ``Kernel.matrix``, the
-#: dense s x s view behind the test oracles, is about 134 MB at the cap.
+#: Dims enforces this cap at construction. It guards only ``Kernel.matrix``
+#: and the tests' dense views, s x s arrays of about 134 MB at the cap.
 DEFAULT_STATE_CAP = 4096
 
 
@@ -49,7 +48,7 @@ class Dims:
     """Sizes of the three coordinate spaces.
 
     The product nx * ny * nz is the number of joint states; it is capped so
-    that the dense s x s views of the kernels stay small.
+    that ``Kernel.matrix`` and the tests' dense s x s views stay small.
     """
 
     nx: int

@@ -1,4 +1,4 @@
-"""Transition kernels for the two-block sweep family, in factored form.
+"""Transition kernels for the two-block sweep family, as conditional updates.
 
 Rows index the current state, columns the next state, and a codec fixes the
 tuple ordering per chain. A sweep is a list of conditional updates, each
@@ -20,27 +20,24 @@ update orders (``gibbs_kernel``). The block, rotated, and out-of-order
 sweeps compose the same three single-coordinate update operators in
 cyclically shifted orders, which is why their nonzero spectra coincide.
 
-A sweep's codec is its draw order, and its rows read only the coordinates
-some update reads before drawing them: a suffix of the draw order. So
-state i reads row i mod r, and each kernel is stored as K = R C: the r
-distinct rows C (r x s) and the 0/1 selector R, the r x r identity stacked
-s / r times. The nonzero spectrum of K is the
-spectrum of the r x r core C R (Liu, Wong & Kong 1994), and one step
-v K = (v R) C costs O(r s). The marginal factories build nothing: they
-return the block and rotated cores, K_z and K_xy, sharing their eigenvalues.
+A ``Kernel`` stores its conditional updates and its r x r core, one einsum
+of their tables; a dense kernel, such as a marginal chain, is one table. A
+sweep's codec is its draw order, and it reads the coordinates some update
+reads before drawing them, a suffix of the draw order. So state i reads row
+i mod r, K = R C with C the r distinct rows (never stored) and R the r x r
+identity stacked s / r times, the core C R has K's nonzero spectrum (Liu,
+Wong & Kong 1994), and a step v K runs the updates in turn.
 
-The five kernel factories make their kernel once per pmf and keep it on
-the pmf, so every caller shares one read-only kernel, its core and its
-core eigenvalues. The prop1 start measures are kept the same way, as
-banks with one probability vector per row: ``nu_z`` (one row per z) and
-``nu_xz`` (one row per (x, z)), each built in one array operation.
+The five kernel factories and the prop1 start-measure banks, ``nu_z`` (one
+row per z) and ``nu_xz`` (one row per (x, z)), build their object once per
+pmf and keep it on the pmf, so every caller shares one read-only object.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -54,9 +51,9 @@ ROW_SUM_TOL = 1e-12
 #: coordinates it is drawn given). The other two-block sweeps rotate it.
 STEPS = (("X", "Z"), ("Y", "XZ"), ("Z", "XY"))
 
-# einsum letters: current state coordinates and next state coordinates
-_CUR = {"X": "x", "Y": "y", "Z": "z"}
-_NXT = {"X": "a", "Y": "b", "Z": "c"}
+# einsum letters: a coordinate's current value is its label in lower case
+# (x, y, z), its next value that letter translated by _NEXT (a, b, c)
+_NEXT = str.maketrans("xyz", "abc")
 
 
 @dataclass(frozen=True)
@@ -112,49 +109,60 @@ class StateCodec:
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Row-stochastic transition kernel K = R C plus the codec describing
-    its rows.
+    """Row-stochastic transition kernel on the codec's states, stored as its
+    conditional updates, and its r x r core (read-only).
 
-    ``rows`` holds the r distinct rows C (r x s), with r dividing s, and
-    state i reads row i % r: K is C stacked s / r times. A codec that lists
-    the coordinates the rows do not read first gives every sweep this
-    layout. With r = s the rows are a dense s x s matrix.
+    ``updates`` holds (einsum subscript, table) pairs, run in turn. A
+    subscript names its table's axes: current coordinates x, y, z and next
+    ones a, b, c. An update draws the next coordinates it is the first to
+    name, and K[i, j] is the product of the tables at (state i, state j).
+    The coordinates read at their current values must be a suffix of the
+    codec, so state i reads row i % r.
     """
 
     codec: StateCodec
-    rows: np.ndarray
+    updates: tuple
+    core: np.ndarray = field(init=False, repr=False)
+    _steps: tuple = field(init=False, repr=False)  # (einsum, table) per update
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.rows, dtype=float)
-        n = self.codec.size
-        if c.ndim != 2 or c.shape[1] != n or not c.shape[0] or n % c.shape[0]:
-            raise ValueError(f"rows shape {c.shape} does not match codec size {n}")
-        if (c < 0).any():
+        labels = self.codec.labels
+        cur = "".join(labels).lower()
+        nxt = cur.translate(_NEXT)
+        size = dict(zip(cur + nxt, self.codec.sizes * 2))
+        subs = [sub for sub, _ in self.updates]
+        tables = [np.asarray(t, dtype=float) for _, t in self.updates]
+        tables = [t.copy() if t.flags.writeable else t for t in tables]  # share read-only ones
+        if any(t.shape != tuple(size.get(c, 0) for c in sub) for sub, t in zip(subs, tables)):
+            raise ValueError(f"a table shape does not match its subscript in {subs} on codec {labels}")
+        if any((t < 0).any() for t in tables):
             raise ValueError("kernel entries must be nonnegative")
-        if np.abs(c.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        read = "".join(c for c in cur if c in "".join(subs))
+        if not cur.endswith(read) or not set(nxt) <= set("".join(subs)):
+            raise ValueError(f"updates {subs} must draw every coordinate of codec {labels} and read a suffix")
+        r = math.prod(size[c] for c in read)
+        core = np.einsum(f"{','.join(subs)}->{read}{read.translate(_NEXT)}", *tables).reshape(r, r)
+        if np.abs(core.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("every kernel row must sum to 1")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "rows", c)
-
-    def select(self, v: np.ndarray) -> np.ndarray:
-        """v R: the mass of v (or of each row of a bank) on each row, summed
-        over its s / r readers; v itself when r = s."""
-        v = np.asarray(v)
-        r, n = self.rows.shape
-        return v if r == n else v.reshape(v.shape[:-1] + (n // r, r)).sum(axis=-2)
+        for t in [core] + tables:
+            t.setflags(write=False)
+        # after update i, keep the current values a later update reads and the
+        # next values drawn so far; the einsum sums out the rest
+        held = [cur] + ["".join(c for c in cur if c in "".join(subs[i + 1 :]))
+                        + "".join(n for n in nxt if n in "".join(subs[: i + 1]))
+                        for i in range(len(subs))]
+        steps = [f"...{h},{sub}->...{out}" for h, sub, out in zip(held, subs, held[1:])]
+        object.__setattr__(self, "updates", tuple(zip(subs, tables)))
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "_steps", tuple(zip(steps, tables)))
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        """v K = (v R) C for a vector or each row of a bank of vectors."""
-        return self.select(v) @ self.rows
-
-    @functools.cached_property
-    def core(self) -> np.ndarray:
-        """The r x r core C R (read-only); K's nonzero spectrum is the
-        core's."""
-        core = self.select(self.rows)
-        core.setflags(write=False)
-        return core
+        """v K for a vector or each row of a bank, one update at a time."""
+        v = np.asarray(v)
+        w = v.reshape(v.shape[:-1] + self.codec.sizes)
+        for subscripts, table in self._steps:
+            w = np.einsum(subscripts, w, table)
+        return w.reshape(v.shape)
 
     @functools.cached_property
     def core_eigenvalues(self) -> np.ndarray:
@@ -165,9 +173,17 @@ class Kernel:
         return eigs
 
     @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The r distinct rows C (r x s, read-only): states 0..r-1 read rows
+        0..r-1, so these are their one-step laws."""
+        rows = self.step(np.eye(len(self.core), self.codec.size))
+        rows.setflags(write=False)
+        return rows
+
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Dense s x s view: ``rows`` stacked s / r times."""
-        m = np.tile(self.rows, (self.codec.size // self.rows.shape[0], 1))
+        """Dense s x s view (read-only): every state's one-step law."""
+        m = self.step(np.eye(self.codec.size))
         m.setflags(write=False)
         return m
 
@@ -183,25 +199,14 @@ def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
 def _sweep_kernel(pmf: JointPmf3, updates: Sequence[tuple[str, Sequence[str]]]) -> Kernel:
     """Kernel of the sweep that runs ``updates`` in order, each a (drawn
     coordinate, given coordinates) pair read off its conditional table at
-    the freshest values.
-
-    The codec is the draw order. The rows read the coordinates some update
-    reads before drawing them, a suffix of the draw order, and are one
-    einsum of the tables: current coordinates in lower case x, y, z, next
-    ones in a, b, c.
-    """
-    drawn, read, subs = "", set(), []
+    the freshest values. The codec is the draw order."""
+    drawn, pairs = "", []
     for target, given in updates:
-        read |= set(given) - set(drawn)
         # a conditional table's axes are (given..., target), given in AXES order
-        at = "".join(_NXT[u] if u in drawn else _CUR[u] for u in AXES if u in given)
-        subs.append(at + _NXT[target])
+        at = "".join(u.lower().translate(_NEXT) if u in drawn else u.lower() for u in AXES if u in given)
+        pairs.append((at + target.lower().translate(_NEXT), conditional(pmf, target, given)))
         drawn += target
-    output = "".join(map(_CUR.get, drawn[len(drawn) - len(read):])) + "".join(map(_NXT.get, drawn))
-    tables = [conditional(pmf, target, given) for target, given in updates]
-    codec = StateCodec.for_labels(pmf, drawn)
-    rows = np.einsum(f"{','.join(subs)}->{output}", *tables)
-    return Kernel(codec, rows.reshape(-1, codec.size))
+    return Kernel(StateCodec.for_labels(pmf, drawn), tuple(pairs))
 
 
 def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
@@ -220,19 +225,17 @@ def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
 
 @_once_per_pmf
 def block_kernel(pmf: JointPmf3) -> Kernel:
-    """``STEPS``: X given z, Y given (x', z), then Z given (x', y'). Rows
-    depend only on z: nz distinct rows."""
+    """``STEPS``: X given z, Y given (x', z), then Z given (x', y'). It reads
+    only z: nz distinct rows."""
     return _sweep_kernel(pmf, STEPS)
 
 
 @_once_per_pmf
 def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
     """``STEPS`` rotated by 2: Z given (x, y), then X given z', then Y given
-    (x', z'), the block sweep's (X, Y) refresh given the new z.
-
-    This is the one reordering of the block sweep that stays valid; rows
-    depend only on (x, y): nx * ny distinct rows.
-    """
+    (x', z'), the block sweep's (X, Y) refresh given the new z. This is the
+    one reordering of the block sweep that stays valid; it reads only
+    (x, y): nx * ny distinct rows."""
     return _sweep_kernel(pmf, STEPS[2:] + STEPS[:2])
 
 
@@ -240,17 +243,16 @@ def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
 def ooo_kernel(pmf: JointPmf3) -> Kernel:
     """Out-of-order sweep, ``STEPS`` rotated by 1: Y given (x, z), then Z
     given (x, y'), then X given z'. Splitting the (X, Y) refresh across
-    iterations is what changes the invariant distribution.
-
-    Rows never read the current y, so there are nz * nx distinct rows, one
-    per (z, x).
-    """
+    iterations is what changes the invariant distribution. It never reads
+    the current y: nz * nx distinct rows, one per (z, x)."""
     return _sweep_kernel(pmf, STEPS[1:] + STEPS[:1])
 
 
 def _core_chain(pmf: JointPmf3, kernel: Kernel, labels: Sequence[str]) -> Kernel:
-    """The kernel's core as a chain on ``labels``, sharing its eigenvalues."""
-    chain = Kernel(StateCodec.for_labels(pmf, labels), kernel.core)
+    """The kernel's core as a one-table chain on ``labels``, sharing its
+    eigenvalues."""
+    codec, cur = StateCodec.for_labels(pmf, labels), "".join(labels).lower()
+    chain = Kernel(codec, ((cur + cur.translate(_NEXT), kernel.core.reshape(codec.sizes * 2)),))
     vars(chain)["core_eigenvalues"] = kernel.core_eigenvalues
     return chain
 

@@ -52,7 +52,7 @@ def stationary_by_power_iteration(matrix, tol=1e-14, max_iter=200_000):
 
 def two_state_kernel(p: float) -> Kernel:
     codec = StateCodec(("Z",), (2,))
-    return Kernel(codec, np.array([[1 - p, p], [p, 1 - p]]))
+    return Kernel(codec, (("zc", np.array([[1 - p, p], [p, 1 - p]])),))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_stationary_of_ooo_matches_pi_star_by_power_iteration(pmf_322):
 
 
 def test_stationary_rejects_reducible_kernel():
-    k = Kernel(StateCodec(("Z",), (2,)), np.eye(2))
+    k = Kernel(StateCodec(("Z",), (2,)), (("zc", np.eye(2)),))
     with pytest.raises(ValueError, match="multiplicity"):
         stationary(k)
 
@@ -91,13 +91,13 @@ def test_stationary_rejects_reducible_kernel():
 def test_tv_curve_from_stationary_is_zero(pmf_322):
     k = block_kernel(pmf_322)
     v, _ = stationary(k)
-    assert tv_curve(k, v, v, 10).max() < 1e-13
+    assert tv_curve(k, v, v, 10, ((k.rows, v),))[0].max() < 1e-13
 
 
 def test_tv_curve_rank_one_hits_target_after_one_step(product_222):
     k = block_kernel(product_222)
     target = flatten_to_codec(product_222, k.codec)
-    curve = tv_curve(k, np.eye(k.codec.size)[0], target, 5)
+    curve = tv_curve(k, np.eye(k.codec.size)[0], target, 5, ((k.rows, target),))[0]
     assert curve[0] > 0.1
     assert curve[1:].max() < 1e-14
 
@@ -111,48 +111,47 @@ def test_tv_curve_of_a_bank_is_the_curves_of_its_rows(pmf_322):
     k = ooo_kernel(pmf_322)
     target = flatten_to_codec(pi_star(pmf_322), k.codec)
     bank = np.vstack([np.eye(k.codec.size)[: k.codec.size // 2], target, k.rows])
-    curves = tv_curve(k, bank, target, 8)
+    law = ((k.rows, target),)
+    curves = tv_curve(k, bank, target, 8, law)[0]
     assert curves.shape == (9, bank.shape[0])
     for i, row in enumerate(bank):
-        alone = tv_curve(k, row, target, 8)
+        alone = tv_curve(k, row, target, 8, law)[0]
         assert alone.shape == (9,) and alone[0] == curves[0, i]
         np.testing.assert_allclose(curves[:, i], alone, rtol=0, atol=1e-14)
     for nmax in (0, -1):
         with pytest.raises(ValueError, match="nmax"):
-            tv_curve(k, bank, target, nmax)
+            tv_curve(k, bank, target, nmax, law)
 
 
 def test_tv_curve_reads_the_coordinates_the_last_update_reads(pmf_322):
     # the block sweep ends with Z | (X, Y), which its target shares, so the
-    # distance over (x', y') is the distance over all states; read with P =
-    # rows, a curve is the default curve bit for bit
+    # distance over (x', y') is the distance over all states, read with P =
+    # rows
     k = block_kernel(pmf_322)
     target = flatten_to_codec(pmf_322, k.codec)
     start = np.vstack([np.eye(k.codec.size)[:5], target])
-    full = tv_curve(k, start, target, 6)
     p_xy = conditional(pmf_322, ("X", "Y"), ("Z",)).reshape(k.rows.shape[0], -1)
     reads = ((k.rows, target), (p_xy, marginal(pmf_322, ("X", "Y")).ravel()))
-    rows, read = tv_curve(k, start, target, 6, reads)
-    np.testing.assert_array_equal(rows, full)
+    full, read = tv_curve(k, start, target, 6, reads)
     np.testing.assert_allclose(read, full, rtol=0, atol=1e-15)
 
 
-def tv_curve_one_step_at_a_time(kernel, start, target, nmax, reads=None):
+def tv_curve_one_step_at_a_time(kernel, start, target, nmax, reads):
     """The curve loop as it was before steps were chunked: one core product
     and one distance per law per step. The reference for bit-identity."""
     cur = np.asarray(start, dtype=float)
-    laws = ((kernel.rows, target),) if reads is None else reads
-    out = np.empty((len(laws), nmax + 1) + cur.shape[:-1])
+    out = np.empty((len(reads), nmax + 1) + cur.shape[:-1])
     out[:, 0] = np.add.reduce(np.abs(cur - target), axis=-1)
-    cur = kernel.select(cur)
+    r = kernel.core.shape[0]
+    cur = cur.reshape(cur.shape[:-1] + (-1, r)).sum(axis=-2)  # the mass on each row
     for n in range(1, nmax + 1):
         if n > 1:
             cur = cur @ kernel.core
-        for curve, (law, t) in zip(out, laws):
+        for curve, (law, t) in zip(out, reads):
             read = cur if law is None else cur @ law
             np.add.reduce(np.abs(read - t), axis=-1, out=curve[n, ...])
     out *= 0.5
-    return out[0] if reads is None else out
+    return out
 
 
 def prop1_curve_calls(monkeypatch, pmf, nmax):
@@ -187,7 +186,8 @@ def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dim
     chunk = min(n, max(1, 4096 // (len(start) * widest)))
     assert {"one chunk": chunk == n, "one step": chunk == 1, "partial": 1 < chunk < n and n % chunk}[regime]
     for kernel, start, target, n, reads in calls:
-        for bank, laws in ((start, reads), (start, None), (start[0], reads), (start[-1], None)):
+        rows = ((kernel.rows, target),)
+        for bank, laws in ((start, reads), (start, rows), (start[0], reads), (start[-1], rows)):
             chunked = tv_curve(kernel, bank, target, n, laws)
             stepped = tv_curve_one_step_at_a_time(kernel, bank, target, n, laws)
             assert chunked.shape == stepped.shape
@@ -204,12 +204,13 @@ def test_tv_curve_memory_does_not_grow_with_nmax(n):
     k = ooo_kernel(pmf)
     bank = np.vstack([k.rows, nu_z(pmf)])
     target = flatten_to_codec(pi_star(pmf), k.codec)
-    tv_curve(k, bank, target, 3)  # cached cores and first-call allocations
+    law = ((k.rows, target),)
+    tv_curve(k, bank, target, 3, law)  # cached cores and first-call allocations
 
     def peak(nmax):
         tracemalloc.start()
         try:
-            out = tv_curve(k, bank, target, nmax)
+            out = tv_curve(k, bank, target, nmax, law)
             return tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
@@ -228,10 +229,11 @@ def test_tv_curve_rejects_shapes_that_would_broadcast(corpus):
     start = np.eye(s)[:4]
     p_xy = conditional(pmf, ("X", "Y"), ("Z",)).reshape(r, -1)
     pi_xy = marginal(pmf, ("X", "Y")).ravel()
+    law = ((k.rows, target),)
     bad = [
-        ((k, start[:, :1], target, 5), rf"start shape \(4, 1\).*\b{s}\b"),
-        ((k, np.ones(s + 1) / (s + 1), target, 5), rf"start shape \({s + 1},\).*\b{s}\b"),
-        ((k, start, target[:1], 5), rf"target shape \(1,\).*\({s},\)"),
+        ((k, start[:, :1], target, 5, law), rf"start shape \(4, 1\).*\b{s}\b"),
+        ((k, np.ones(s + 1) / (s + 1), target, 5, law), rf"start shape \({s + 1},\).*\b{s}\b"),
+        ((k, start, target[:1], 5, law), rf"target shape \(1,\).*\({s},\)"),
         ((k, start, target, 5, ((p_xy, pi_xy[:1]),)), rf"\({r}, {p_xy.shape[1]}\).*\(1,\)"),
         ((k, start, target, 5, ((p_xy, target),)), rf"\({r}, {p_xy.shape[1]}\).*\({s},\)"),
         ((k, start, target, 5, ((None, target),)), rf"\({r}, {r}\).*\({s},\)"),
@@ -246,7 +248,8 @@ def test_tv_curves_are_nonincreasing(corpus, index):
     pmf = corpus[index]
     for factory, target_pmf in ((block_kernel, pmf), (ooo_kernel, pi_star(pmf))):
         k = factory(pmf)
-        curve = tv_curve(k, np.eye(k.codec.size)[0], flatten_to_codec(target_pmf, k.codec), 60)
+        target = flatten_to_codec(target_pmf, k.codec)
+        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 60, ((k.rows, target),))[0]
         assert (np.diff(curve) <= 1e-12).all()
 
 
@@ -276,8 +279,9 @@ def test_slem_matches_tv_decay_exponent(corpus):
             continue
         target = flatten_to_codec(pmf, k.codec)
         states = np.eye(k.codec.size)
-        start = int(np.argmax(tv_curve(k, states[0], target, 1)))  # any fixed start works
-        curve = tv_curve(k, states[start], target, 400)
+        law = ((k.rows, target),)
+        start = int(np.argmax(tv_curve(k, states[0], target, 1, law)[0]))  # any fixed start works
+        curve = tv_curve(k, states[start], target, 400, law)[0]
         window = np.where((curve > 1e-10) & (curve < 1e-3))[0]
         slope = np.polyfit(window, np.log(curve[window]), 1)[0]
         assert abs(np.exp(slope) - slem) / slem < 0.05
@@ -292,7 +296,7 @@ def test_consecutive_tv_ratio_converges_to_slem(corpus):
         if slem < 1e-3:
             continue
         target = flatten_to_codec(pmf, k.codec)
-        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 400)
+        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 400, ((k.rows, target),))[0]
         above = np.where(curve > 1e-10)[0]
         n = above[-1] - 1
         while curve[n + 1] <= 1e-10:
@@ -496,13 +500,29 @@ def test_analyze_report_serializes(pmf_322):
 
 
 def test_analyze_never_builds_a_dense_kernel():
-    # the dense s x s view is the only O(s^2) object; the exact path runs
-    # on the distinct rows and the core alone
+    # the dense s x s view is the only O(s^2) object, and the r x s rows
+    # the largest after it; the exact path runs on the conditional updates
+    # and the core alone
     pmf = random_pmf(Dims(3, 2, 4), seed=2024, floor=0.005)  # not kept elsewhere
     analyze(pmf, nmax=10)
     for factory in (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
                     marginal_z_kernel):
-        assert "matrix" not in factory(pmf).__dict__, factory.__name__
+        for view in ("matrix", "rows"):
+            assert view not in factory(pmf).__dict__, (factory.__name__, view)
+
+
+def test_analyze_at_the_state_cap_holds_no_r_by_s_array():
+    # at 16^3 the ooo and rotated rows would be 8.4 MB each; what analyze
+    # holds is the tables (s floats each), the cores (at most 0.5 MB), the
+    # nu_z bank (nz x s) and the s-wide vectors of a step
+    pmf = random_pmf(Dims(16, 16, 16), seed=2027, floor=1e-5)  # not kept elsewhere
+    tracemalloc.start()
+    try:
+        analyze(pmf, nmax=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_check_prop1_takes_no_full_space_step(monkeypatch):

@@ -72,16 +72,23 @@ def test_codec_flatten_matches_encode(pmf_322):
 # ---------------------------------------------------------------------------
 def test_kernel_rejects_bad_matrices(pmf_322):
     codec = StateCodec.for_labels(pmf_322, ("Z",))
-    with pytest.raises(ValueError):
-        Kernel(codec, np.array([[0.5, 0.4], [0.5, 0.5]]))  # row sums 0.9
-    with pytest.raises(ValueError):
-        Kernel(codec, np.array([[1.5, -0.5], [0.0, 1.0]]))  # negative entry
-    # state i reads row i % r, so the row count must divide the state count
-    yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))  # 12 states
-    for r in (0, 5, 7, 13):
-        with pytest.raises(ValueError, match="does not match codec size"):
-            Kernel(yzx, np.full((r, yzx.size), 1.0 / yzx.size))
-    shared = Kernel(codec, np.array([[0.5, 0.5]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        Kernel(codec, (("zc", np.array([[0.5, 0.4], [0.5, 0.5]])),))  # row sums 0.9
+    with pytest.raises(ValueError, match="nonnegative"):
+        Kernel(codec, (("zc", np.array([[1.5, -0.5], [0.0, 1.0]])),))  # negative entry
+    # each table's axes are the sizes of its letters on the codec
+    yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))  # ny, nz, nx = 2, 2, 3
+    uniform = np.full((3, 2, 2, 3), 1.0 / yzx.size)
+    for sub, table in (("xbca", uniform[:2]), ("xbca", uniform.reshape(3, 12)), ("xbcy", uniform)):
+        with pytest.raises(ValueError, match="does not match"):
+            Kernel(yzx, ((sub, table),))
+    # state i reads row i % r, so the coordinates read are a suffix of the
+    # codec, and every coordinate is drawn
+    for updates in ((("ybca", np.full((2, 2, 2, 3), 1.0 / yzx.size)),),  # reads y but not z
+                    (("xbc", uniform.sum(axis=3)),)):  # never draws x
+        with pytest.raises(ValueError, match="suffix"):
+            Kernel(yzx, updates)
+    shared = Kernel(codec, (("c", np.array([0.5, 0.5])),))
     np.testing.assert_array_equal(shared.matrix, [[0.5, 0.5], [0.5, 0.5]])
     np.testing.assert_array_equal(shared.core, [[1.0]])
 
@@ -97,22 +104,27 @@ def test_two_block_sweeps_refuse_an_empty_xz_cell(factory):
 
 
 def test_step_sums_over_readers_unless_the_index_is_the_identity(pmf_322):
-    # with r = s every state reads its own row and a step is one product
+    # with one dense table every state reads its own row, and a step is the
+    # vector-matrix product up to the order of its two-term sums
     codec = StateCodec.for_labels(pmf_322, ("Z",))
     rows = np.array([[0.5, 0.5], [0.1, 0.9]])
     v = np.array([[0.3, 0.7], [1.0, 0.0]])
-    np.testing.assert_array_equal(Kernel(codec, rows).step(v), v @ rows)
-    np.testing.assert_array_equal(Kernel(codec, rows).step(v[0]), v[0] @ rows)
+    k = Kernel(codec, (("zc", rows),))
+    np.testing.assert_array_max_ulp(k.step(v), v @ rows, maxulp=1)
+    np.testing.assert_array_max_ulp(k.step(v[0]), v[0] @ rows, maxulp=1)
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [3])
 def test_a_tiled_kernel_sums_each_rows_readers_left_to_right(pmf_322, r):
-    # state i reads row i % r: 6, 4 or 3 readers per row of 12 states
+    # a table reading only x, the last coordinate of codec (Y, Z, X): state
+    # i reads row i % 3, 4 readers per row of 12 states
     yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))
     s = yzx.size
     rng = np.random.default_rng(r)
     rows = rng.random((r, s))
-    k = Kernel(yzx, rows / rows.sum(axis=1, keepdims=True))
+    rows /= rows.sum(axis=1, keepdims=True)
+    k = Kernel(yzx, (("xbca", rows.reshape(r, 2, 2, r)),))
+    np.testing.assert_array_equal(k.rows, rows)
     for i in range(s):
         np.testing.assert_array_equal(k.matrix[i], k.rows[i % r])
     bank = rng.random((5, s))
@@ -120,8 +132,8 @@ def test_a_tiled_kernel_sums_each_rows_readers_left_to_right(pmf_322, r):
     readers = bank[:, :r].copy()
     for start in range(r, s, r):
         readers = readers + bank[:, start:start + r]
-    np.testing.assert_array_equal(k.step(bank), readers @ k.rows)
-    np.testing.assert_array_equal(k.step(bank[0]), readers[0] @ k.rows)
+    np.testing.assert_allclose(k.step(bank), readers @ k.rows, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(k.step(bank[0]), readers[0] @ k.rows, rtol=0, atol=1e-15)
     np.testing.assert_allclose(k.step(bank), bank @ k.matrix, rtol=0, atol=1e-15)
     core = k.rows[:, :r].copy()
     for start in range(r, s, r):

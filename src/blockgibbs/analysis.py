@@ -90,23 +90,19 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
     """Unique probability vector v with v K = v, and its residual |v K - v|_1.
 
     With K = R C, mu = v R is stationary for the core C R and v = mu C. So
-    this solves (core^T - I) mu = 0 with a normalization row appended, after
-    checking that the unit eigenvalue is simple (it always is for kernels
-    built from strictly positive pmfs), and lifts mu to v = mu C, a step from
-    mu on states 0..r-1. The residual is checked against the full kernel.
+    this takes the core's solve (``Kernel.core_stationary``, shared by a
+    marginal chain and its sweep), after checking that the unit eigenvalue is
+    simple (it always is for kernels built from strictly positive pmfs), and
+    lifts mu to v = mu C, a step from mu on states 0..r-1. The residual is
+    checked against the full kernel.
     """
-    core = kernel.core
-    r = core.shape[0]
     unit_mult = int(np.count_nonzero(np.abs(kernel.core_eigenvalues - 1.0) <= UNIT_EIG_TOL))
     if unit_mult != 1:
         raise ValueError(
             f"unit eigenvalue has multiplicity {unit_mult}; kernel is not ergodic"
         )
-    a = np.vstack([core.T - np.eye(r), np.ones((1, r))])
-    b = np.zeros(r + 1)
-    b[-1] = 1.0
-    mu, *_ = np.linalg.lstsq(a, b, rcond=None)
-    v = np.maximum(kernel.step(np.concatenate([mu, np.zeros(kernel.codec.size - r)])), 0.0)
+    mu = kernel.core_stationary
+    v = np.maximum(kernel.step(np.concatenate([mu, np.zeros(kernel.codec.size - mu.size)])), 0.0)
     v /= v.sum()
     residual = float(np.abs(kernel.step(v) - v).sum())
     if residual > STATIONARY_RESIDUAL_TOL:

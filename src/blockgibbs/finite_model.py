@@ -27,9 +27,13 @@ AXES = ("X", "Y", "Z")
 SUM_TOL = 1e-14
 RENORM_LIMIT = 1e-6
 
-#: Dims enforces this cap at construction. It guards only ``Kernel.matrix``
-#: and the tests' dense views, s x s arrays of about 134 MB at the cap.
-DEFAULT_STATE_CAP = 4096
+#: Dims caps the cells of each coordinate pair at construction. Every core
+#: sits on a pair or a coordinate (K_xy on nx * ny states, the ooo core on
+#: nz * nx, K_z on nz), and every other array the exact path makes is at
+#: most the square of a pair's cells (the nu banks, check_prop1's Q, the
+#: s-wide tables). So no array exceeds 4,096^2 float64s (128 MiB), the size
+#: a dense s x s kernel had under the old cap of 4,096 states.
+PAIR_CELL_CAP = 4096
 
 
 def _axis_indices(labels: Iterable[str]) -> tuple[int, ...]:
@@ -47,8 +51,10 @@ def _axis_indices(labels: Iterable[str]) -> tuple[int, ...]:
 class Dims:
     """Sizes of the three coordinate spaces.
 
-    The product nx * ny * nz is the number of joint states; it is capped so
-    that ``Kernel.matrix`` and the tests' dense s x s views stay small.
+    The product nx * ny * nz is the number of joint states. What is capped
+    is each pair's product (nx * ny, ny * nz, nx * nz), at ``PAIR_CELL_CAP``:
+    the exact path holds the cores and arrays of at most a pair's cells
+    squared, never anything s x s.
     """
 
     nx: int
@@ -59,10 +65,10 @@ class Dims:
         for name, n in zip(("nx", "ny", "nz"), (self.nx, self.ny, self.nz)):
             if not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
-        if self.size > DEFAULT_STATE_CAP:
-            raise ValueError(
-                f"state space has {self.size} cells, exceeding the cap of {DEFAULT_STATE_CAP}"
-            )
+        pairs = {"nx * ny": self.nx * self.ny, "ny * nz": self.ny * self.nz, "nx * nz": self.nx * self.nz}
+        pair = max(pairs, key=pairs.get)
+        if pairs[pair] > PAIR_CELL_CAP:
+            raise ValueError(f"{pair} = {pairs[pair]} pair cells exceed the cap of {PAIR_CELL_CAP}")
 
     @property
     def shape(self) -> tuple[int, int, int]:

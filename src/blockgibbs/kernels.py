@@ -24,9 +24,10 @@ A ``Kernel`` stores its conditional updates and its r x r core, one einsum
 of their tables; a dense kernel, such as a marginal chain, is one table. A
 sweep's codec is its draw order, and it reads the coordinates some update
 reads before drawing them, a suffix of the draw order. So state i reads row
-i mod r, K = R C with C the r distinct rows (never stored) and R the r x r
-identity stacked s / r times, the core C R has K's nonzero spectrum (Liu,
-Wong & Kong 1994), and a step v K runs the updates in turn.
+i mod r, K = R C with C the r distinct rows and R the r x r identity stacked
+s / r times, the core C R has K's nonzero spectrum (Liu, Wong & Kong 1994),
+and a step v K runs the updates in turn. Neither C nor K is ever formed:
+nothing a kernel holds is r x s or s x s.
 
 The five kernel factories and the prop1 start-measure banks, ``nu_z`` (one
 row per z) and ``nu_xz`` (one row per (x, z)), build their object once per
@@ -110,7 +111,8 @@ class StateCodec:
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Row-stochastic transition kernel on the codec's states, stored as its
-    conditional updates, and its r x r core (read-only).
+    conditional updates and its r x r core (read-only), with the core's
+    eigenvalues and stationary solve computed once on first use.
 
     ``updates`` holds (einsum subscript, table) pairs, run in turn. A
     subscript names its table's axes: current coordinates x, y, z and next
@@ -173,19 +175,16 @@ class Kernel:
         return eigs
 
     @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """The r distinct rows C (r x s, read-only): states 0..r-1 read rows
-        0..r-1, so these are their one-step laws."""
-        rows = self.step(np.eye(len(self.core), self.codec.size))
-        rows.setflags(write=False)
-        return rows
-
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense s x s view (read-only): every state's one-step law."""
-        m = self.step(np.eye(self.codec.size))
-        m.setflags(write=False)
-        return m
+    def core_stationary(self) -> np.ndarray:
+        """Least-squares solution mu of mu core = mu with sum(mu) = 1
+        (read-only): (core^T - I) mu = 0 with a normalization row appended."""
+        r = len(self.core)
+        a = np.vstack([self.core.T - np.eye(r), np.ones((1, r))])
+        b = np.zeros(r + 1)
+        b[-1] = 1.0
+        mu, *_ = np.linalg.lstsq(a, b, rcond=None)
+        mu.setflags(write=False)
+        return mu
 
 
 def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
@@ -250,10 +249,10 @@ def ooo_kernel(pmf: JointPmf3) -> Kernel:
 
 def _core_chain(pmf: JointPmf3, kernel: Kernel, labels: Sequence[str]) -> Kernel:
     """The kernel's core as a one-table chain on ``labels``, sharing its
-    eigenvalues."""
+    eigenvalues and stationary solve."""
     codec, cur = StateCodec.for_labels(pmf, labels), "".join(labels).lower()
     chain = Kernel(codec, ((cur + cur.translate(_NEXT), kernel.core.reshape(codec.sizes * 2)),))
-    vars(chain)["core_eigenvalues"] = kernel.core_eigenvalues
+    vars(chain).update(core_eigenvalues=kernel.core_eigenvalues, core_stationary=kernel.core_stationary)
     return chain
 
 

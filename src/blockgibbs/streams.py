@@ -62,18 +62,18 @@ class KeyedStream:
     (seed, block << 16 | step code), so a stream holds only its seed and
     its audit.
 
-    With ``audit`` on (the default), ``consumed`` maps each step label to the
-    last iteration drawn under it; samplers draw each label in increasing
-    iteration order, so a draw that starts at or below its label's mark is a
-    reuse and raises. A draw that raises marks nothing. A draw may start
-    inside a block an earlier draw ended in.
+    The audit, ``consumed``, maps each step label to the last iteration
+    drawn under it; samplers draw each label in increasing iteration order,
+    so a draw that starts at or below its label's mark is a reuse and
+    raises. A draw that raises marks nothing. A draw may start inside a
+    block an earlier draw ended in.
     """
 
-    def __init__(self, seed: int, audit: bool = True):
+    def __init__(self, seed: int):
         self.seed = int(seed)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        self.consumed: dict[str, int] | None = {} if audit else None
+        self.consumed: dict[str, int] = {}
 
     def _generator(self, block: int, key: StreamKey) -> np.random.Generator:
         """The generator of one block of the key's label."""
@@ -88,12 +88,9 @@ class KeyedStream:
         first, stop = key.iteration, key.iteration + len(out)
         if not first < stop <= _MAX_ITERATION:
             raise ValueError(f"cannot draw {len(out)} rows from iteration {first}")
-        if self.consumed is not None:
-            mark = self.consumed.get(key.step, -1)
-            if first <= mark:
-                raise ValueError(
-                    f"substream key {key} already consumed or out of order (mark {mark})"
-                )
+        mark = self.consumed.get(key.step, -1)
+        if first <= mark:
+            raise ValueError(f"substream key {key} already consumed or out of order (mark {mark})")
         width = out[:1].size  # variates per iteration
         row = first
         while row < stop:
@@ -104,8 +101,7 @@ class KeyedStream:
                 draw(gen, *args, skip * width)
             draw(gen, *args, out=out[row - first : end - first])
             row = end
-        if self.consumed is not None:
-            self.consumed[key.step] = stop - 1
+        self.consumed[key.step] = stop - 1
         return out
 
     def normal(self, key: StreamKey, out: np.ndarray) -> np.ndarray:

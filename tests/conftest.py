@@ -40,3 +40,19 @@ def stationary_by_eig(matrix: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eig(matrix.T)
     v = np.real(evecs[:, np.argmin(np.abs(evals - 1.0))])
     return v / v.sum()
+
+
+def kernel_rows(k) -> np.ndarray:
+    """The kernel's r distinct rows C (r x s, read-only): states 0..r-1 read
+    rows 0..r-1, so these are their one-step laws."""
+    rows = k.step(np.eye(len(k.core), k.codec.size))
+    rows.setflags(write=False)
+    return rows
+
+
+def kernel_matrix(k) -> np.ndarray:
+    """The kernel as a dense s x s matrix (read-only): every state's
+    one-step law."""
+    m = k.step(np.eye(k.codec.size))
+    m.setflags(write=False)
+    return m

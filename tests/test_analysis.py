@@ -38,6 +38,7 @@ from blockgibbs import (
     tv,
     tv_curve,
 )
+from conftest import kernel_matrix, kernel_rows
 
 
 def stationary_by_power_iteration(matrix, tol=1e-14, max_iter=200_000):
@@ -68,14 +69,14 @@ def test_stationary_of_rank_one_kernel_is_its_row(product_222):
 def test_stationary_matches_power_iteration(pmf_322):
     k = block_kernel(pmf_322)
     v, residual = stationary(k)
-    assert np.abs(v - stationary_by_power_iteration(k.matrix)).sum() < 1e-10
+    assert np.abs(v - stationary_by_power_iteration(kernel_matrix(k))).sum() < 1e-10
     assert residual == float(np.abs(k.step(v) - v).sum())  # the one analyze reports
 
 
 def test_stationary_of_ooo_matches_pi_star_by_power_iteration(pmf_322):
     k = ooo_kernel(pmf_322)
     v, _ = stationary(k)
-    assert np.abs(v - stationary_by_power_iteration(k.matrix)).sum() < 1e-10
+    assert np.abs(v - stationary_by_power_iteration(kernel_matrix(k))).sum() < 1e-10
     assert np.abs(v - flatten_to_codec(pi_star(pmf_322), k.codec)).sum() < 1e-10
 
 
@@ -91,13 +92,13 @@ def test_stationary_rejects_reducible_kernel():
 def test_tv_curve_from_stationary_is_zero(pmf_322):
     k = block_kernel(pmf_322)
     v, _ = stationary(k)
-    assert tv_curve(k, v, v, 10, ((k.rows, v),))[0].max() < 1e-13
+    assert tv_curve(k, v, v, 10, ((kernel_rows(k), v),))[0].max() < 1e-13
 
 
 def test_tv_curve_rank_one_hits_target_after_one_step(product_222):
     k = block_kernel(product_222)
     target = flatten_to_codec(product_222, k.codec)
-    curve = tv_curve(k, np.eye(k.codec.size)[0], target, 5, ((k.rows, target),))[0]
+    curve = tv_curve(k, np.eye(k.codec.size)[0], target, 5, ((kernel_rows(k), target),))[0]
     assert curve[0] > 0.1
     assert curve[1:].max() < 1e-14
 
@@ -110,8 +111,9 @@ def test_tv_curve_of_a_bank_is_the_curves_of_its_rows(pmf_322):
     # agree to rounding: eight steps of 12-term sums stay far inside 1e-14.
     k = ooo_kernel(pmf_322)
     target = flatten_to_codec(pi_star(pmf_322), k.codec)
-    bank = np.vstack([np.eye(k.codec.size)[: k.codec.size // 2], target, k.rows])
-    law = ((k.rows, target),)
+    rows = kernel_rows(k)
+    bank = np.vstack([np.eye(k.codec.size)[: k.codec.size // 2], target, rows])
+    law = ((rows, target),)
     curves = tv_curve(k, bank, target, 8, law)[0]
     assert curves.shape == (9, bank.shape[0])
     for i, row in enumerate(bank):
@@ -130,8 +132,9 @@ def test_tv_curve_reads_the_coordinates_the_last_update_reads(pmf_322):
     k = block_kernel(pmf_322)
     target = flatten_to_codec(pmf_322, k.codec)
     start = np.vstack([np.eye(k.codec.size)[:5], target])
-    p_xy = conditional(pmf_322, ("X", "Y"), ("Z",)).reshape(k.rows.shape[0], -1)
-    reads = ((k.rows, target), (p_xy, marginal(pmf_322, ("X", "Y")).ravel()))
+    rows = kernel_rows(k)
+    p_xy = conditional(pmf_322, ("X", "Y"), ("Z",)).reshape(rows.shape[0], -1)
+    reads = ((rows, target), (p_xy, marginal(pmf_322, ("X", "Y")).ravel()))
     full, read = tv_curve(k, start, target, 6, reads)
     np.testing.assert_allclose(read, full, rtol=0, atol=1e-15)
 
@@ -186,7 +189,7 @@ def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dim
     chunk = min(n, max(1, 4096 // (len(start) * widest)))
     assert {"one chunk": chunk == n, "one step": chunk == 1, "partial": 1 < chunk < n and n % chunk}[regime]
     for kernel, start, target, n, reads in calls:
-        rows = ((kernel.rows, target),)
+        rows = ((kernel_rows(kernel), target),)
         for bank, laws in ((start, reads), (start, rows), (start[0], reads), (start[-1], rows)):
             chunked = tv_curve(kernel, bank, target, n, laws)
             stepped = tv_curve_one_step_at_a_time(kernel, bank, target, n, laws)
@@ -202,9 +205,10 @@ def test_tv_curve_memory_does_not_grow_with_nmax(n):
     # the int objects of a longer range.
     pmf = random_pmf(Dims(n, n, n), seed=16, floor=1e-4)
     k = ooo_kernel(pmf)
-    bank = np.vstack([k.rows, nu_z(pmf)])
+    rows = kernel_rows(k)
+    bank = np.vstack([rows, nu_z(pmf)])
     target = flatten_to_codec(pi_star(pmf), k.codec)
-    law = ((k.rows, target),)
+    law = ((rows, target),)
     tv_curve(k, bank, target, 3, law)  # cached cores and first-call allocations
 
     def peak(nmax):
@@ -229,7 +233,7 @@ def test_tv_curve_rejects_shapes_that_would_broadcast(corpus):
     start = np.eye(s)[:4]
     p_xy = conditional(pmf, ("X", "Y"), ("Z",)).reshape(r, -1)
     pi_xy = marginal(pmf, ("X", "Y")).ravel()
-    law = ((k.rows, target),)
+    law = ((kernel_rows(k), target),)
     bad = [
         ((k, start[:, :1], target, 5, law), rf"start shape \(4, 1\).*\b{s}\b"),
         ((k, np.ones(s + 1) / (s + 1), target, 5, law), rf"start shape \({s + 1},\).*\b{s}\b"),
@@ -249,7 +253,7 @@ def test_tv_curves_are_nonincreasing(corpus, index):
     for factory, target_pmf in ((block_kernel, pmf), (ooo_kernel, pi_star(pmf))):
         k = factory(pmf)
         target = flatten_to_codec(target_pmf, k.codec)
-        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 60, ((k.rows, target),))[0]
+        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 60, ((kernel_rows(k), target),))[0]
         assert (np.diff(curve) <= 1e-12).all()
 
 
@@ -279,7 +283,7 @@ def test_slem_matches_tv_decay_exponent(corpus):
             continue
         target = flatten_to_codec(pmf, k.codec)
         states = np.eye(k.codec.size)
-        law = ((k.rows, target),)
+        law = ((kernel_rows(k), target),)
         start = int(np.argmax(tv_curve(k, states[0], target, 1, law)[0]))  # any fixed start works
         curve = tv_curve(k, states[start], target, 400, law)[0]
         window = np.where((curve > 1e-10) & (curve < 1e-3))[0]
@@ -296,7 +300,7 @@ def test_consecutive_tv_ratio_converges_to_slem(corpus):
         if slem < 1e-3:
             continue
         target = flatten_to_codec(pmf, k.codec)
-        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 400, ((k.rows, target),))[0]
+        curve = tv_curve(k, np.eye(k.codec.size)[0], target, 400, ((kernel_rows(k), target),))[0]
         above = np.where(curve > 1e-10)[0]
         n = above[-1] - 1
         while curve[n + 1] <= 1e-10:
@@ -329,14 +333,14 @@ def test_prop1_seeded_pmf_holds_and_matches_matrix_power_oracle():
     # worst-case block-sweep distance at n = 5 against an explicit power
     k = block_kernel(pmf)
     target = flatten_to_codec(pmf, k.codec)
-    p5 = np.linalg.matrix_power(k.matrix, 5)
+    p5 = np.linalg.matrix_power(kernel_matrix(k), 5)
     want = max(tv(row, target) for row in p5)
     assert report.chain1[4, 0] == pytest.approx(want, abs=1e-12)
 
     # worst-case z-marginal distance at n = 4 (the n = 5 middle term)
     kz = marginal_z_kernel(pmf)
     tz = flatten_to_codec(pmf, kz.codec)
-    q4 = np.linalg.matrix_power(kz.matrix, 4)
+    q4 = np.linalg.matrix_power(kernel_matrix(kz), 4)
     assert report.chain1[4, 1] == pytest.approx(
         max(tv(row, tz) for row in q4), abs=1e-12
     )
@@ -499,18 +503,6 @@ def test_analyze_report_serializes(pmf_322):
     assert max(report.stationary_target_gap.values()) <= 1e-10
 
 
-def test_analyze_never_builds_a_dense_kernel():
-    # the dense s x s view is the only O(s^2) object, and the r x s rows
-    # the largest after it; the exact path runs on the conditional updates
-    # and the core alone
-    pmf = random_pmf(Dims(3, 2, 4), seed=2024, floor=0.005)  # not kept elsewhere
-    analyze(pmf, nmax=10)
-    for factory in (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
-                    marginal_z_kernel):
-        for view in ("matrix", "rows"):
-            assert view not in factory(pmf).__dict__, (factory.__name__, view)
-
-
 def test_analyze_at_the_state_cap_holds_no_r_by_s_array():
     # at 16^3 the ooo and rotated rows would be 8.4 MB each; what analyze
     # holds is the tables (s floats each), the cores (at most 0.5 MB), the
@@ -548,22 +540,24 @@ def test_check_prop1_reads_the_ooo_curves_off_the_two_cores(monkeypatch):
 
 def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
     # every check reads the same five kernels and pi_star off the pmf: one
-    # construction per kernel, one pi_star, and one core eigensolve per
-    # distinct core, since K_z and K_xy are the block and rotated cores
-    counts = {"eigvals": 0, "kernels": 0, "pmfs": 0}
+    # construction per kernel, one pi_star, and one core eigensolve and one
+    # stationary solve per distinct core, since K_z and K_xy are the block
+    # and rotated cores
+    counts = {"eigvals": 0, "lstsq": 0, "kernels": 0, "pmfs": 0}
 
     def counting(key, fn):
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return counted
 
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
     monkeypatch.setattr(Kernel, "__post_init__", counting("kernels", Kernel.__post_init__))
     monkeypatch.setattr(JointPmf3, "__post_init__", counting("pmfs", JointPmf3.__post_init__))
     analyze(pmf_322, nmax=10)
-    assert counts == {"eigvals": 3, "kernels": 5, "pmfs": 1}
+    assert counts == {"eigvals": 3, "lstsq": 3, "kernels": 5, "pmfs": 1}
 
     factories = (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
                  marginal_z_kernel)
@@ -573,6 +567,7 @@ def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
         kernel = factory(pmf_322)
         assert not kernel.core.flags.writeable
         assert not kernel.core_eigenvalues.flags.writeable
+        assert not kernel.core_stationary.flags.writeable
     # kept per pmf object, not per value
     twin = JointPmf3(pmf_322.dims, pmf_322.p)
     assert block_kernel(twin) is not block_kernel(pmf_322)

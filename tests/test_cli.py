@@ -367,6 +367,20 @@ def test_exact_mode_inline_pmf(tmp_path):
     assert (tmp_path / "inline_out" / "report.json").exists()
 
 
+def test_exact_bounds_pair_cells_not_states(tmp_path, capsys):
+    # 4,352 states with pairs of at most 272 cells: over the old state cap,
+    # well inside the pair cap
+    out = tmp_path / "out"
+    argv = ["exact", "--dims", "17,16,16", "--floor", "1e-5", "--nmax", "5", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True and all(report["verdicts"].values())
+    capsys.readouterr()
+    assert main(["exact", "--dims", "65,64,1", "--out", str(tmp_path / "refused")]) == 2
+    assert "nx * ny = 4160 pair cells exceed the cap of 4096" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
 def test_exact_report_is_byte_identical(tmp_path):
     args = ["exact", "--dims", "2,2,2", "--seed", "5", "--nmax", "10"]
     out1, out2 = tmp_path / "a", tmp_path / "b"

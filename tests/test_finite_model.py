@@ -41,8 +41,11 @@ def tv_by_indicator_enumeration(p: np.ndarray, q: np.ndarray) -> float:
 def test_dims_validation():
     with pytest.raises(ValueError):
         Dims(0, 2, 2)
-    with pytest.raises(ValueError):
-        Dims(20, 20, 20)  # 8000 states exceeds the default cap
+    # the cap is on each pair's cells, not on the states
+    Dims(20, 20, 20)  # 8,000 states, pairs of 400 cells
+    Dims(64, 64, 64)  # 262,144 states, pairs of 4,096 cells
+    with pytest.raises(ValueError, match=r"^nx \* ny = 4160 pair cells exceed the cap of 4096$"):
+        Dims(65, 64, 1)  # 4,160 states
 
 
 def test_pmf_rejects_negative_and_bad_mass():

@@ -30,7 +30,7 @@ from blockgibbs import (
     rotated_block_kernel,
     tv,
 )
-from conftest import stationary_by_eig
+from conftest import kernel_matrix, kernel_rows, stationary_by_eig
 
 
 def nonzero_eig_multiset(matrix: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
@@ -89,7 +89,7 @@ def test_kernel_rejects_bad_matrices(pmf_322):
         with pytest.raises(ValueError, match="suffix"):
             Kernel(yzx, updates)
     shared = Kernel(codec, (("c", np.array([0.5, 0.5])),))
-    np.testing.assert_array_equal(shared.matrix, [[0.5, 0.5], [0.5, 0.5]])
+    np.testing.assert_array_equal(kernel_matrix(shared), [[0.5, 0.5], [0.5, 0.5]])
     np.testing.assert_array_equal(shared.core, [[1.0]])
 
 
@@ -124,20 +124,21 @@ def test_a_tiled_kernel_sums_each_rows_readers_left_to_right(pmf_322, r):
     rows = rng.random((r, s))
     rows /= rows.sum(axis=1, keepdims=True)
     k = Kernel(yzx, (("xbca", rows.reshape(r, 2, 2, r)),))
-    np.testing.assert_array_equal(k.rows, rows)
+    k_rows, k_matrix = kernel_rows(k), kernel_matrix(k)
+    np.testing.assert_array_equal(k_rows, rows)
     for i in range(s):
-        np.testing.assert_array_equal(k.matrix[i], k.rows[i % r])
+        np.testing.assert_array_equal(k_matrix[i], k_rows[i % r])
     bank = rng.random((5, s))
     bank /= bank.sum(axis=1, keepdims=True)
     readers = bank[:, :r].copy()
     for start in range(r, s, r):
         readers = readers + bank[:, start:start + r]
-    np.testing.assert_allclose(k.step(bank), readers @ k.rows, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(k.step(bank[0]), readers[0] @ k.rows, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(k.step(bank), bank @ k.matrix, rtol=0, atol=1e-15)
-    core = k.rows[:, :r].copy()
+    np.testing.assert_allclose(k.step(bank), readers @ k_rows, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(k.step(bank[0]), readers[0] @ k_rows, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(k.step(bank), bank @ k_matrix, rtol=0, atol=1e-15)
+    core = k_rows[:, :r].copy()
     for start in range(r, s, r):
-        core = core + k.rows[:, start:start + r]
+        core = core + k_rows[:, start:start + r]
     np.testing.assert_array_equal(k.core, core)
 
 
@@ -148,19 +149,19 @@ def test_a_tiled_kernel_sums_each_rows_readers_left_to_right(pmf_322, r):
 def test_gibbs_product_pmf_is_rank_one(product_222, ordering):
     k = gibbs_kernel(product_222, ordering)
     flat = flatten_to_codec(product_222, k.codec)
-    np.testing.assert_allclose(k.matrix, np.tile(flat, (flat.size, 1)), atol=1e-15)
+    np.testing.assert_allclose(kernel_matrix(k), np.tile(flat, (flat.size, 1)), atol=1e-15)
 
 
 @pytest.mark.parametrize("ordering", list(itertools.permutations("XYZ")))
 def test_gibbs_stationary_is_target_for_all_orderings(pmf_322, ordering):
     k = gibbs_kernel(pmf_322, ordering)
-    v = stationary_by_eig(k.matrix)
+    v = stationary_by_eig(kernel_matrix(k))
     assert np.abs(v - flatten_to_codec(pmf_322, k.codec)).sum() < 1e-12
 
 
 def test_gibbs_trivial_space():
     pmf = JointPmf3(Dims(1, 1, 1), np.ones((1, 1, 1)))
-    np.testing.assert_array_equal(gibbs_kernel(pmf, "XYZ").matrix, [[1.0]])
+    np.testing.assert_array_equal(kernel_matrix(gibbs_kernel(pmf, "XYZ")), [[1.0]])
 
 
 def test_gibbs_rejects_bad_ordering(pmf_322):
@@ -175,10 +176,11 @@ def test_gibbs_rejects_bad_ordering(pmf_322):
 # ---------------------------------------------------------------------------
 def test_block_rows_depend_only_on_z(pmf_322):
     k = block_kernel(pmf_322)
+    k_matrix = kernel_matrix(k)
     nx, ny, nz = pmf_322.dims.shape
     for z in range(nz):
         rows = [
-            k.matrix[k.codec.encode((x, y, z))]
+            k_matrix[k.codec.encode((x, y, z))]
             for x in range(nx)
             for y in range(ny)
         ]
@@ -189,12 +191,12 @@ def test_block_rows_depend_only_on_z(pmf_322):
 def test_block_product_is_rank_one(product_222):
     k = block_kernel(product_222)
     flat = flatten_to_codec(product_222, k.codec)
-    np.testing.assert_allclose(k.matrix, np.tile(flat, (flat.size, 1)), atol=1e-15)
+    np.testing.assert_allclose(kernel_matrix(k), np.tile(flat, (flat.size, 1)), atol=1e-15)
 
 
 def test_block_stationary_is_target(pmf_322):
     k = block_kernel(pmf_322)
-    v = stationary_by_eig(k.matrix)
+    v = stationary_by_eig(kernel_matrix(k))
     assert np.abs(v - flatten_to_codec(pmf_322, k.codec)).sum() < 1e-12
 
 
@@ -204,21 +206,21 @@ def test_block_stationary_is_target(pmf_322):
 def test_rotated_stationary_is_target_reindexed(pmf_322):
     k = rotated_block_kernel(pmf_322)
     assert k.codec.labels == ("Z", "X", "Y")
-    v = stationary_by_eig(k.matrix)
+    v = stationary_by_eig(kernel_matrix(k))
     assert np.abs(v - flatten_to_codec(pmf_322, k.codec)).sum() < 1e-12
 
 
 def test_rotated_spectrum_matches_block(pmf_322):
     # both compose the same two conditional refreshes in opposite order
-    a = np.sort_complex(np.linalg.eigvals(block_kernel(pmf_322).matrix))
-    b = np.sort_complex(np.linalg.eigvals(rotated_block_kernel(pmf_322).matrix))
+    a = np.sort_complex(np.linalg.eigvals(kernel_matrix(block_kernel(pmf_322))))
+    b = np.sort_complex(np.linalg.eigvals(kernel_matrix(rotated_block_kernel(pmf_322))))
     assert np.abs(a - b).max() < 1e-8
 
 
 def test_rotated_product_is_rank_one(product_222):
     k = rotated_block_kernel(product_222)
     flat = flatten_to_codec(product_222, k.codec)
-    np.testing.assert_allclose(k.matrix, np.tile(flat, (flat.size, 1)), atol=1e-15)
+    np.testing.assert_allclose(kernel_matrix(k), np.tile(flat, (flat.size, 1)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +228,24 @@ def test_rotated_product_is_rank_one(product_222):
 # ---------------------------------------------------------------------------
 def test_ooo_rows_ignore_y(pmf_322):
     k = ooo_kernel(pmf_322)
+    k_matrix = kernel_matrix(k)
     nx, ny, nz = pmf_322.dims.shape
     for z, x in itertools.product(range(nz), range(nx)):
-        base = k.matrix[k.codec.encode((0, z, x))]
+        base = k_matrix[k.codec.encode((0, z, x))]
         for y in range(1, ny):
-            np.testing.assert_array_equal(k.matrix[k.codec.encode((y, z, x))], base)
+            np.testing.assert_array_equal(k_matrix[k.codec.encode((y, z, x))], base)
 
 
 def test_ooo_stationary_is_pi_star(pmf_322):
     k = ooo_kernel(pmf_322)
     assert k.codec.labels == ("Y", "Z", "X")
-    v = stationary_by_eig(k.matrix)
+    v = stationary_by_eig(kernel_matrix(k))
     assert np.abs(v - flatten_to_codec(pi_star(pmf_322), k.codec)).sum() < 1e-12
 
 
 def test_ooo_anti_example_erases_xy_dependence(anti_pmf):
     k = ooo_kernel(anti_pmf)
-    v = stationary_by_eig(k.matrix)  # over (y, z, x)
+    v = stationary_by_eig(kernel_matrix(k))  # over (y, z, x)
     xy = np.zeros((2, 2))
     for flat, mass in enumerate(v):
         y, _, x = k.codec.decode(flat)
@@ -257,14 +260,14 @@ def test_ooo_anti_example_erases_xy_dependence(anti_pmf):
 def test_marginal_xy_reversible(pmf_322):
     k = marginal_xy_kernel(pmf_322)
     pi_xy = flatten_to_codec(pmf_322, k.codec)
-    flow = pi_xy[:, None] * k.matrix
+    flow = pi_xy[:, None] * kernel_matrix(k)
     assert np.abs(flow - flow.T).max() < 1e-12
 
 
 def test_marginal_z_reversible(pmf_322):
     k = marginal_z_kernel(pmf_322)
     pi_z = flatten_to_codec(pmf_322, k.codec)
-    flow = pi_z[:, None] * k.matrix
+    flow = pi_z[:, None] * kernel_matrix(k)
     assert np.abs(flow - flow.T).max() < 1e-12
 
 
@@ -277,13 +280,23 @@ def test_marginal_kernels_are_the_sweep_cores(corpus, anti_pmf):
         for marginal_factory, sweep_factory, labels in pairs:
             chain, sweep = marginal_factory(pmf), sweep_factory(pmf)
             assert chain.codec == StateCodec.for_labels(pmf, labels)
-            np.testing.assert_array_equal(chain.rows, sweep.core)
+            np.testing.assert_array_equal(kernel_rows(chain), sweep.core)
             assert chain.core_eigenvalues is sweep.core_eigenvalues
+            assert chain.core_stationary is sweep.core_stationary
+
+
+def test_the_shared_core_solve_is_the_chains_own(corpus, anti_pmf):
+    # a marginal chain takes its sweep's stationary solve; solving the
+    # chain's own core afresh gives the same bits, so sharing moves no value
+    for pmf in corpus + [anti_pmf]:
+        for chain in (marginal_z_kernel(pmf), marginal_xy_kernel(pmf)):
+            fresh = Kernel(chain.codec, chain.updates)
+            np.testing.assert_array_equal(fresh.core_stationary, chain.core_stationary)
 
 
 def test_marginal_kernels_share_nonzero_spectrum(pmf_322):
-    a = nonzero_eig_multiset(marginal_xy_kernel(pmf_322).matrix)
-    b = nonzero_eig_multiset(marginal_z_kernel(pmf_322).matrix)
+    a = nonzero_eig_multiset(kernel_matrix(marginal_xy_kernel(pmf_322)))
+    b = nonzero_eig_multiset(kernel_matrix(marginal_z_kernel(pmf_322)))
     assert a.size == b.size
     assert np.abs(a - b).max() < 1e-8
 
@@ -291,14 +304,14 @@ def test_marginal_kernels_share_nonzero_spectrum(pmf_322):
 def test_marginal_xy_product_is_rank_one(product_222):
     k = marginal_xy_kernel(product_222)
     flat = flatten_to_codec(product_222, k.codec)
-    np.testing.assert_allclose(k.matrix, np.tile(flat, (flat.size, 1)), atol=1e-15)
+    np.testing.assert_allclose(kernel_matrix(k), np.tile(flat, (flat.size, 1)), atol=1e-15)
 
 
 def test_single_z_collapses_marginals(anti_pmf):
     k_xy = marginal_xy_kernel(anti_pmf)
     pi_xy = flatten_to_codec(anti_pmf, k_xy.codec)
-    np.testing.assert_allclose(k_xy.matrix, np.tile(pi_xy, (4, 1)), atol=1e-15)
-    np.testing.assert_array_equal(marginal_z_kernel(anti_pmf).matrix, [[1.0]])
+    np.testing.assert_allclose(kernel_matrix(k_xy), np.tile(pi_xy, (4, 1)), atol=1e-15)
+    np.testing.assert_array_equal(kernel_matrix(marginal_z_kernel(anti_pmf)), [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +341,7 @@ def test_nu_z_one_step_ignores_dummy_y(pmf_322):
         y, z, x = k.codec.decode(flat)
         if mass > 0:
             alt[k.codec.encode((1, z, x))] = mass
-    np.testing.assert_allclose(row @ k.matrix, alt @ k.matrix, atol=1e-15)
+    np.testing.assert_allclose(row @ kernel_matrix(k), alt @ kernel_matrix(k), atol=1e-15)
 
 
 def test_nu_z_product_x_component(product_222):
@@ -354,12 +367,12 @@ def test_nu_xz_mass_and_lift_identity(pmf_322):
     i = 1 * nz + 0
     lifted = np.zeros(k_rot.codec.size)
     lifted[: nx * ny] = flat_bank[i]  # the z = 0 states, in the flat codec's order
-    after_rot = lifted @ k_rot.matrix
+    after_rot = lifted @ kernel_matrix(k_rot)
     proj = np.zeros(k_xy.codec.size)
     for flat, mass in enumerate(after_rot):
         z, x, y = k_rot.codec.decode(flat)
         proj[k_xy.codec.encode((x, y))] += mass
-    after_xy = flat_bank[i] @ k_xy.matrix
+    after_xy = flat_bank[i] @ kernel_matrix(k_xy)
     np.testing.assert_allclose(proj, after_xy, atol=1e-15)
 
 
@@ -407,10 +420,10 @@ def test_row_sums_within_tolerance(corpus, index):
     for factory in (block_kernel, rotated_block_kernel, ooo_kernel,
                     marginal_xy_kernel, marginal_z_kernel):
         k = factory(pmf)
-        assert np.abs(k.matrix.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(kernel_matrix(k).sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_pi_is_not_ooo_invariant(anti_pmf):
     k = ooo_kernel(anti_pmf)
     pi_vec = flatten_to_codec(anti_pmf, k.codec)
-    assert np.abs(pi_vec @ k.matrix - pi_vec).sum() > 1e-6
+    assert np.abs(pi_vec @ kernel_matrix(k) - pi_vec).sum() > 1e-6

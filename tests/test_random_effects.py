@@ -336,7 +336,7 @@ def test_theta_params_convexity_bounds(mu, A, V, i):
 # ---------------------------------------------------------------------------
 def test_sample_ig_monte_carlo_mean():
     # mean of IG(3, 2) is 2 / (3 - 1) = 1; SE of 1e6 draws ~ 1e-3
-    stream = KeyedStream(123, audit=False)
+    stream = KeyedStream(123)
     draws = 1_000_000
     vals = stream.gamma(StreamKey(0, "A"), 3.0, np.empty(draws))
     mean = float((2.0 / vals).mean())
@@ -347,7 +347,7 @@ def test_sample_ig_distribution_ks():
     # CDF oracle: P(W <= w) = P(G >= rate / w) for G gamma(shape),
     # i.e. the regularized upper incomplete gamma at rate / w
     shape, rate = 2.5, 1.5
-    stream = KeyedStream(7, audit=False)
+    stream = KeyedStream(7)
     sample = rate / stream.gamma(StreamKey(0, "A"), shape, np.empty(100_000))
     result = scipy.stats.kstest(sample, lambda w: gammaincc(shape, rate / w))
     assert result.pvalue > 0.001

@@ -36,7 +36,7 @@ def test_same_key_same_value_across_stream_objects():
 
 
 def test_different_keys_and_seeds_differ():
-    s = KeyedStream(0, audit=False)
+    s = KeyedStream(0)
     base = s.normal(StreamKey(1, "A"), np.empty(1))[0]
     assert s.normal(StreamKey(2, "A"), np.empty(1))[0] != base
     assert s.normal(StreamKey(1, "mu"), np.empty(1))[0] != base
@@ -97,13 +97,6 @@ def test_audit_rejects_a_lower_iteration():
     assert s.consumed == {"mu": 5, "A": BLOCK + 10, "theta": 2}
     with pytest.raises(ValueError, match="out of order"):
         s.gamma(StreamKey(BLOCK, "A"), 2.0, np.empty(1))
-
-
-def test_audit_can_be_disabled():
-    s = KeyedStream(0, audit=False)
-    a = s.normal(StreamKey(1, "mu"), np.empty(2))
-    np.testing.assert_array_equal(s.normal(StreamKey(1, "mu"), np.empty(2)), a)
-    assert s.consumed is None
 
 
 def test_seed_must_fit_the_philox_key_word():

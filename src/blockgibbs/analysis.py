@@ -90,11 +90,11 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
     """Unique probability vector v with v K = v, and its residual |v K - v|_1.
 
     With K = R C, mu = v R is stationary for the core C R and v = mu C. So
-    this takes the core's solve (``Kernel.core_stationary``, shared by a
-    marginal chain and its sweep), after checking that the unit eigenvalue is
-    simple (it always is for kernels built from strictly positive pmfs), and
-    lifts mu to v = mu C, a step from mu on states 0..r-1. The residual is
-    checked against the full kernel.
+    this checks that the unit eigenvalue is simple (it always is for kernels
+    built from strictly positive pmfs), which makes the core's square solve
+    nonsingular, then takes that solve (``Kernel.core_stationary``, shared by
+    a marginal chain and its sweep) and lifts mu to v = mu C, a step from mu
+    on states 0..r-1. The residual is checked against the full kernel.
     """
     unit_mult = int(np.count_nonzero(np.abs(kernel.core_eigenvalues - 1.0) <= UNIT_EIG_TOL))
     if unit_mult != 1:
@@ -269,14 +269,18 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     # the starts are K_z's rows and nu_xz's, row x * nz + z
     reads = ((None, pi_z), (a, pi_xy), (a @ q, star_yz))
     tv_z, tv_block, tv_nu_z = tv_curve(k_z, np.eye(nz), pi_z, nmax, reads)[:, 1:]
-    bank_xz = nu_xz(pmf)  # lifted, it sits on the rotated z = 0 slice
+    bank_xz = nu_xz(pmf)
     reads = ((None, pi_xy), (b.reshape(nx * ny, nz), pi_z), (q, star_yz))
     tv_nu_xy, tv_nu_rot, tv_ooo = tv_curve(k_xy, bank_xz, pi_xy, nmax, reads)[:, 1:]
-    # each curve's step 0 heads it; nu_z's term at n is n - 2 steps in, none at n = 1
-    lifted = np.abs(bank_xz - pi_zxy[: nx * ny]).sum(axis=1) + pi_zxy[nx * ny :].sum()
-    tv_nu_rot = np.vstack([0.5 * lifted, tv_nu_rot[:-1]])
-    at_0 = np.abs(nu_z(pmf) - flatten_to_codec(star, ooo)).sum(axis=1)
-    tv_nu_z = np.vstack([np.full(nz, np.nan), 0.5 * at_0, tv_nu_z[:-2]])
+    # Step 0 heads each curve. A bank sits on the first w states of its sweep's codec, with a
+    # dummy first coordinate at 0 (Z of rotated, Y of ooo) that the sweep never reads, so any
+    # choice gives the same law after one step. nu_z's term at n is n - 2 steps in, none at 1.
+    at_0 = []
+    for bank, t in ((bank_xz, pi_zxy), (nu_z(pmf), flatten_to_codec(star, ooo))):
+        w = bank.shape[1]
+        at_0.append(0.5 * (np.abs(bank - t[:w]).sum(axis=1) + t[w:].sum()))
+    tv_nu_rot = np.vstack([at_0[0], tv_nu_rot[:-1]])
+    tv_nu_z = np.vstack([np.full(nz, np.nan), at_0[1], tv_nu_z[:-2]])
     xz_of_ooo_row = np.arange(nz * nx).reshape(nx, nz).T.ravel()  # ooo row z * nx + x
     tv_ooo, tv_nu_xz = tv_ooo[:, xz_of_ooo_row], tv_nu_xy[:, xz_of_ooo_row]
     chain1 = np.column_stack([t.max(axis=1) for t in (tv_block, tv_z, tv_nu_z)])

@@ -30,7 +30,7 @@ RENORM_LIMIT = 1e-6
 #: Dims caps the cells of each coordinate pair at construction. Every core
 #: sits on a pair or a coordinate (K_xy on nx * ny states, the ooo core on
 #: nz * nx, K_z on nz), and every other array the exact path makes is at
-#: most the square of a pair's cells (the nu banks, check_prop1's Q, the
+#: most the square of a pair's cells (nu_z's nz * nz * nx, nu_xz's, Q, the
 #: s-wide tables). So no array exceeds 4,096^2 float64s (128 MiB), the size
 #: a dense s x s kernel had under the old cap of 4,096 states.
 PAIR_CELL_CAP = 4096
@@ -63,7 +63,7 @@ class Dims:
 
     def __post_init__(self) -> None:
         for name, n in zip(("nx", "ny", "nz"), (self.nx, self.ny, self.nz)):
-            if not isinstance(n, (int, np.integer)) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
         pairs = {"nx * ny": self.nx * self.ny, "ny * nz": self.ny * self.nz, "nx * nz": self.nx * self.nz}
         pair = max(pairs, key=pairs.get)

@@ -29,9 +29,9 @@ s / r times, the core C R has K's nonzero spectrum (Liu, Wong & Kong 1994),
 and a step v K runs the updates in turn. Neither C nor K is ever formed:
 nothing a kernel holds is r x s or s x s.
 
-The five kernel factories and the prop1 start-measure banks, ``nu_z`` (one
-row per z) and ``nu_xz`` (one row per (x, z)), build their object once per
-pmf and keep it on the pmf, so every caller shares one read-only object.
+The five kernel factories and the prop1 start-measure banks, ``nu_z`` (row
+z, on codec (Z, X)) and ``nu_xz`` (row (x, z), on codec (X, Y)), build their
+object once per pmf and keep it on the pmf: every caller shares one.
 """
 
 from __future__ import annotations
@@ -176,13 +176,15 @@ class Kernel:
 
     @functools.cached_property
     def core_stationary(self) -> np.ndarray:
-        """Least-squares solution mu of mu core = mu with sum(mu) = 1
-        (read-only): (core^T - I) mu = 0 with a normalization row appended."""
-        r = len(self.core)
-        a = np.vstack([self.core.T - np.eye(r), np.ones((1, r))])
-        b = np.zeros(r + 1)
+        """mu with mu core = mu and sum(mu) = 1 (read-only): (core^T - I) mu = 0
+        as a square solve, its last equation (redundant, as the equations of a
+        row-stochastic core sum to zero) replaced by sum(mu) = 1. With a simple
+        unit eigenvalue the system is nonsingular."""
+        a = self.core.T - np.eye(len(self.core))
+        a[-1] = 1.0
+        b = np.zeros(len(a))
         b[-1] = 1.0
-        mu, *_ = np.linalg.lstsq(a, b, rcond=None)
+        mu = np.linalg.solve(a, b)
         mu.setflags(write=False)
         return mu
 
@@ -272,18 +274,11 @@ def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
 
 @_once_per_pmf
 def nu_z(pmf: JointPmf3) -> np.ndarray:
-    """The nz start measures, row z pinning Z = z with X drawn from
-    P(X | Z=z) (read-only), on the out-of-order codec (Y, Z, X).
-
-    The Y slot is a dummy fixed at index 0: the out-of-order kernel never
-    reads it, so any choice gives the same distribution after one step.
-    """
-    nx, ny, nz = pmf.dims.shape
+    """The nz start measures pinning Z = z with X drawn from P(X | Z=z),
+    row z (read-only), on the out-of-order core's codec (Z, X)."""
+    nx, _, nz = pmf.dims.shape
     c_x = conditional(pmf, ("X",), ("Z",))  # (z, x)
-    bank = np.zeros((nz, ny, nz, nx))
-    z = np.arange(nz)
-    bank[z, 0, z] = c_x
-    bank = bank.reshape(nz, -1)
+    bank = (np.eye(nz)[:, :, None] * c_x).reshape(nz, nz * nx)  # row z: e_z (x) P(X | z)
     bank.setflags(write=False)
     return bank
 
@@ -291,14 +286,9 @@ def nu_z(pmf: JointPmf3) -> np.ndarray:
 @_once_per_pmf
 def nu_xz(pmf: JointPmf3) -> np.ndarray:
     """The nx * nz start measures pinning X = x with Y drawn from
-    P(Y | X=x, Z=z), row x * nz + z (read-only), on codec (X, Y). Lifted to
-    the rotated codec (Z, X, Y) with a dummy Z slot, which the rotated kernel
-    never reads, they are the rotated chain's starts too."""
+    P(Y | X=x, Z=z), row x * nz + z (read-only), on K_xy's codec (X, Y)."""
     nx, ny, nz = pmf.dims.shape
     c_y = conditional(pmf, ("Y",), ("X", "Z"))  # (x, z, y)
-    bank = np.zeros((nx, nz, nx, ny))
-    x = np.arange(nx)
-    bank[x, :, x] = c_y
-    bank = bank.reshape(nx * nz, nx * ny)
+    bank = (np.eye(nx)[:, None, :, None] * c_y[:, :, None]).reshape(nx * nz, nx * ny)
     bank.setflags(write=False)
     return bank

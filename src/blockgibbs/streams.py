@@ -45,6 +45,8 @@ class StreamKey:
     step: str
 
     def __post_init__(self) -> None:
+        if isinstance(self.iteration, bool) or not isinstance(self.iteration, (int, np.integer)):
+            raise ValueError(f"iteration must be an integer, got {self.iteration!r}")
         if not 0 <= self.iteration < _MAX_ITERATION:
             raise ValueError(f"iteration {self.iteration} out of range")
         if self.step not in _STEP_CODES:
@@ -70,6 +72,8 @@ class KeyedStream:
     """
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")  # int() would run 2.7 as 2
         self.seed = int(seed)
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")

@@ -35,8 +35,8 @@ def product_222():
 
 
 def stationary_by_eig(matrix: np.ndarray) -> np.ndarray:
-    """Left unit-eigenvector oracle, independent of the package's
-    least-squares stationary solver."""
+    """Left unit-eigenvector oracle, independent of the package's square
+    stationary solve."""
     evals, evecs = np.linalg.eig(matrix.T)
     v = np.real(evecs[:, np.argmin(np.abs(evals - 1.0))])
     return v / v.sum()

@@ -206,7 +206,9 @@ def test_tv_curve_memory_does_not_grow_with_nmax(n):
     pmf = random_pmf(Dims(n, n, n), seed=16, floor=1e-4)
     k = ooo_kernel(pmf)
     rows = kernel_rows(k)
-    bank = np.vstack([rows, nu_z(pmf)])
+    lifted = np.zeros((n, k.codec.size))  # nu_z on the y = 0 states of (Y, Z, X)
+    lifted[:, : n * n] = nu_z(pmf)
+    bank = np.vstack([rows, lifted])
     target = flatten_to_codec(pi_star(pmf), k.codec)
     law = ((rows, target),)
     tv_curve(k, bank, target, 3, law)  # cached cores and first-call allocations
@@ -506,7 +508,8 @@ def test_analyze_report_serializes(pmf_322):
 def test_analyze_at_the_state_cap_holds_no_r_by_s_array():
     # at 16^3 the ooo and rotated rows would be 8.4 MB each; what analyze
     # holds is the tables (s floats each), the cores (at most 0.5 MB), the
-    # nu_z bank (nz x s) and the s-wide vectors of a step
+    # nu banks (nz x nz * nx and nx * nz x nx * ny) and the s-wide vectors
+    # of a step
     pmf = random_pmf(Dims(16, 16, 16), seed=2027, floor=1e-5)  # not kept elsewhere
     tracemalloc.start()
     try:
@@ -541,9 +544,9 @@ def test_check_prop1_reads_the_ooo_curves_off_the_two_cores(monkeypatch):
 def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
     # every check reads the same five kernels and pi_star off the pmf: one
     # construction per kernel, one pi_star, and one core eigensolve and one
-    # stationary solve per distinct core, since K_z and K_xy are the block
-    # and rotated cores
-    counts = {"eigvals": 0, "lstsq": 0, "kernels": 0, "pmfs": 0}
+    # square stationary solve per distinct core, since K_z and K_xy are the
+    # block and rotated cores
+    counts = {"eigvals": 0, "solve": 0, "lstsq": 0, "kernels": 0, "pmfs": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -553,11 +556,12 @@ def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
         return counted
 
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
     monkeypatch.setattr(Kernel, "__post_init__", counting("kernels", Kernel.__post_init__))
     monkeypatch.setattr(JointPmf3, "__post_init__", counting("pmfs", JointPmf3.__post_init__))
     analyze(pmf_322, nmax=10)
-    assert counts == {"eigvals": 3, "lstsq": 3, "kernels": 5, "pmfs": 1}
+    assert counts == {"eigvals": 3, "solve": 3, "lstsq": 0, "kernels": 5, "pmfs": 1}
 
     factories = (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
                  marginal_z_kernel)

@@ -28,15 +28,15 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "bc107c2e15c41c2db5d0c5eacf07682d9639944351aafcaa76ad4c9643342ae6",
+        "c27efae26ed8bd8eee7e46549d903528ea3f699733fe895c497bb994f97edb62",
         "88491cc56f567c7b6265d99ec7b302d38cb45db6fd8f409e68d5f7df9bde4640",
     ),
     "dims-4,4,4-seed-11": (
-        "a9185d16e40e5fe71405c008103f7dfb570b5d6d7ce7d9fc9462a398fb591aeb",
+        "ccca8c1653512289b421395d76d60887eebe5090ffc9cca8d6808302884daedd",
         "53844ce050b5076fae090237605695319ae2f582c753efd9a3bbe4a12183b2b6",
     ),
     "anti-example": (
-        "dae6c1ffa3d3cedba3d8d40e41a7983898d2cd96659020a983b42f3c6603aa70",
+        "8b0a4b9376cd01762d8ee8519831e11ab487a0c1611e5db7a07e9d0c0fdf9acc",
         "a12c4e1e1e0d33207faf4ac7af0d8ab6fcc28f04104a23c4ce85e3eb1e33051e",
     ),
 }

@@ -41,6 +41,11 @@ def tv_by_indicator_enumeration(p: np.ndarray, q: np.ndarray) -> float:
 def test_dims_validation():
     with pytest.raises(ValueError):
         Dims(0, 2, 2)
+    # a bool is an int to isinstance, but not a size
+    for bad in ((True, 2, 2), (2, False, 2), (2, 2, np.True_), (2.0, 2, 2)):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            Dims(*bad)
+    assert Dims(np.int64(2), 2, 2).shape == (2, 2, 2)
     # the cap is on each pair's cells, not on the states
     Dims(20, 20, 20)  # 8,000 states, pairs of 400 cells
     Dims(64, 64, 64)  # 262,144 states, pairs of 4,096 cells

@@ -1,8 +1,8 @@
 """Tests for the kernel factories, state codecs, and start measures.
 
 Stationary claims are verified against a left-eigenvector oracle (dense eig
-of the transpose), which shares no code with the package's least-squares
-stationary solver.
+of the transpose), which shares no code with the package's square
+stationary solve.
 """
 
 import itertools
@@ -319,36 +319,42 @@ def test_single_z_collapses_marginals(anti_pmf):
 # ---------------------------------------------------------------------------
 def test_nu_z_mass_and_support(pmf_322):
     bank = nu_z(pmf_322)
-    codec = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))
+    codec = StateCodec.for_labels(pmf_322, ("Z", "X"))
     assert bank.shape == (pmf_322.dims.nz, codec.size)
     cond = conditional(pmf_322, ("X",), ("Z",))
     for z, row in enumerate(bank):
         assert abs(row.sum() - 1.0) < 1e-15
         for flat, mass in enumerate(row):
-            y, zz, x = codec.decode(flat)
+            zz, x = codec.decode(flat)
             if mass > 0:
-                assert (y, zz) == (0, z)
-            if (y, zz) == (0, z):
+                assert zz == z
+            if zz == z:
                 assert mass == cond[z, x]
 
 
 def test_nu_z_one_step_ignores_dummy_y(pmf_322):
+    # lifted to the out-of-order codec (Y, Z, X), the measure may park its
+    # dummy Y at y = 0, the first states, as check_prop1 lifts it, or at
+    # y = 1: one step gives the same law
     k = ooo_kernel(pmf_322)
     row = nu_z(pmf_322)[0]
-    # same measure but parked at y = 1 instead of the fixed y = 0
-    alt = np.zeros_like(row)
+    zx = StateCodec.for_labels(pmf_322, ("Z", "X"))
+    lifts = np.zeros((2, k.codec.size))
     for flat, mass in enumerate(row):
-        y, z, x = k.codec.decode(flat)
-        if mass > 0:
-            alt[k.codec.encode((1, z, x))] = mass
-    np.testing.assert_allclose(row @ kernel_matrix(k), alt @ kernel_matrix(k), atol=1e-15)
+        z, x = zx.decode(flat)
+        for y in (0, 1):
+            lifts[y, k.codec.encode((y, z, x))] = mass
+    np.testing.assert_array_equal(lifts[0, : row.size], row)
+    assert not lifts[0, row.size :].any()
+    after = lifts @ kernel_matrix(k)
+    np.testing.assert_allclose(after[0], after[1], atol=1e-15)
 
 
 def test_nu_z_product_x_component(product_222):
-    codec = StateCodec.for_labels(product_222, ("Y", "Z", "X"))
+    codec = StateCodec.for_labels(product_222, ("Z", "X"))
     x_mass = np.zeros(2)
     for flat, mass in enumerate(nu_z(product_222)[0]):
-        _, _, x = codec.decode(flat)
+        _, x = codec.decode(flat)
         x_mass[x] += mass
     np.testing.assert_allclose(x_mass, [0.3, 0.7], atol=1e-15)
 
@@ -387,12 +393,12 @@ def test_start_measures_are_rows_of_the_kept_banks(pmf_322):
     assert not (z_bank.flags.writeable or flat.flags.writeable)
     p_x_z = conditional(pmf_322, ("X",), ("Z",))  # (z, x)
     p_y_xz = conditional(pmf_322, ("Y",), ("X", "Z"))  # (x, z, y)
-    yzx = StateCodec.for_labels(pmf_322, ("Y", "Z", "X"))
+    zx = StateCodec.for_labels(pmf_322, ("Z", "X"))
     xy = StateCodec.for_labels(pmf_322, ("X", "Y"))
     for z in range(nz):
-        row = np.zeros(yzx.size)
+        row = np.zeros(zx.size)
         for x in range(nx):
-            row[yzx.encode((0, z, x))] = p_x_z[z, x]
+            row[zx.encode((z, x))] = p_x_z[z, x]
         np.testing.assert_array_equal(z_bank[z], row)
     for x, z in itertools.product(range(nx), range(nz)):
         row_flat = np.zeros(xy.size)

@@ -1,5 +1,7 @@
 """Tests for keyed random substreams."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,12 @@ def test_stream_key_labels():
         StreamKey(3, "sigma")
     with pytest.raises(ValueError):
         StreamKey(-1, "A")
+    # an iteration that is not an integer is refused, naming it, not
+    # truncated or left to fail inside a draw
+    for iteration in (1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match=rf"iteration must be an integer, got {re.escape(repr(iteration))}"):
+            StreamKey(iteration, "mu")
+    assert StreamKey(np.int64(3), "mu") == StreamKey(3, "mu")
 
 
 def test_same_key_same_value_across_stream_objects():
@@ -105,6 +113,11 @@ def test_seed_must_fit_the_philox_key_word():
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             KeyedStream(seed)
     KeyedStream((1 << 64) - 1)  # the largest seed is accepted
+    # nor is a seed that is not an integer rounded onto another seed
+    for seed in (2.7, 7.0, True, "7", None):
+        with pytest.raises(ValueError, match=rf"seed must be an integer, got {re.escape(repr(seed))}"):
+            KeyedStream(seed)
+    assert KeyedStream(np.uint64(7)).seed == 7
 
 
 def test_key_words_keep_all_64_bits():

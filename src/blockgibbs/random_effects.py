@@ -286,17 +286,142 @@ def estimate(values: np.ndarray, burn_in: int) -> tuple[float, float]:
 
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Stream states to CSV with columns iter, A, mu, theta_1..theta_m:
-    floats at 17 significant digits, CRLF line ends, formatted 1024 rows at
-    a time so memory stays bounded."""
-    m = trajectory.theta.shape[1]
-    row = "%d" + ",%.17g" * (m + 2) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, m + 1)]))
-        fh.write("\r\n")
-        for start in range(0, trajectory.A.size, 1024):
-            values = np.column_stack([c[start : start + 1024] for c in trajectory[:3]]).tolist()
-            fh.writelines(row % (start + k, *v) for k, v in enumerate(values))
+    """Write the states as CSV with columns iter, A, mu, theta_1..theta_m,
+    iteration 0 included: every float as the bytes printf's ``%.17g`` gives
+    it, CRLF line ends. Rows are formatted ``4096 // (m + 3)`` at a time,
+    about 4,096 cells per pass whatever n and m, so memory stays bounded."""
+    A, mu, theta = trajectory[:3]
+    m = theta.shape[1]
+    width = m + 3
+    rows = max(1, 4096 // width)
+    block = np.empty((rows, width))
+    with open(path, "wb") as fh:
+        names = ["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, m + 1)]
+        fh.write(",".join(names).encode() + b"\r\n")
+        for start in range(0, A.size, rows):
+            stop = min(start + rows, A.size)
+            cells = block[: stop - start]
+            # an integer below 2**53 prints the same under %.17g as under %d
+            cells[:, 0] = np.arange(start, stop)
+            cells[:, 1], cells[:, 2] = A[start:stop], mu[start:stop]
+            cells[:, 3:] = theta[start:stop]
+            fh.write(_csv_lines(cells))
+
+
+# ``_csv_lines`` lays out each cell from a row of _CELL source bytes: columns
+# 0-19 hold three '0's and the cell's 17 significant digits, then '.', NUL,
+# the sign ('-' or NUL), one spare byte and the cell's two separator bytes.
+_CELL = 28
+_DOT, _NUL, _SIGN, _SEP = 20, 21, 22, 24
+_FALLBACK = 21 * 21  # the layout row after those of 21 exponents x 21 fraction lengths
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For i in [0, 10**4): the 4 bytes of "%04d" % i as one uint32, and the
+    number of trailing zeros of those digits (4 for i = 0)."""
+    quads = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    zeros = np.zeros((10, 10, 10, 10), dtype=np.intp)
+    for k in range(4):
+        quads[..., k] = np.arange(48, 58).reshape((10,) + (1,) * (3 - k))
+        zeros[(...,) + (0,) * (k + 1)] += 1
+    return quads.view(np.uint32).ravel(), zeros.ravel()
+
+
+_QUADS, _QUAD_ZEROS = _quad_tables()
+
+
+def _fixed_layouts() -> np.ndarray:
+    """Row (x + 4) * 21 + keep lists the source columns of a cell printed in
+    fixed notation with decimal exponent x in [-4, 16] and ``keep`` fraction
+    digits, NUL-padded; row ``_FALLBACK`` takes the cell's first 24 bytes as
+    they are. Every row ends with the two separator columns."""
+    table = np.full((_FALLBACK + 1, 26), _NUL, dtype=np.intp)
+    digits = list(range(3, 20))
+    for x in range(-4, 17):
+        whole, fraction = (
+            (digits[: x + 1], digits[x + 1 :]) if x >= 0 else ([0], [0] * (-x - 1) + digits))
+        for keep in range(len(fraction) + 1):
+            body = [_SIGN, *whole] + ([_DOT, *fraction[:keep]] if keep else [])
+            table[(x + 4) * 21 + keep, : len(body)] = body
+    table[_FALLBACK, :24] = np.arange(24)
+    table[:, 24:] = (_SEP, _SEP + 1)
+    return table
+
+
+_LAYOUTS = _fixed_layouts()
+
+
+def _split(a):
+    """Dekker's split of a into a high and a low half of 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10 = 10.0 ** np.arange(22)  # exact doubles
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _csv_lines(cells: np.ndarray) -> bytes:
+    """Each row of a 2-D float64 array as one CSV line: ``b"%.17g" % v`` for
+    every cell, ',' between cells, CRLF at the end.
+
+    A cell whose value printf writes in fixed notation, [1e-4, 1e17) in
+    magnitude, is formatted by array arithmetic. d is the decimal exponent,
+    10**d <= |v| < 10**(d + 1): log10's, corrected where it is one off next
+    to a power of ten. q = |v| * 10**(16 - d) is then exactly p + e, p the
+    rounded product and e its error (Dekker's two-product; 10**k is an
+    exact double for k <= 22). p >= 1e16 is an even integer, so p + rint(e)
+    is q rounded half to even: the 17 digits printf prints. (No double in
+    the range lies within half a 17th digit below a power of ten, so the
+    rounding never carries into an 18th.) The digits are laid out by d, with
+    the fraction's trailing zeros dropped. Every other cell (zeros,
+    subnormals, exponent form, non-finite values) is printf's own. Each
+    cell goes through a fixed-width row, and the NULs that pad it are
+    compressed out at the end.
+    """
+    lines, width = cells.shape
+    v = cells.ravel()
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e17)  # false for NaN; no double lies in [10**-4, 1e-4)
+    a[~fixed] = 1.0
+    d = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    high, low = _split(a)
+    while True:  # exact tests of q against 1e16 and 1e17 move d to the exponent
+        k = 16 - d
+        p = a * _POW10[k]
+        e = ((high * _POW10_HIGH[k] - p) + high * _POW10_LOW[k] + low * _POW10_HIGH[k]
+             + low * _POW10_LOW[k])
+        off = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
+        off -= (p < 1e16) | ((p == 1e16) & (e < 0))
+        if not off.any():
+            break
+        d += off
+    q = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    quads = np.empty((5, v.size), dtype=np.intp)  # q's 4-digit groups, high first
+    for j, place in enumerate((10**16, 10**12, 10**8, 10**4)):
+        quads[j] = q // place
+        q -= quads[j] * place
+    quads[4] = q
+    zeros = _QUAD_ZEROS[quads[4]]
+    run = quads[4] == 0
+    for j in (3, 2, 1):  # the first group is q's leading digit, never 0
+        zeros += run * _QUAD_ZEROS[quads[j]]
+        run &= quads[j] == 0
+    src = np.empty((v.size, _CELL), dtype=np.uint8)
+    src.view(np.uint32)[:, :5] = _QUADS[quads].T
+    src[:, _DOT], src[:, _NUL], src[:, _SIGN] = ord("."), 0, (v < 0) * np.uint8(ord("-"))
+    src[:, _SEP], src[:, _SEP + 1] = ord(","), 0
+    src.reshape(lines, width, _CELL)[:, -1, _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
+    fraction = 16 - d
+    keep = fraction - np.minimum(zeros, fraction)
+    layout = np.where(fixed, (d + 4) * 21 + keep, _FALLBACK)
+    for i in np.flatnonzero(~fixed):
+        src[i, :24] = np.frombuffer((b"%.17g" % v[i]).ljust(24, b"\0"), np.uint8)
+    index = _LAYOUTS[layout]
+    index += np.arange(0, src.size, _CELL)[:, None]
+    out = src.ravel().take(index)
+    return out[out != 0].tobytes()
 
 
 @dataclass

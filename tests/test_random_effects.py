@@ -11,6 +11,7 @@ import csv
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -611,6 +612,49 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, data, hyper):
                 + [format(t, ".17g") for t in traj.theta[k]]
             )
     assert path.read_bytes() == ref.read_bytes()
+
+
+def test_trajectory_csv_matches_the_csv_module_off_the_fixed_notation(tmp_path):
+    # cells printf writes as 0, in exponent form or as subnormals, which the
+    # writer hands to printf one value at a time, beside fixed-notation ones
+    theta = np.array([[0.0, -0.0, 1e-300, -1e-5, 1e20, 5e-324],
+                      [1.5, -2.25e-4, 1e17, 99999999999999984.0, 1e-4, -7.0]])
+    A, mu = np.array([2.0, 1e-310]), np.array([-0.0, 3.0e16])
+    traj = Trajectory(A, mu, theta, theta.mean(axis=1), np.zeros(2))
+    path = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, 7)])
+        for k in range(traj.A.size):
+            writer.writerow(
+                [k, format(traj.A[k], ".17g"), format(traj.mu[k], ".17g")]
+                + [format(t, ".17g") for t in traj.theta[k]]
+            )
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_trajectory_csv_memory_does_not_grow_with_n(tmp_path):
+    # the writer formats a fixed number of cells per pass (4096 // (m + 3)
+    # rows), so its peak is the same at n = 2,000 and 8,000 sweeps; holding
+    # every row's bytes at once would add megabytes at m = 64
+    data = RemData(np.random.default_rng(5).normal(size=64), V=1.0)
+    hyper = RemHyper(2.0, 2.0)
+    path = tmp_path / "trajectory.csv"
+
+    def peak(n):
+        traj = run_chain("block", default_init(data), data, hyper, n=n, seed=9)
+        trajectory_to_csv(traj, path)  # first-call allocations
+        tracemalloc.start()
+        try:
+            trajectory_to_csv(traj, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2000), peak(8000)
+    assert abs(long - short) < 4096, (short, long)
 
 
 @pytest.mark.parametrize(

@@ -376,15 +376,19 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     the range lies within half a 17th digit below a power of ten, so the
     rounding never carries into an 18th.) The digits are laid out by d, with
     the fraction's trailing zeros dropped. Every other cell (zeros,
-    subnormals, exponent form, non-finite values) is printf's own. Each
-    cell goes through a fixed-width row, and the NULs that pad it are
+    subnormals, exponent form, non-finite values) is printf's own; where
+    such cells are more than half of the array, printf writes every cell.
+    Each cell goes through a fixed-width row, and the NULs that pad it are
     compressed out at the end.
     """
     lines, width = cells.shape
     v = cells.ravel()
     a = np.abs(v)
     fixed = (a >= 1e-4) & (a < 1e17)  # false for NaN; no double lies in [10**-4, 1e-4)
-    a[~fixed] = 1.0
+    other = np.flatnonzero(~fixed)
+    if 2 * other.size > v.size:  # then printf alone is faster than the array work
+        return (b",".join([b"%.17g"] * width) + b"\r\n") * lines % tuple(v.tolist())
+    a[other] = 1.0
     d = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     high, low = _split(a)
     while True:  # exact tests of q against 1e16 and 1e17 move d to the exponent
@@ -416,8 +420,9 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     fraction = 16 - d
     keep = fraction - np.minimum(zeros, fraction)
     layout = np.where(fixed, (d + 4) * 21 + keep, _FALLBACK)
-    for i in np.flatnonzero(~fixed):
-        src[i, :24] = np.frombuffer((b"%.17g" % v[i]).ljust(24, b"\0"), np.uint8)
+    if other.size:  # one printf call; its space padding becomes NUL
+        text = np.frombuffer(b"%-24.17g" * other.size % tuple(v[other].tolist()), np.uint8)
+        src[other, :24] = np.where(text == 32, 0, text).reshape(-1, 24)
     index = _LAYOUTS[layout]
     index += np.arange(0, src.size, _CELL)[:, None]
     out = src.ravel().take(index)

@@ -1,11 +1,12 @@
 """The trajectory writer's float formatter against printf.
 
 ``random_effects._csv_lines`` formats fixed-notation cells by array
-arithmetic and hands every other cell to printf, so each test compares its
-bytes with ``b"%.17g" % v`` joined by ',' and ended by CRLF: on any float
-Hypothesis draws, on any bit pattern read as a double, and on a table of
-the values where the arithmetic can go wrong (exponent boundaries,
-integer-valued floats, rounding ties).
+arithmetic and hands every other cell to printf (every cell, where those
+are most of them), so each test compares its bytes with ``b"%.17g" % v``
+joined by ',' and ended by CRLF: on any float Hypothesis draws, on any bit
+pattern read as a double, on a table of the values where the arithmetic
+can go wrong (exponent boundaries, integer-valued floats, rounding ties),
+and on either side of the switch to printf for every cell.
 """
 
 import math
@@ -85,3 +86,11 @@ def test_boundary_table_prints_as_printf():
     # and the ties round to even; random draws almost never hit either
     assert_matches_printf(boundary_table())
 
+
+def test_either_side_of_the_printf_share_prints_as_printf():
+    # k of 10 cells off the fixed notation: up to 5 the array path formats
+    # the rest, from 6 printf formats the whole line
+    plain = [1.5, -2.25e-4, 123456.789, 1e16 + 2, 0.1, 7.0, -1e-4, 3e-3, 9.75, 42.0]
+    off = [0.0, -1e-5, 1e20, 5e-324, math.nan, -math.inf, 1e-300, -0.0, 1e17, 2e-4 / 3]
+    for k in range(11):
+        assert_matches_printf(off[:k] + plain[k:])

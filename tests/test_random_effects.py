@@ -614,13 +614,18 @@ def test_trajectory_csv_matches_the_csv_module(tmp_path, data, hyper):
     assert path.read_bytes() == ref.read_bytes()
 
 
-def test_trajectory_csv_matches_the_csv_module_off_the_fixed_notation(tmp_path):
-    # cells printf writes as 0, in exponent form or as subnormals, which the
-    # writer hands to printf one value at a time, beside fixed-notation ones
-    theta = np.array([[0.0, -0.0, 1e-300, -1e-5, 1e20, 5e-324],
-                      [1.5, -2.25e-4, 1e17, 99999999999999984.0, 1e-4, -7.0]])
-    A, mu = np.array([2.0, 1e-310]), np.array([-0.0, 3.0e16])
-    traj = Trajectory(A, mu, theta, theta.mean(axis=1), np.zeros(2))
+@pytest.mark.parametrize("plain_rows", [0, 40])
+def test_trajectory_csv_matches_the_csv_module_off_the_fixed_notation(tmp_path, plain_rows):
+    # cells printf writes as 0, in exponent form or as subnormals, beside
+    # fixed-notation ones: alone they are most of the pass, which printf then
+    # writes whole; among 40 plain rows only they go to printf
+    plain = np.random.default_rng(3).normal(size=(plain_rows, 8))
+    theta = np.vstack([[[0.0, -0.0, 1e-300, -1e-5, 1e20, 5e-324],
+                        [1.5, -2.25e-4, 1e17, 99999999999999984.0, 1e-4, -7.0]],
+                       plain[:, 2:]])
+    A = np.concatenate([[2.0, 1e-310], plain[:, 0]])
+    mu = np.concatenate([[-0.0, 3.0e16], plain[:, 1]])
+    traj = Trajectory(A, mu, theta, theta.mean(axis=1), np.zeros(A.size))
     path = tmp_path / "trajectory.csv"
     trajectory_to_csv(traj, path)
     ref = tmp_path / "reference.csv"

@@ -1,10 +1,10 @@
 """Stationary distributions, exact TV convergence curves, spectra, and the
 automated inequality/rate checkers for the sweep family.
 
-All checks run on factored kernels K = R C (see ``kernels``): spectra,
-stationary solves and distance curves on the r x r core C R, each distance
-on the coordinates the sweep's last update reads. State i reads row i mod r,
-so the curve from row j is the curve from every state that reads it.
+All checks run on factored kernels K = R C, core C R = L U (``kernels``):
+spectra, stationary solves and distance curves on the k x k U L, each
+distance on the coordinates the sweep's last update reads. State i reads row
+i mod r, so the curve from row j is the curve from every state that reads it.
 "Verified" still means verified to the stated floating-point slack, state by
 state and step by step:
 
@@ -12,8 +12,9 @@ state and step by step:
     z-marginal, the out-of-order sweep, the xy-marginal, and the rotated
     sweep (``check_prop1``);
   * equality of the nonzero spectra of K_z = AB and K_xy = BA, with
-    A = P(X,Y | Z) and B = P(Z | X,Y) (the block and rotated cores, by
-    construction), and of the out-of-order rate (``check_rate_equality``);
+    A = P(X,Y | Z) and B = P(Z | X,Y) (the block and rotated cores; both
+    spectra come from products A B, so this is structural), and of the
+    out-of-order rate (``check_rate_equality``);
   * which distribution the out-of-order sweep actually preserves
     (``check_pistar_invariance``), and on which marginals that distribution
     still agrees with the target (``check_marginal_agreement``).
@@ -66,15 +67,12 @@ class SpectrumSummary:
     unit_multiplicity: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "moduli": self.moduli.tolist(),
-            "slem": float(self.slem),
-            "unit_multiplicity": int(self.unit_multiplicity),
-        }
+        return {"moduli": self.moduli.tolist(), "slem": float(self.slem),
+                "unit_multiplicity": int(self.unit_multiplicity)}
 
 
 def spectrum(kernel: Kernel) -> SpectrumSummary:
-    """Eigenvalue summary of all s eigenvalues: the core's r plus s - r
+    """Eigenvalue summary of all s eigenvalues: U L's k plus s - k
     structural zeros. The slem is the largest modulus among eigenvalues with
     |lambda - 1| > UNIT_EIG_TOL."""
     core_eigs = kernel.core_eigenvalues
@@ -91,8 +89,8 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
 
     With K = R C, mu = v R is stationary for the core C R and v = mu C. So
     this checks that the unit eigenvalue is simple (it always is for kernels
-    built from strictly positive pmfs), which makes the core's square solve
-    nonsingular, then takes that solve (``Kernel.core_stationary``, shared by
+    built from strictly positive pmfs), which makes the k x k square solve
+    nonsingular, then takes mu from it (``Kernel.core_stationary``, shared by
     a marginal chain and its sweep) and lifts mu to v = mu C, a step from mu
     on states 0..r-1. The residual is checked against the full kernel.
     """
@@ -112,23 +110,25 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
 
 def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, reads):
     """Exact distance-to-target curves, one per (P, t) in ``reads``, for
-    n = 0..nmax: entry [0] is tv(start, target), and past step 0 the steps
-    run on the r x r core, start K^n = w_n C with weights w_n = (start R)
+    n = 0..nmax: entry [0] is tv(start, target), and past step 0 the chain
+    is followed on the rows, start K^n = w_n C with weights w_n = (start R)
     core^(n-1), and entry [n] is tv(w_n P, t), P None reading w_n itself.
     ``start`` is a probability vector, or a bank of them with one per row,
     which gives each curve entry one value per row.
 
-    The weights are stepped a chunk of steps at a time, and each law's
-    distances for the chunk are one product, subtract, abs and reduce. A
-    chunk is the most steps whose (steps x start rows x widest read)
-    temporaries fit in 4,096 float64s (32 KB), at least one, so memory
-    past the output does not grow with nmax. Every product and reduce is
-    the one a step at a time would make, so the curves are bit-identical
-    to stepping one at a time."""
+    With core = L U, w_1 = start R is read as it is, and w_n = y_n U past
+    it, with y_n = w_1 L (U L)^(n-2) stepped on U L and read through U P,
+    formed once, a chunk of steps at a time: each law's distances for the
+    chunk are one product, subtract, abs and reduce. A chunk is the most
+    steps whose (steps x start rows x widest read) temporaries fit in 4,096
+    float64s (32 KB), at least one, so memory past the output does not grow
+    with nmax. Every product and reduce is the one a step at a time would
+    make, so the curves are bit-identical to stepping one at a time."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     cur = np.asarray(start, dtype=float)
-    r, s = kernel.core.shape[0], kernel.codec.size
+    l, u = kernel.factors
+    r, s = len(l), kernel.codec.size
     if cur.shape[-1:] != (s,):
         raise ValueError(f"start shape {cur.shape} does not end in the kernel's {s} states")
     if np.shape(target) != (s,):
@@ -144,22 +144,32 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
     out = np.empty((len(reads), nmax + 1, len(bank)))
     d = bank - target
     out[:, 0] = np.add.reduce(np.abs(d, out=d), axis=-1)
-    chunk = min(nmax, max(1, 4096 // max(1, len(bank) * max(widths))))
+    w = bank.reshape(len(bank), -1, r).sum(axis=1)  # start R
+    laws, targets = [law for law, _ in reads], [t for _, t in reads]
+    _distances(out[:, 1:2], w[None], laws, targets)
+    laws = [u if law is None else u @ law for law in laws]  # the reads past step 1
+    chunk = max(1, min(nmax - 1, 4096 // max(1, len(bank) * max(widths))))
     # two buffers in turn, so no step's product writes over its own input
-    bufs = np.empty((2, chunk, len(bank), r))
-    w = bufs[0, 0]
-    w[...] = bank.reshape(len(bank), -1, r).sum(axis=1)  # start R
-    for i, first in enumerate(range(1, nmax + 1, chunk)):
+    bufs = np.empty((2, chunk, len(bank), len(u)))
+    y = np.matmul(w, l, out=bufs[0, 0])
+    for i, first in enumerate(range(2, nmax + 1, chunk)):
         stop = min(first + chunk, nmax + 1)
-        ws = bufs[i % 2, : stop - first]
-        for wn in ws[1 if first == 1 else 0 :]:
-            w = np.matmul(w, kernel.core, out=wn)
-        for curve, (law, t) in zip(out, reads):
-            d = (ws if law is None else ws @ law) - t
-            np.abs(d, out=d)
-            np.add.reduce(d, axis=-1, out=curve[first:stop])
+        ys = bufs[i % 2, : stop - first]
+        for yn in ys[1 if first == 2 else 0 :]:
+            y = np.matmul(y, kernel.reduced, out=yn)
+        _distances(out[:, first:stop], ys, laws, targets)
     out *= 0.5
     return out.reshape(out.shape[:2] + cur.shape[:-1])
+
+
+def _distances(out: np.ndarray, ws: np.ndarray, laws: list, targets: list) -> None:
+    """Twice each law's distance from its target, read off the weights ``ws``
+    [step, row] (None reading them as they are), into ``out`` [law, step, row]."""
+    for curve, law, t in zip(out, laws, targets):
+        d = ws.copy() if law is None else ws @ law
+        d -= t
+        np.abs(d, out=d)
+        np.add.reduce(d, axis=-1, out=curve)
 
 
 def _sweeps(pmf: JointPmf3) -> dict:
@@ -204,9 +214,7 @@ class Prop1Report:
 
     def to_json_dict(self) -> dict:
         # undefined terms (NaN) become null
-        chain1, chain2 = (
-            np.where(np.isnan(a), None, a).tolist() for a in (self.chain1, self.chain2)
-        )
+        chain1, chain2 = (np.where(np.isnan(a), None, a).tolist() for a in (self.chain1, self.chain2))
         return {
             "nmax": self.nmax,
             "tol": self.tol,
@@ -215,16 +223,9 @@ class Prop1Report:
             "chain2_verdict": self.chain2_verdict,
             "max_violation": float(self.max_violation),
             "violations": self.violations,
-            "rows": [
-                {
-                    "n": n,
-                    "chain1": chain1[i],
-                    "chain1_ok": self.chain1_ok[i],
-                    "chain2": chain2[i],
-                    "chain2_ok": self.chain2_ok[i],
-                }
-                for i, n in enumerate(self.n_values.tolist())
-            ],
+            "rows": [{"n": n, "chain1": chain1[i], "chain1_ok": self.chain1_ok[i],
+                      "chain2": chain2[i], "chain2_ok": self.chain2_ok[i]}
+                     for i, n in enumerate(self.n_values.tolist())],
         }
 
 
@@ -307,30 +308,17 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
         chain, codec, lhs, rhs = pairs[p]
         row = i - (nmax - len(lhs))
         start = int(np.argmax(lhs[row] - rhs[row] >= worst[i, p] - INEQ_SLACK))
-        violations.append(
-            {
-                "chain": chain,
-                "n": int(i) + 1,
-                "state": codec.state_label(start) if codec is not None else start,
-                "lhs": float(lhs[row, start]),
-                "rhs": float(rhs[row, start]),
-            }
-        )
+        violations.append({"chain": chain, "n": int(i) + 1,
+                           "state": codec.state_label(start) if codec is not None else start,
+                           "lhs": float(lhs[row, start]), "rhs": float(rhs[row, start])})
     chain1_ok = [None, None] + ok[2:, :2].all(axis=1).tolist()
     chain2_ok = ok[:, 2:].all(axis=1).tolist()
 
     return Prop1Report(
-        nmax=nmax,
-        tol=tol,
-        n_values=np.arange(1, nmax + 1),
-        chain1=chain1,
-        chain2=chain2,
-        chain1_ok=chain1_ok,
-        chain2_ok=chain2_ok,
-        chain1_verdict=all(ok for ok in chain1_ok if ok is not None),
-        chain2_verdict=all(chain2_ok),
-        max_violation=float(worst.max()),
-        violations=violations,
+        nmax=nmax, tol=tol, n_values=np.arange(1, nmax + 1), chain1=chain1, chain2=chain2,
+        chain1_ok=chain1_ok, chain2_ok=chain2_ok,
+        chain1_verdict=all(ok for ok in chain1_ok if ok is not None), chain2_verdict=all(chain2_ok),
+        max_violation=float(worst.max()), violations=violations,
     )
 
 
@@ -340,7 +328,8 @@ class RateEqualityReport:
 
     The verdict asserts (a) the nonzero eigenvalue multisets of K_z (AB) and
     K_xy (BA) agree, and (b) the out-of-order kernel's slem equals the block
-    kernel's. Block and rotated are K_z and K_xy by construction.
+    kernel's. Each spectrum is its factor pair's U L: A B on both sides of
+    (a), so ``multiset_gap`` is structural, and N M against A B in (b).
     """
 
     verdict: bool
@@ -383,17 +372,10 @@ def check_rate_equality(pmf: JointPmf3, tol: float = RATE_TOL) -> RateEqualityRe
     """Rate check: K_z (AB) against K_xy (BA), the ooo slem against the block's."""
     kernels = {name: kernel for name, (kernel, _) in _sweeps(pmf).items()}
     spectra = {name: spectrum(k) for name, k in kernels.items()}
-    multiset_gap = _multiset_gap(
-        nonzero_eigs(kernels["marginal_z"], tol), nonzero_eigs(kernels["marginal_xy"], tol)
-    )
-    slem_gap = abs(spectra["ooo"].slem - spectra["block"].slem)
-    return RateEqualityReport(
-        verdict=bool(multiset_gap <= tol and slem_gap <= tol),
-        tol=tol,
-        spectra=spectra,
-        multiset_gap=multiset_gap,
-        slem_gap=float(slem_gap),
-    )
+    k_z, k_xy = (nonzero_eigs(kernels[name], tol) for name in ("marginal_z", "marginal_xy"))
+    multiset_gap = _multiset_gap(k_z, k_xy)
+    slem_gap = float(abs(spectra["ooo"].slem - spectra["block"].slem))
+    return RateEqualityReport(bool(multiset_gap <= tol and slem_gap <= tol), tol, spectra, multiset_gap, slem_gap)
 
 
 def check_pistar_invariance(pmf: JointPmf3) -> tuple[float, float]:
@@ -441,10 +423,7 @@ class ChainReport:
             "stationary_residuals": {k: float(v) for k, v in self.stationary_residuals.items()},
             "stationary_target_gap": {k: float(v) for k, v in self.stationary_target_gap.items()},
             "rates": self.rate.to_json_dict(),
-            "invariance": {
-                "pistar_residual": float(self.invariance[0]),
-                "pi_residual": float(self.invariance[1]),
-            },
+            "invariance": {"pistar_residual": float(self.invariance[0]), "pi_residual": float(self.invariance[1])},
             "marginal_tv": {k: float(v) for k, v in self.marginal_tv.items()},
             "prop1": self.prop1.to_json_dict(),
         }
@@ -455,15 +434,9 @@ def analyze(pmf: JointPmf3, nmax: int = 50) -> ChainReport:
     residuals, target_gap = {}, {}
     for name, (kernel, target_pmf) in _sweeps(pmf).items():
         v, residuals[name] = stationary(kernel)
-        target_gap[name] = float(
-            np.abs(v - flatten_to_codec(target_pmf, kernel.codec)).sum()
-        )
+        target_gap[name] = float(np.abs(v - flatten_to_codec(target_pmf, kernel.codec)).sum())
     return ChainReport(
-        dims=pmf.dims.shape,
-        stationary_residuals=residuals,
-        stationary_target_gap=target_gap,
-        rate=check_rate_equality(pmf),
-        invariance=check_pistar_invariance(pmf),
-        marginal_tv=check_marginal_agreement(pmf),
-        prop1=check_prop1(pmf, nmax),
+        dims=pmf.dims.shape, stationary_residuals=residuals, stationary_target_gap=target_gap,
+        rate=check_rate_equality(pmf), invariance=check_pistar_invariance(pmf),
+        marginal_tv=check_marginal_agreement(pmf), prop1=check_prop1(pmf, nmax),
     )

@@ -41,6 +41,7 @@ from .random_effects import (
     RemData,
     RemHyper,
     Trajectory,
+    _new_file,
     default_init,
     estimate,
     run_chain,
@@ -123,7 +124,7 @@ def _write_json(obj, path) -> None:
             return _quote(node)
         raise TypeError(f"cannot serialize {type(node)!r}")
 
-    with open(path, "w") as fh:
+    with _new_file(path, "w") as fh:
         fh.write(render(obj, "") + "\n")
 
 
@@ -152,12 +153,8 @@ def _parser() -> argparse.ArgumentParser:
     exact.add_argument("--pmf", dest="pmf_file", help="pmf JSON file")
     exact.add_argument("--floor", type=float, help=f"random pmf floor (default min({CORPUS_FLOOR}, 0.5/states))")
     exact.add_argument("--nmax", type=int, help="max step count for the inequality chains (default 50)")
-    exact.add_argument(
-        "--check",
-        action="append",
-        choices=CHECK_NAMES + ("all",),
-        help="check to gate the exit code on; repeatable (default all)",
-    )
+    exact.add_argument("--check", action="append", choices=CHECK_NAMES + ("all",),
+                       help="check to gate the exit code on; repeatable (default all)")
 
     sim = sub.add_parser("simulate", help="random effects chain simulation")
     sim.add_argument("--config", help="model JSON config file; flags override it")
@@ -166,12 +163,8 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--variant", choices=VARIANTS, help="sweep order (default block)")
     sim.add_argument("--n", type=int, help="number of sweeps")
     sim.add_argument("--burn-in", dest="burn_in", type=int, help="states dropped before estimating (default 0)")
-    sim.add_argument(
-        "--shifted-check",
-        action="store_true",
-        default=None,
-        help="also verify the bitwise shifted-chain identity",
-    )
+    sim.add_argument("--shifted-check", action="store_true", default=None,
+                     help="also verify the bitwise shifted-chain identity")
     return parser
 
 
@@ -441,21 +434,10 @@ def _check_verdicts(report: ChainReport) -> dict[str, bool]:
 def _write_tv_curves(report: ChainReport, path) -> None:
     p = report.prop1
     flag = {None: "", True: "true", False: "false"}
-    with open(path, "w", newline="") as fh:
+    with _new_file(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "n",
-                "tv_block_from_worst_state",
-                "tv_Kz",
-                "tv_ooo_from_nu_z",
-                "chain1_ok",
-                "tv_ooo_from_state",
-                "tv_Kxy_from_nu",
-                "tv_Kdagger_from_nu",
-                "chain2_ok",
-            ]
-        )
+        writer.writerow(["n", "tv_block_from_worst_state", "tv_Kz", "tv_ooo_from_nu_z", "chain1_ok",
+                         "tv_ooo_from_state", "tv_Kxy_from_nu", "tv_Kdagger_from_nu", "chain2_ok"])
         rows = zip(
             p.n_values.tolist(), p.chain1.tolist(), p.chain1_ok, p.chain2.tolist(), p.chain2_ok
         )
@@ -471,17 +453,8 @@ def _run_exact(cfg: RunConfig) -> int:
     selected = {name: verdicts[name] for name in cfg.checks}
     passed = all(selected.values())
 
-    doc = {
-        "config": {
-            "mode": "exact",
-            "pmf_source": cfg.pmf_source,
-            "checks": list(cfg.checks),
-            "nmax": cfg.nmax,
-        },
-        "passed": passed,
-        "verdicts": selected,
-        "report": report.to_json_dict(),
-    }
+    config = {"mode": "exact", "pmf_source": cfg.pmf_source, "checks": list(cfg.checks), "nmax": cfg.nmax}
+    doc = {"config": config, "passed": passed, "verdicts": selected, "report": report.to_json_dict()}
     os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "report.json")
     curves_path = os.path.join(cfg.out_dir, "tv_curves.csv")

@@ -53,7 +53,7 @@ class Dims:
 
     The product nx * ny * nz is the number of joint states. What is capped
     is each pair's product (nx * ny, ny * nz, nx * nz), at ``PAIR_CELL_CAP``:
-    the exact path holds the cores and arrays of at most a pair's cells
+    the exact path holds core factors and arrays of at most a pair's cells
     squared, never anything s x s.
     """
 

@@ -12,22 +12,25 @@ and the two-block sweeps are its rotations:
   block          STEPS rotated by 0, codec (X, Y, Z), rows read z
   out-of-order   STEPS rotated by 1, codec (Y, Z, X), rows read (z, x)
   rotated block  STEPS rotated by 2, codec (Z, X, Y), rows read (x, y)
-  z-marginal     codec (Z,):     K_z, the block sweep's core
-  xy-marginal    codec (X, Y):   K_xy, the rotated sweep's core
+  z-marginal     block updates on codec (Z,):     K_z, the block core
+  xy-marginal    rotated updates on codec (X, Y): K_xy, the rotated core
 
 plus single-site sweeps, the three full conditionals in any of the six
 update orders (``gibbs_kernel``). The block, rotated, and out-of-order
 sweeps compose the same three single-coordinate update operators in
 cyclically shifted orders, which is why their nonzero spectra coincide.
 
-A ``Kernel`` stores its conditional updates and its r x r core, one einsum
-of their tables; a dense kernel, such as a marginal chain, is one table. A
-sweep's codec is its draw order, and it reads the coordinates some update
-reads before drawing them, a suffix of the draw order. So state i reads row
-i mod r, K = R C with C the r distinct rows and R the r x r identity stacked
-s / r times, the core C R has K's nonzero spectrum (Liu, Wong & Kong 1994),
-and a step v K runs the updates in turn. Neither C nor K is ever formed:
-nothing a kernel holds is r x s or s x s.
+A ``Kernel`` stores its conditional updates; a dense kernel, such as a
+test's, is one table. A sweep's codec is its draw order, and it reads the
+coordinates some update reads before drawing them, a suffix of the draw
+order. So state i reads row i mod r, K = R C with C the r distinct rows and
+R the r x r identity stacked s / r times, the core C R has K's nonzero
+spectrum (Liu, Wong & Kong 1994), and a step v K runs the updates in turn.
+Split where its update cycle holds fewest values, k, the core is L U with
+U L k x k, and U L has its nonzero spectrum in turn: with A = P(X,Y | Z)
+and B = P(Z | X,Y), the block core is A B, the rotated one B A, and the
+out-of-order one M N with N M = A B, each split at z' alone (when nz is
+the smallest). The package forms none of C, K and the core itself.
 
 The five kernel factories and the prop1 start-measure banks, ``nu_z`` (row
 z, on codec (Z, X)) and ``nu_xz`` (row (x, z), on codec (X, Y)), build their
@@ -111,51 +114,71 @@ class StateCodec:
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Row-stochastic transition kernel on the codec's states, stored as its
-    conditional updates and its r x r core (read-only), with the core's
-    eigenvalues and stationary solve computed once on first use.
+    conditional updates and its r x r core's factors (L, U), read-only: the
+    updates up to where the cycle holds fewest values, k, and the rest. The
+    core's eigenvalues and stationary solve come from ``reduced`` = U L.
 
     ``updates`` holds (einsum subscript, table) pairs, run in turn. A
     subscript names its table's axes: current coordinates x, y, z and next
     ones a, b, c. An update draws the next coordinates it is the first to
-    name, and K[i, j] is the product of the tables at (state i, state j).
-    The coordinates read at their current values must be a suffix of the
-    codec, so state i reads row i % r.
+    name, and K[i, j] is the product of the tables at (state i, state j),
+    summed over any coordinate drawn outside the codec. Every codec
+    coordinate is drawn. The coordinates read at their current values must
+    be a suffix of the codec, so state i reads row i % r.
     """
 
     codec: StateCodec
     updates: tuple
-    core: np.ndarray = field(init=False, repr=False)
+    factors: tuple = field(init=False, repr=False)  # (L, U)
+    reduced: np.ndarray = field(init=False, repr=False)  # U L
     _steps: tuple = field(init=False, repr=False)  # (einsum, table) per update
 
     def __post_init__(self) -> None:
         labels = self.codec.labels
         cur = "".join(labels).lower()
         nxt = cur.translate(_NEXT)
-        size = dict(zip(cur + nxt, self.codec.sizes * 2))
         subs = [sub for sub, _ in self.updates]
         tables = [np.asarray(t, dtype=float) for _, t in self.updates]
         tables = [t.copy() if t.flags.writeable else t for t in tables]  # share read-only ones
-        if any(t.shape != tuple(size.get(c, 0) for c in sub) for sub, t in zip(subs, tables)):
+        size = dict(zip(cur + nxt, self.codec.sizes * 2))
+        for sub, t in zip(subs, tables):  # a coordinate outside the codec takes its table's size
+            size.update((c, n) for c, n in zip(sub, t.shape) if c not in size)
+        if any(t.shape != tuple(size[c] for c in sub) for sub, t in zip(subs, tables)):
             raise ValueError(f"a table shape does not match its subscript in {subs} on codec {labels}")
         if any((t < 0).any() for t in tables):
             raise ValueError("kernel entries must be nonnegative")
-        read = "".join(c for c in cur if c in "".join(subs))
-        if not cur.endswith(read) or not set(nxt) <= set("".join(subs)):
+        named = "".join(subs)
+        read = "".join(c for c in cur if c in named)
+        if not cur.endswith(read) or not set(nxt) <= set(named) or not set(named) <= set(read + "abc"):
             raise ValueError(f"updates {subs} must draw every coordinate of codec {labels} and read a suffix")
-        r = math.prod(size[c] for c in read)
-        core = np.einsum(f"{','.join(subs)}->{read}{read.translate(_NEXT)}", *tables).reshape(r, r)
-        if np.abs(core.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        order = nxt + "".join(c for c in "abc" if c not in nxt)
+
+        def held(keep: str) -> list[str]:
+            # after update i, the current values a later update reads and the
+            # next values drawn so far that ``keep`` names or a later update
+            # reads; the einsum sums out the rest
+            later = ["".join(subs[i + 1 :]) for i in range(len(subs))]
+            return ["".join(c for c in cur if c in later[i]) + "".join(
+                n for n in order if n in "".join(subs[: i + 1]) and n in keep + later[i])
+                for i in range(len(subs))]
+
+        # the core's cycle, from the rows' coordinates to their next values, is
+        # split after the update that holds the fewest values, the latest on a tie
+        cycle, pairs = held(read.translate(_NEXT)), tuple(zip(subs, tables))
+        cut = min(reversed(range(len(subs))), key=lambda i: math.prod(size[c] for c in cycle[i]))
+        l = _contract(read, cycle[cut], pairs[: cut + 1], size)
+        rest = pairs[cut + 1 :]
+        u = _contract(cycle[cut], read.translate(_NEXT), rest, size) if rest else np.eye(len(l))
+        if max(np.abs(f.sum(axis=1) - 1.0).max() for f in (l, u)) > ROW_SUM_TOL:
             raise ValueError("every kernel row must sum to 1")
-        for t in [core] + tables:
+        reduced = u @ l
+        for t in tables + [l, u, reduced]:
             t.setflags(write=False)
-        # after update i, keep the current values a later update reads and the
-        # next values drawn so far; the einsum sums out the rest
-        held = [cur] + ["".join(c for c in cur if c in "".join(subs[i + 1 :]))
-                        + "".join(n for n in nxt if n in "".join(subs[: i + 1]))
-                        for i in range(len(subs))]
-        steps = [f"...{h},{sub}->...{out}" for h, sub, out in zip(held, subs, held[1:])]
-        object.__setattr__(self, "updates", tuple(zip(subs, tables)))
-        object.__setattr__(self, "core", core)
+        steps = [cur] + held(nxt)
+        steps = [f"...{h},{sub}->...{out}" for h, sub, out in zip(steps, subs, steps[1:])]
+        object.__setattr__(self, "updates", pairs)
+        object.__setattr__(self, "factors", (l, u))
+        object.__setattr__(self, "reduced", reduced)
         object.__setattr__(self, "_steps", tuple(zip(steps, tables)))
 
     def step(self, v: np.ndarray) -> np.ndarray:
@@ -167,26 +190,42 @@ class Kernel:
         return w.reshape(v.shape)
 
     @functools.cached_property
+    def core(self) -> np.ndarray:
+        """The r x r core L U (read-only), formed only for a caller that asks."""
+        core = np.matmul(*self.factors)
+        core.setflags(write=False)
+        return core
+
+    @functools.cached_property
     def core_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the core (read-only). K's eigenvalues are these
-        plus s - r structural zeros."""
-        eigs = np.linalg.eigvals(self.core)
+        """U L's k eigenvalues (read-only). The core's are these and r - k
+        zeros (Liu, Wong & Kong 1994), K's these and s - k zeros."""
+        eigs = np.linalg.eigvals(self.reduced)
         eigs.setflags(write=False)
         return eigs
 
     @functools.cached_property
     def core_stationary(self) -> np.ndarray:
-        """mu with mu core = mu and sum(mu) = 1 (read-only): (core^T - I) mu = 0
-        as a square solve, its last equation (redundant, as the equations of a
-        row-stochastic core sum to zero) replaced by sum(mu) = 1. With a simple
-        unit eigenvalue the system is nonsingular."""
-        a = self.core.T - np.eye(len(self.core))
+        """mu with mu core = mu and sum(mu) = 1 (read-only): nu U, normalised,
+        with ((U L)^T - I) nu = 0 solved square, its last equation (redundant,
+        as the equations of a row-stochastic matrix sum to zero) replaced by
+        sum(nu) = 1. With a simple unit eigenvalue the system is nonsingular."""
+        a = self.reduced.T - np.eye(len(self.reduced))
         a[-1] = 1.0
-        b = np.zeros(len(a))
-        b[-1] = 1.0
-        mu = np.linalg.solve(a, b)
+        mu = np.linalg.solve(a, np.eye(len(a))[-1]) @ self.factors[1]
+        mu /= mu.sum()
         mu.setflags(write=False)
         return mu
+
+
+def _contract(src: str, dst: str, updates: Sequence, size: dict) -> np.ndarray:
+    """The (src values x dst values) table of running ``updates``; a value
+    both name passes through, on an identity."""
+    through = [c for c in src if c in dst]
+    subs = ",".join([sub for sub, _ in updates] + [c.upper() + c for c in through])
+    ins = "".join(c.upper() if c in through else c for c in src)
+    tables = [t for _, t in updates] + [np.eye(size[c]) for c in through]
+    return np.einsum(f"{subs}->{ins}{dst}", *tables).reshape(math.prod(size[c] for c in src), -1)
 
 
 def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
@@ -250,10 +289,10 @@ def ooo_kernel(pmf: JointPmf3) -> Kernel:
 
 
 def _core_chain(pmf: JointPmf3, kernel: Kernel, labels: Sequence[str]) -> Kernel:
-    """The kernel's core as a one-table chain on ``labels``, sharing its
-    eigenvalues and stationary solve."""
-    codec, cur = StateCodec.for_labels(pmf, labels), "".join(labels).lower()
-    chain = Kernel(codec, ((cur + cur.translate(_NEXT), kernel.core.reshape(codec.sizes * 2)),))
+    """The sweep's updates as a chain on ``labels``, the coordinates its rows
+    read, the others drawn and summed out. Its cycle is the sweep's, so it
+    shares the sweep's eigenvalues and stationary solve."""
+    chain = Kernel(StateCodec.for_labels(pmf, labels), kernel.updates)
     vars(chain).update(core_eigenvalues=kernel.core_eigenvalues, core_stationary=kernel.core_stationary)
     return chain
 

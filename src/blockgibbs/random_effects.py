@@ -23,8 +23,10 @@ arrays.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -285,6 +287,14 @@ def estimate(values: np.ndarray, burn_in: int) -> tuple[float, float]:
     return float(used.mean()), float(batch_means.std(ddof=1) / math.sqrt(a))
 
 
+def _new_file(path, mode: str, **kwargs):
+    """``open(path, mode)`` on a newly created file: whatever is at ``path``,
+    a symlink too, is removed first, not truncated and written over."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, mode, **kwargs)
+
+
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write the states as CSV with columns iter, A, mu, theta_1..theta_m,
     iteration 0 included: every float as the bytes printf's ``%.17g`` gives
@@ -295,7 +305,7 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     width = m + 3
     rows = max(1, 4096 // width)
     block = np.empty((rows, width))
-    with open(path, "wb") as fh:
+    with _new_file(path, "wb") as fh:
         names = ["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, m + 1)]
         fh.write(",".join(names).encode() + b"\r\n")
         for start in range(0, A.size, rows):

@@ -140,17 +140,20 @@ def test_tv_curve_reads_the_coordinates_the_last_update_reads(pmf_322):
 
 
 def tv_curve_one_step_at_a_time(kernel, start, target, nmax, reads):
-    """The curve loop as it was before steps were chunked: one core product
-    and one distance per law per step. The reference for bit-identity."""
+    """The curve loop with its steps unchunked: the mass on each row read
+    through each law at step 1, then one U L product and one distance per
+    law, read through U P, per step. The reference for bit-identity."""
     cur = np.asarray(start, dtype=float)
     out = np.empty((len(reads), nmax + 1) + cur.shape[:-1])
     out[:, 0] = np.add.reduce(np.abs(cur - target), axis=-1)
-    r = kernel.core.shape[0]
-    cur = cur.reshape(cur.shape[:-1] + (-1, r)).sum(axis=-2)  # the mass on each row
+    l, u = kernel.factors
+    cur = cur.reshape(cur.shape[:-1] + (-1, len(l))).sum(axis=-2)  # the mass on each row
     for n in range(1, nmax + 1):
         if n > 1:
-            cur = cur @ kernel.core
+            cur = cur @ l if n == 2 else cur @ kernel.reduced
         for curve, (law, t) in zip(out, reads):
+            if n > 1:
+                law = u if law is None else u @ law
             read = cur if law is None else cur @ law
             np.add.reduce(np.abs(read - t), axis=-1, out=curve[n, ...])
     out *= 0.5
@@ -171,9 +174,9 @@ def prop1_curve_calls(monkeypatch, pmf, nmax):
 @pytest.mark.parametrize(
     "dims, nmax, regime",
     [
-        ((2, 2, 2), 50, "one chunk"),  # 4 rows x 4 wide x 50 steps fit in 4,096
+        ((2, 2, 2), 50, "one chunk"),  # 4 rows x 4 wide x steps 2..50 fit in 4,096
         ((8, 8, 8), 12, "one step"),  # 64 rows x 64 wide = 4,096
-        ((3, 2, 2), 200, "partial"),  # 6 rows x 6 wide: chunks of 113 steps, then 87
+        ((3, 2, 2), 200, "partial"),  # 6 rows x 6 wide: steps 2..200 in chunks of 113, then 86
     ],
 )
 def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dims, nmax, regime):
@@ -185,9 +188,11 @@ def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dim
     calls = prop1_curve_calls(monkeypatch, pmf, nmax)
     kernel, start, _, n, reads = calls[1]
     assert kernel is marginal_xy_kernel(pmf)
-    widest = max(kernel.core.shape[0] if law is None else law.shape[1] for law, _ in reads)
-    chunk = min(n, max(1, 4096 // (len(start) * widest)))
-    assert {"one chunk": chunk == n, "one step": chunk == 1, "partial": 1 < chunk < n and n % chunk}[regime]
+    widest = max(len(kernel.factors[0]) if law is None else law.shape[1] for law, _ in reads)
+    chunk = min(n - 1, max(1, 4096 // (len(start) * widest)))  # steps 2..n
+    steps = n - 1
+    assert {"one chunk": chunk == steps, "one step": chunk == 1,
+            "partial": 1 < chunk < steps and steps % chunk}[regime]
     for kernel, start, target, n, reads in calls:
         rows = ((kernel_rows(kernel), target),)
         for bank, laws in ((start, reads), (start, rows), (start[0], reads), (start[-1], rows)):

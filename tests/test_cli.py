@@ -28,16 +28,16 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "c27efae26ed8bd8eee7e46549d903528ea3f699733fe895c497bb994f97edb62",
-        "88491cc56f567c7b6265d99ec7b302d38cb45db6fd8f409e68d5f7df9bde4640",
+        "9bcd3a437021fdce79fbdaea78c27834a1cf79ea0f4103858ad06ef9a7a3259c",
+        "c8c0ba2d5996a5707b5f982e842c7d73d5ea6c8f8e3c637b9dbdcd938b57f7e9",
     ),
     "dims-4,4,4-seed-11": (
-        "ccca8c1653512289b421395d76d60887eebe5090ffc9cca8d6808302884daedd",
-        "53844ce050b5076fae090237605695319ae2f582c753efd9a3bbe4a12183b2b6",
+        "761846295f833dc087ddfe92fba9895df6e0c5cbcf15e827ebadf1bd947e36ae",
+        "c1ee5263fabf264031b84b640ce0915e00ec80ed6f853c90430b296e91a66240",
     ),
     "anti-example": (
-        "8b0a4b9376cd01762d8ee8519831e11ab487a0c1611e5db7a07e9d0c0fdf9acc",
-        "a12c4e1e1e0d33207faf4ac7af0d8ab6fcc28f04104a23c4ce85e3eb1e33051e",
+        "2bd637b29255c053beba223e18cce572234964227e7dc341771c04991e8a7739",
+        "6278ed004e3e10a9c7f58034e6d347cfd26d26febd3843b7776c6e1d86bea480",
     ),
 }
 
@@ -668,6 +668,30 @@ def test_simulate_deterministic(tmp_path, model_file):
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "estimates.json").read_bytes() == (out2 / "estimates.json").read_bytes()
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+
+def test_a_rerun_into_the_same_out_leaves_only_its_own_bytes(tmp_path, model_file):
+    # each artifact is written to a newly created file: a shorter second run
+    # leaves no tail of the first, and a symlink at an output path is
+    # replaced, not written through
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    runs = (
+        (["simulate", "--config", model_file, "--seed", "9", "--n"], "400", "150",
+         ("estimates.json", "trajectory.csv")),
+        (["exact", "--seed", "3", "--dims"], "4,4,4", "2,2,2", ("report.json", "tv_curves.csv")),
+    )
+    for argv, longer, shorter, names in runs:
+        assert main(argv + [longer, "--out", str(out)]) == 0
+        victim = tmp_path / f"victim-{names[0]}"
+        victim.write_text("kept")
+        (out / names[0]).unlink()
+        (out / names[0]).symlink_to(victim)
+        assert main(argv + [shorter, "--out", str(out)]) == 0
+        assert main(argv + [shorter, "--out", str(fresh)]) == 0
+        for name in names:
+            assert not (out / name).is_symlink()
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert victim.read_text() == "kept"
 
 
 def test_a_run_never_imports_scipy(tmp_path, model_file):

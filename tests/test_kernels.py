@@ -272,25 +272,33 @@ def test_marginal_z_reversible(pmf_322):
 
 
 def test_marginal_kernels_are_the_sweep_cores(corpus, anti_pmf):
-    # K_z is the block core and K_xy the rotated core, bit for bit, and each
-    # pair shares one array of core eigenvalues
+    # K_z is the block core and K_xy the rotated core: the sweep's own
+    # updates on the coordinates its rows read, the others summed out, with
+    # the same factor pair, and each pair shares one eigenvalue array and
+    # stationary solve.
     pairs = ((marginal_z_kernel, block_kernel, ("Z",)),
              (marginal_xy_kernel, rotated_block_kernel, ("X", "Y")))
     for pmf in corpus[:4] + [anti_pmf]:
         for marginal_factory, sweep_factory, labels in pairs:
             chain, sweep = marginal_factory(pmf), sweep_factory(pmf)
             assert chain.codec == StateCodec.for_labels(pmf, labels)
-            np.testing.assert_array_equal(kernel_rows(chain), sweep.core)
+            assert all(a is b for (_, a), (_, b) in zip(chain.updates, sweep.updates))
+            np.testing.assert_allclose(kernel_rows(chain), sweep.core, rtol=0, atol=1e-15)
+            for got, want in zip(chain.factors + (chain.reduced,), sweep.factors + (sweep.reduced,)):
+                np.testing.assert_array_equal(got, want)
             assert chain.core_eigenvalues is sweep.core_eigenvalues
             assert chain.core_stationary is sweep.core_stationary
 
 
 def test_the_shared_core_solve_is_the_chains_own(corpus, anti_pmf):
-    # a marginal chain takes its sweep's stationary solve; solving the
-    # chain's own core afresh gives the same bits, so sharing moves no value
+    # a marginal chain takes its sweep's stationary solve; splitting and
+    # solving the chain's own cycle afresh gives the same bits, so sharing
+    # moves no value
     for pmf in corpus + [anti_pmf]:
         for chain in (marginal_z_kernel(pmf), marginal_xy_kernel(pmf)):
             fresh = Kernel(chain.codec, chain.updates)
+            for got, want in zip(fresh.factors, chain.factors):
+                np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(fresh.core_stationary, chain.core_stationary)
 
 

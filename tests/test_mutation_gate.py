@@ -11,7 +11,10 @@ kernels and tables are kept per pmf object.
 
 Two nu_xz rows trading places moves no worst case, and on the 3x2x2 pmf
 of the pinned labels the last two never name a violation, so only the
-per-start witness catches that fault.
+per-start witness catches that fault. A faulty factor M of the
+out-of-order core moves its spectrum and stationary solve but none of its
+steps, and no prop1 curve reads it, so only the rate witness catches that
+one: the acceptance pmf has nx != ny, where the fault does not exist.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 import test_analysis
 import test_factored_kernels
 import test_prop1_reference
+import test_rate_witness
 import test_read_coordinates_exact
 from blockgibbs import (
     Dims,
@@ -70,6 +74,31 @@ def x_and_z_swapped(table):
     return np.ascontiguousarray(table.transpose(1, 0, 2)) if nx == nz else table
 
 
+def x_and_y_swapped(table):
+    # P(Z | X,Y) has axes (x, y, z); the swap keeps its shape when nx == ny,
+    # and the fault exists only on such pmfs
+    nx, ny, _ = table.shape
+    return np.ascontiguousarray(table.transpose(1, 0, 2)) if nx == ny else table
+
+
+def ooo_m_from_transposed_z_table(monkeypatch):
+    # the out-of-order sweep steps right, but its factor M[(z, x), z'] =
+    # sum_y P(y | x, z) P(z' | x, y), which its spectrum and stationary
+    # solve read, takes P(Z | X,Y) with x and y transposed
+    steps = kernels.STEPS[1:] + kernels.STEPS[:1]
+
+    def faulty(pmf):
+        kernel = kernels._sweep_kernel(pmf, steps)
+        with pytest.MonkeyPatch.context() as patch:
+            table_fault(("Z",), ("X", "Y"), x_and_y_swapped)(patch)
+            wrong = kernels._sweep_kernel(pmf, steps)
+        for name in ("factors", "reduced"):
+            object.__setattr__(kernel, name, getattr(wrong, name))
+        return kernel
+
+    monkeypatch.setattr(analysis, "ooo_kernel", faulty)
+
+
 def nu_xz_rows(order):
     """A fault that hands check_prop1 the nu_xz rows in ``order(count)``."""
 
@@ -90,6 +119,7 @@ FAULTS = {
     "nu_xz rows reversed": nu_xz_rows(lambda count: slice(None, None, -1)),
     "last two nu_xz rows swapped": nu_xz_rows(last_two_swapped),
     "P(Y | X,Z) with x and z transposed": table_fault(("Y",), ("X", "Z"), x_and_z_swapped),
+    "ooo factor M from P(Z | X,Y) with x and y transposed": ooo_m_from_transposed_z_table,
 }
 
 
@@ -127,6 +157,7 @@ CHECKS = {
         test_analysis.test_prop1_negative_tol_records_every_pair,
         random_pmf(Dims(3, 2, 2), seed=7, floor=0.005),  # the pmf_322 fixture
     ),
+    "rate witness": lambda: fails(test_rate_witness.test_report_spectra_match_the_dense_kernels, seeded_corpus()),
 }
 
 
@@ -140,3 +171,8 @@ def test_every_fault_fails_a_check(monkeypatch, fault):
     caught = [name for name, failed in CHECKS.items() if failed()]
     print(fault, "->", caught)
     assert caught, f"{fault} survives every check"
+
+
+def test_only_the_rate_witness_sees_a_faulty_ooo_factor(monkeypatch):
+    FAULTS["ooo factor M from P(Z | X,Y) with x and y transposed"](monkeypatch)
+    assert [name for name, failed in CHECKS.items() if failed()] == ["rate witness"]

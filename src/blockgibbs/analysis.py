@@ -96,9 +96,7 @@ def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
     """
     unit_mult = int(np.count_nonzero(np.abs(kernel.core_eigenvalues - 1.0) <= UNIT_EIG_TOL))
     if unit_mult != 1:
-        raise ValueError(
-            f"unit eigenvalue has multiplicity {unit_mult}; kernel is not ergodic"
-        )
+        raise ValueError(f"unit eigenvalue has multiplicity {unit_mult}; kernel is not ergodic")
     mu = kernel.core_stationary
     v = np.maximum(kernel.step(np.concatenate([mu, np.zeros(kernel.codec.size - mu.size)])), 0.0)
     v /= v.sum()
@@ -398,11 +396,7 @@ MARGINAL_SUBSETS = (("X",), ("Y",), ("Z",), ("X", "Z"), ("Y", "Z"), ("X", "Y"))
 def check_marginal_agreement(pmf: JointPmf3) -> dict[str, float]:
     """TV between the pmf and pi_star on each marginal subset."""
     star = pi_star(pmf)
-    out: dict[str, float] = {}
-    for subset in MARGINAL_SUBSETS:
-        key = "".join(subset)
-        out[key] = tv(marginal(pmf, subset), marginal(star, subset))
-    return out
+    return {"".join(subset): tv(marginal(pmf, subset), marginal(star, subset)) for subset in MARGINAL_SUBSETS}
 
 
 @dataclass

@@ -20,7 +20,6 @@ invalid. Reports are byte-identical for identical configuration and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -301,16 +300,12 @@ def parse_config(argv) -> RunConfig:
     errors: list[str] = []
     # the config file, then every flag given over it, keyed by config name
     settings = _load_json_file(args.config, errors) if args.config else {}
-    settings.update(
-        (key, value) for key, value in vars(args).items()
-        if value is not None and key not in ("mode", "config")
-    )
+    flags = vars(args).items()
+    settings.update((key, value) for key, value in flags if value is not None and key not in ("mode", "config"))
     rules = _SETTINGS[args.mode]
     unknown = [key for key in settings if key not in rules]
     if unknown:
-        errors.append(
-            f"{', '.join(unknown)} must be among the {args.mode} config keys ({', '.join(rules)})"
-        )
+        errors.append(f"{', '.join(unknown)} must be among the {args.mode} config keys ({', '.join(rules)})")
 
     def read(key: str):
         """Setting ``key`` by its rule; its default when absent or null."""
@@ -371,15 +366,10 @@ def parse_config(argv) -> RunConfig:
         nmax = read("nmax")
         if errors:
             raise ConfigError(errors)
-        return RunConfig(
-            mode="exact", out_dir=out_dir, pmf_source=source, checks=checks, nmax=nmax,
-            pmf=pmf,
-        )
+        return RunConfig(mode="exact", out_dir=out_dir, pmf_source=source, checks=checks, nmax=nmax, pmf=pmf)
 
     # simulate
-    n, burn_in, seed, V, a, b, y, variant = map(
-        read, ("n", "burn_in", "seed", "V", "a", "b", "y", "variant")
-    )
+    n, burn_in, seed, V, a, b, y, variant = map(read, ("n", "burn_in", "seed", "V", "a", "b", "y", "variant"))
     missing = [key for key in ("y", "V", "a", "b") if key not in settings]
     if missing:
         errors.append(f"model config missing required keys: {missing}")
@@ -404,12 +394,8 @@ def parse_config(argv) -> RunConfig:
         )
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        mode="simulate",
-        out_dir=out_dir,
-        model=ModelConfig(data, hyper, n, burn_in, seed, variant),
-        shifted_check=shifted_check,
-    )
+    return RunConfig(mode="simulate", out_dir=out_dir, model=ModelConfig(data, hyper, n, burn_in, seed, variant),
+                     shifted_check=shifted_check)
 
 
 def _load_pmf(source: dict) -> JointPmf3:
@@ -432,18 +418,20 @@ def _check_verdicts(report: ChainReport) -> dict[str, bool]:
 
 
 def _write_tv_curves(report: ChainReport, path) -> None:
+    """One CSV row per step n, CRLF line ends: each term as ``%.17g``, empty
+    where it is undefined (NaN), and each ok flag as true, false or empty.
+    The rows are templates filled by one format over the file's terms."""
     p = report.prop1
     flag = {None: "", True: "true", False: "false"}
+    cells = np.hstack([p.chain1, p.chain2])
+    undefined = np.isnan(cells)
+    lines = ["n,tv_block_from_worst_state,tv_Kz,tv_ooo_from_nu_z,chain1_ok,"
+             "tv_ooo_from_state,tv_Kxy_from_nu,tv_Kdagger_from_nu,chain2_ok"]
+    for n, nan, ok1, ok2 in zip(p.n_values.tolist(), undefined.tolist(), p.chain1_ok, p.chain2_ok):
+        row = ["" if x else "%.17g" for x in nan]
+        lines.append(",".join([str(n), *row[:3], flag[ok1], *row[3:], flag[ok2]]))
     with _new_file(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "tv_block_from_worst_state", "tv_Kz", "tv_ooo_from_nu_z", "chain1_ok",
-                         "tv_ooo_from_state", "tv_Kxy_from_nu", "tv_Kdagger_from_nu", "chain2_ok"])
-        rows = zip(
-            p.n_values.tolist(), p.chain1.tolist(), p.chain1_ok, p.chain2.tolist(), p.chain2_ok
-        )
-        for n, chain1, ok1, chain2, ok2 in rows:
-            cells = ["" if math.isnan(x) else format(x, ".17g") for x in chain1 + chain2]
-            writer.writerow([n, *cells[:3], flag[ok1], *cells[3:], flag[ok2]])
+        fh.write("\r\n".join(lines + [""]) % tuple(cells[~undefined].tolist()))
 
 
 def _run_exact(cfg: RunConfig) -> int:

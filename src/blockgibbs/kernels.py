@@ -34,7 +34,8 @@ the smallest). The package forms none of C, K and the core itself.
 
 The five kernel factories and the prop1 start-measure banks, ``nu_z`` (row
 z, on codec (Z, X)) and ``nu_xz`` (row (x, z), on codec (X, Y)), build their
-object once per pmf and keep it on the pmf: every caller shares one.
+object once per pmf and keep it on the pmf: every caller shares one. What a
+kernel builds from its labels and subscripts alone is planned once per sweep.
 """
 
 from __future__ import annotations
@@ -136,47 +137,29 @@ class Kernel:
     def __post_init__(self) -> None:
         labels = self.codec.labels
         cur = "".join(labels).lower()
-        nxt = cur.translate(_NEXT)
-        subs = [sub for sub, _ in self.updates]
+        subs = tuple(sub for sub, _ in self.updates)
         tables = [np.asarray(t, dtype=float) for _, t in self.updates]
         tables = [t.copy() if t.flags.writeable else t for t in tables]  # share read-only ones
-        size = dict(zip(cur + nxt, self.codec.sizes * 2))
+        size = dict(zip(cur + cur.translate(_NEXT), self.codec.sizes * 2))
         for sub, t in zip(subs, tables):  # a coordinate outside the codec takes its table's size
             size.update((c, n) for c, n in zip(sub, t.shape) if c not in size)
         if any(t.shape != tuple(size[c] for c in sub) for sub, t in zip(subs, tables)):
-            raise ValueError(f"a table shape does not match its subscript in {subs} on codec {labels}")
+            raise ValueError(f"a table shape does not match its subscript in {list(subs)} on codec {labels}")
         if any((t < 0).any() for t in tables):
             raise ValueError("kernel entries must be nonnegative")
-        named = "".join(subs)
-        read = "".join(c for c in cur if c in named)
-        if not cur.endswith(read) or not set(nxt) <= set(named) or not set(named) <= set(read + "abc"):
-            raise ValueError(f"updates {subs} must draw every coordinate of codec {labels} and read a suffix")
-        order = nxt + "".join(c for c in "abc" if c not in nxt)
-
-        def held(keep: str) -> list[str]:
-            # after update i, the current values a later update reads and the
-            # next values drawn so far that ``keep`` names or a later update
-            # reads; the einsum sums out the rest
-            later = ["".join(subs[i + 1 :]) for i in range(len(subs))]
-            return ["".join(c for c in cur if c in later[i]) + "".join(
-                n for n in order if n in "".join(subs[: i + 1]) and n in keep + later[i])
-                for i in range(len(subs))]
-
+        cuts, steps = _plan(labels, subs)
         # the core's cycle, from the rows' coordinates to their next values, is
         # split after the update that holds the fewest values, the latest on a tie
-        cycle, pairs = held(read.translate(_NEXT)), tuple(zip(subs, tables))
-        cut = min(reversed(range(len(subs))), key=lambda i: math.prod(size[c] for c in cycle[i]))
-        l = _contract(read, cycle[cut], pairs[: cut + 1], size)
-        rest = pairs[cut + 1 :]
-        u = _contract(cycle[cut], read.translate(_NEXT), rest, size) if rest else np.eye(len(l))
+        cut = min(reversed(range(len(cuts))), key=lambda i: math.prod(size[c] for c in cuts[i][0]))
+        into, out_of = cuts[cut][1:]
+        l = _contract(*into, tables[: cut + 1], size)
+        u = _contract(*out_of, tables[cut + 1 :], size) if cut + 1 < len(tables) else np.eye(len(l))
         if max(np.abs(f.sum(axis=1) - 1.0).max() for f in (l, u)) > ROW_SUM_TOL:
             raise ValueError("every kernel row must sum to 1")
         reduced = u @ l
         for t in tables + [l, u, reduced]:
             t.setflags(write=False)
-        steps = [cur] + held(nxt)
-        steps = [f"...{h},{sub}->...{out}" for h, sub, out in zip(steps, subs, steps[1:])]
-        object.__setattr__(self, "updates", pairs)
+        object.__setattr__(self, "updates", tuple(zip(subs, tables)))
         object.__setattr__(self, "factors", (l, u))
         object.__setattr__(self, "reduced", reduced)
         object.__setattr__(self, "_steps", tuple(zip(steps, tables)))
@@ -218,14 +201,47 @@ class Kernel:
         return mu
 
 
-def _contract(src: str, dst: str, updates: Sequence, size: dict) -> np.ndarray:
-    """The (src values x dst values) table of running ``updates``; a value
-    both name passes through, on an identity."""
-    through = [c for c in src if c in dst]
-    subs = ",".join([sub for sub, _ in updates] + [c.upper() + c for c in through])
-    ins = "".join(c.upper() if c in through else c for c in src)
-    tables = [t for _, t in updates] + [np.eye(size[c]) for c in through]
-    return np.einsum(f"{subs}->{ins}{dst}", *tables).reshape(math.prod(size[c] for c in src), -1)
+@functools.cache
+def _plan(labels: tuple[str, ...], subs: tuple[str, ...]) -> tuple:
+    """A kernel's construction from its codec labels and update subscripts
+    alone, once per sweep, strings only: after each update of its core's
+    cycle, the values held and the factors L and U split there as (row
+    values, einsum, values passed through on identities); its steps' einsums."""
+    cur = "".join(labels).lower()
+    nxt = cur.translate(_NEXT)
+    named = "".join(subs)
+    read = "".join(c for c in cur if c in named)
+    if not cur.endswith(read) or not set(nxt) <= set(named) or not set(named) <= set(read + "abc"):
+        raise ValueError(f"updates {list(subs)} must draw every coordinate of codec {labels} and read a suffix")
+    order = nxt + "".join(c for c in "abc" if c not in nxt)
+    later = ["".join(subs[i + 1 :]) for i in range(len(subs))]
+
+    def held(keep: str) -> list[str]:
+        # after update i, the current values a later update reads and the
+        # next values drawn so far that ``keep`` names or a later update
+        # reads; the einsum sums out the rest
+        return ["".join(c for c in cur if c in later[i]) + "".join(
+            n for n in order if n in "".join(subs[: i + 1]) and n in keep + later[i])
+            for i in range(len(subs))]
+
+    def factor(src: str, dst: str, updates: tuple) -> tuple[str, str, str]:
+        # the (src values x dst values) table of running ``updates``; a value
+        # both name passes through
+        through = "".join(c for c in src if c in dst)
+        ins = "".join(c.upper() if c in through else c for c in src)
+        return src, ",".join([*updates, *(c.upper() + c for c in through)]) + f"->{ins}{dst}", through
+
+    back = read.translate(_NEXT)
+    cuts = tuple((h, factor(read, h, subs[: i + 1]), factor(h, back, subs[i + 1 :]))
+                 for i, h in enumerate(held(back)))
+    steps = [cur] + held(nxt)
+    return cuts, tuple(f"...{h},{sub}->...{out}" for h, sub, out in zip(steps, subs, steps[1:]))
+
+
+def _contract(src: str, spec: str, through: str, tables: Sequence, size: dict) -> np.ndarray:
+    """A factor of ``_plan`` on ``tables``, one row per ``src`` value."""
+    eyes = [np.eye(size[c]) for c in through]
+    return np.einsum(spec, *tables, *eyes).reshape(math.prod(size[c] for c in src), -1)
 
 
 def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:

@@ -3,6 +3,7 @@ codes, and report determinism."""
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,12 +11,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import blockgibbs
-from blockgibbs import anti_example_pmf, cli, product_pmf, run_chain
+from blockgibbs import analyze, anti_example_pmf, cli, product_pmf, run_chain
+from blockgibbs.analysis import Prop1Report
 from blockgibbs.cli import ConfigError, main, parse_config
 from blockgibbs.streams import _MAX_ITERATION
 
@@ -445,6 +448,43 @@ def test_write_json_matches_the_reference_renderer(tmp_path):
             cli._write_json({"rows": [1.0, bad]}, tmp_path / "bad.json")
     with pytest.raises(TypeError):
         cli._write_json({"x": object()}, tmp_path / "bad.json")
+
+
+def _reference_tv_curves(report) -> bytes:
+    """tv_curves.csv as the csv module writes it: one row per n, NaN terms
+    and undefined ok flags empty, every term as format(x, ".17g")."""
+    p = report.prop1
+    flag = {None: "", True: "true", False: "false"}
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["n", "tv_block_from_worst_state", "tv_Kz", "tv_ooo_from_nu_z", "chain1_ok",
+                     "tv_ooo_from_state", "tv_Kxy_from_nu", "tv_Kdagger_from_nu", "chain2_ok"])
+    rows = zip(p.n_values.tolist(), p.chain1.tolist(), p.chain1_ok, p.chain2.tolist(), p.chain2_ok)
+    for n, chain1, ok1, chain2, ok2 in rows:
+        cells = ["" if math.isnan(x) else format(x, ".17g") for x in chain1 + chain2]
+        writer.writerow([n, *cells[:3], flag[ok1], *cells[3:], flag[ok2]])
+    return fh.getvalue().encode()
+
+
+def test_write_tv_curves_matches_the_reference_renderer(tmp_path, corpus):
+    nan = float("nan")
+    chain1 = np.array([[0.0, nan, nan], [5e-324, 1e-300, nan], [0.1, 1.2345678901234568e17, -0.0],
+                       [1 / 3, 2.2250738585072014e-308, 1e22]])
+    chain2 = np.array([[0.1, 0.0, 5e-324], [nan, 1e-300, 0.1], [1.2345678901234568e17, 1e-17, 1.0],
+                       [0.5, nan, 7e-5]])
+    synthetic = Prop1Report(
+        nmax=4, tol=1e-12, n_values=np.arange(1, 5), chain1=chain1, chain2=chain2,
+        chain1_ok=[None, None, True, False], chain2_ok=[True, False, None, True],
+        chain1_verdict=False, chain2_verdict=False, max_violation=0.0, violations=[],
+    )
+    reports = [SimpleNamespace(prop1=synthetic)] + [analyze(pmf, nmax=50) for pmf in corpus]
+    for i, report in enumerate(reports):
+        path = tmp_path / f"tv_curves{i}.csv"
+        cli._write_tv_curves(report, path)
+        assert path.read_bytes() == _reference_tv_curves(report), i
+    text = (tmp_path / "tv_curves0.csv").read_bytes().decode()
+    assert text.splitlines()[1:3] == ["1,0,,,,0.10000000000000001,0,4.9406564584124654e-324,true",
+                                      "2,4.9406564584124654e-324,1e-300,,,,1e-300,0.10000000000000001,false"]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_EXACT_SHA256))

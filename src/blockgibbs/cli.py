@@ -73,7 +73,7 @@ class RunConfig:
     pmf_source: dict = field(default_factory=dict)
     checks: tuple[str, ...] = CHECK_NAMES
     nmax: int = 50
-    pmf: JointPmf3 | None = None  # a file or inline pmf, loaded while parsing
+    pmf: JointPmf3 | None = None  # built from pmf_source while parsing
     # simulate mode
     model: ModelConfig | None = None
     shifted_check: bool = False
@@ -136,7 +136,8 @@ def _color(text: str, ok: bool) -> str:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first parse and shared by every
-    later one in the process: parsing leaves it unchanged."""
+    later one in the process: parsing leaves it unchanged. It only splits
+    argv; each value stays text for its rule in ``_SETTINGS``."""
     parser = argparse.ArgumentParser(
         prog="blockgibbs",
         description="Exact kernel checks and random effects simulations for "
@@ -146,40 +147,39 @@ def _parser() -> argparse.ArgumentParser:
 
     exact = sub.add_parser("exact", help="exact kernel construction and checks")
     exact.add_argument("--config", help="JSON config file; flags override it")
-    exact.add_argument("--seed", type=int, help="seed for a random pmf (default 0)")
+    exact.add_argument("--seed", help="seed for a random pmf (default 0)")
     exact.add_argument("--out", help="output directory (default .)")
     exact.add_argument("--dims", help="random pmf dims as NX,NY,NZ")
     exact.add_argument("--pmf", dest="pmf_file", help="pmf JSON file")
-    exact.add_argument("--floor", type=float, help=f"random pmf floor (default min({CORPUS_FLOOR}, 0.5/states))")
-    exact.add_argument("--nmax", type=int, help="max step count for the inequality chains (default 50)")
-    exact.add_argument("--check", action="append", choices=CHECK_NAMES + ("all",),
+    exact.add_argument("--floor", help=f"random pmf floor (default min({CORPUS_FLOOR}, 0.5/states))")
+    exact.add_argument("--nmax", help="max step count for the inequality chains (default 50)")
+    exact.add_argument("--check", action="append", metavar="{%s}" % ",".join(CHECK_NAMES + ("all",)),
                        help="check to gate the exit code on; repeatable (default all)")
 
     sim = sub.add_parser("simulate", help="random effects chain simulation")
     sim.add_argument("--config", help="model JSON config file; flags override it")
-    sim.add_argument("--seed", type=int, help="chain seed (default 0)")
+    sim.add_argument("--seed", help="chain seed (default 0)")
     sim.add_argument("--out", help="output directory (default .)")
-    sim.add_argument("--variant", choices=VARIANTS, help="sweep order (default block)")
-    sim.add_argument("--n", type=int, help="number of sweeps")
-    sim.add_argument("--burn-in", dest="burn_in", type=int, help="states dropped before estimating (default 0)")
+    sim.add_argument("--variant", metavar="{%s}" % ",".join(VARIANTS), help="sweep order (default block)")
+    sim.add_argument("--n", help="number of sweeps")
+    sim.add_argument("--burn-in", dest="burn_in", help="states dropped before estimating (default 0)")
     sim.add_argument("--shifted-check", action="store_true", default=None,
                      help="also verify the bitwise shifted-chain identity")
     return parser
 
 
-def _load_json_file(path: str, errors: list) -> dict:
+def _load_json_file(path: str) -> dict:
+    """The JSON object in a ``--config`` or ``--pmf`` file, or a ConfigError naming it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        errors.append(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        errors.append(f"malformed JSON in {path}: {exc}")
-    else:
-        if isinstance(doc, dict):
-            return doc
-        errors.append(f"{path} must contain a JSON object")
-    return {}
+        raise ConfigError([f"cannot read {path}: {exc}"]) from None
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError([f"malformed JSON in {path}: {exc}"]) from None
+    if not isinstance(doc, dict):
+        raise ConfigError([f"{path} must contain a JSON object"])
+    return doc
 
 
 def config_int(value, key: str) -> int:
@@ -208,10 +208,10 @@ def _number(value, key: str) -> float:
     raise ValueError(f"{key} must be a number, got {value!r}")
 
 
-def _apply(rule, value, key: str, errors: list):
-    """``rule(value, key)``, or None after adding its errors to ``errors``."""
+def _apply(errors: list, function, *args):
+    """``function(*args)``, or None after adding its errors to ``errors``."""
     try:
-        return rule(value, key)
+        return function(*args)
     except ValueError as exc:
         errors.extend(exc.messages if isinstance(exc, ConfigError) else [str(exc)])
 
@@ -221,7 +221,7 @@ def _numbers(value, key: str) -> list[float]:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list of numbers, got {value!r}")
     errors: list[str] = []
-    numbers = [_apply(_number, entry, f"{key}[{i}]", errors) for i, entry in enumerate(value)]
+    numbers = [_apply(errors, _number, entry, f"{key}[{i}]") for i, entry in enumerate(value)]
     if errors:
         raise ConfigError(errors)
     return numbers
@@ -243,11 +243,9 @@ def _rule(ok, must: str, convert=lambda value, key: value):
 def _checks(value, key: str) -> tuple[str, ...]:
     """The selected checks, from a check name or a list of them."""
     checks = [value] if isinstance(value, str) else value
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ValueError(f"{key} must be a check name or a list of them, got {checks!r}")
-    unknown = [c for c in checks if c not in CHECK_NAMES + ("all",)]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
+    names = CHECK_NAMES + ("all",)
+    if not isinstance(checks, list) or not all(c in names for c in checks):
+        raise ValueError(f"{key} must be one of {', '.join(names)} or a list of them, got {value!r}")
     return CHECK_NAMES if not checks or "all" in checks else tuple(dict.fromkeys(checks))
 
 
@@ -299,7 +297,9 @@ def parse_config(argv) -> RunConfig:
     args = _parser().parse_args(argv)
     errors: list[str] = []
     # the config file, then every flag given over it, keyed by config name
-    settings = _load_json_file(args.config, errors) if args.config else {}
+    settings = {}
+    if args.config:
+        settings = _apply(errors, _load_json_file, args.config) or {}
     flags = vars(args).items()
     settings.update((key, value) for key, value in flags if value is not None and key not in ("mode", "config"))
     rules = _SETTINGS[args.mode]
@@ -312,7 +312,7 @@ def parse_config(argv) -> RunConfig:
         rule, default = rules[key]
         if key not in settings or settings[key] is None and default is not None:
             return default
-        return _apply(rule, settings[key], key, errors)
+        return _apply(errors, rule, settings[key], key)
 
     out_dir = read("out")
 
@@ -321,46 +321,47 @@ def parse_config(argv) -> RunConfig:
         dims, pmf_file, inline = (settings.get(key) for key in ("dims", "pmf_file", "pmf"))
         sources = [name for name, value in
                    (("--dims", dims), ("--pmf", pmf_file), ("inline pmf", inline)) if value is not None]
-        if len(sources) > 1:
-            errors.append(f"conflicting pmf sources: {' and '.join(sources)}; give exactly one")
-        if not sources:
-            errors.append("no pmf source: give --dims NX,NY,NZ, --pmf FILE, or an inline pmf in --config")
+        if len(sources) != 1:
+            errors.append(f"conflicting pmf sources: {' and '.join(sources)}; give exactly one" if sources
+                          else "no pmf source: give --dims NX,NY,NZ, --pmf FILE, or an inline pmf in --config")
 
         seed, floor = read("seed"), read("floor")
-        source: dict = {}
-        if dims is not None and len(sources) == 1:
+        source: dict = {}  # set only once the source's own settings pass their rules
+        if sources == ["--dims"]:
             dims = read("dims")
             if dims is not None:
-                source = {"kind": "random", "dims": dims, "seed": seed, "floor": floor}
                 try:
                     size = Dims(*dims).size
                 except ValueError as exc:
                     errors.append(f"--dims {','.join(map(str, dims))}: {exc}")
                 else:
                     if settings.get("floor") is None:  # a default valid at every size
-                        floor = source["floor"] = min(floor, 0.5 / size)
+                        floor = min(floor, 0.5 / size)
                     # random_pmf needs every entry >= floor, so floor * size < 1
                     if floor is not None and not 0.0 < floor < 1.0 / size:
                         errors.append(
                             f"--floor must lie in (0, {1.0 / size:.6g}) for {size} "
                             f"states, got {floor}"
                         )
-        elif pmf_file is not None:
+                    elif seed is not None and floor is not None:
+                        source = {"kind": "random", "dims": dims, "seed": seed, "floor": floor}
+        elif sources == ["--pmf"]:
             pmf_file = read("pmf_file")
             if pmf_file is not None:
                 source = {"kind": "file", "path": pmf_file}
-        elif inline is not None:
+        elif sources == ["inline pmf"]:
             source = {"kind": "inline", "doc": inline}
         pmf = None
-        if len(sources) == 1 and source.get("kind") in ("file", "inline"):
-            where = f"--pmf {pmf_file}" if pmf_file is not None else "inline pmf"
+        if source:
             try:
                 pmf = _load_pmf(source)
-                for target, given in STEPS:  # the sweeps' tables, so a zero cell fails here
-                    conditional(pmf, target, given)
-            except OSError:
-                pass  # the run reports an unreadable file as an i/o failure
-            except (ValueError, TypeError, KeyError) as exc:
+                if source["kind"] != "random":  # a random pmf is strictly positive
+                    for target, given in STEPS:  # the sweeps' tables, so a zero cell fails here
+                        conditional(pmf, target, given)
+            except ConfigError as exc:  # an unreadable --pmf file
+                errors.extend(exc.messages)
+            except ValueError as exc:
+                where = "inline pmf" if pmf_file is None else f"--pmf {pmf_file}"
                 errors.append(f"invalid pmf in {where}: {exc}")
 
         nmax = read("nmax")
@@ -399,12 +400,11 @@ def parse_config(argv) -> RunConfig:
 
 
 def _load_pmf(source: dict) -> JointPmf3:
+    """The pmf of a source: a seeded random draw, or a file or inline pmf document."""
     if source["kind"] == "random":
         return random_pmf(Dims(*source["dims"]), source["seed"], source["floor"])
-    if source["kind"] == "file":
-        with open(source["path"]) as fh:
-            return JointPmf3.from_json_dict(json.load(fh))
-    return JointPmf3.from_json_dict(source["doc"])
+    doc = _load_json_file(source["path"]) if source["kind"] == "file" else source["doc"]
+    return JointPmf3.from_json_dict(doc)
 
 
 def _check_verdicts(report: ChainReport) -> dict[str, bool]:
@@ -435,8 +435,7 @@ def _write_tv_curves(report: ChainReport, path) -> None:
 
 
 def _run_exact(cfg: RunConfig) -> int:
-    pmf = cfg.pmf if cfg.pmf is not None else _load_pmf(cfg.pmf_source)
-    report = analyze(pmf, nmax=cfg.nmax)
+    report = analyze(cfg.pmf, nmax=cfg.nmax)
     verdicts = _check_verdicts(report)
     selected = {name: verdicts[name] for name in cfg.checks}
     passed = all(selected.values())

@@ -126,14 +126,26 @@ class JointPmf3:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointPmf3":
+        """The pmf of a ``to_json_dict`` document, which may come from
+        outside the program: a ValueError names the field at fault."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a pmf must be an object with fields dims and p, got {type(doc).__name__}")
+        for key in ("dims", "p"):
+            if key not in doc:
+                raise ValueError(f"missing field {key!r}")
         dims = doc["dims"]
+        if not isinstance(dims, (list, tuple)) or len(dims) != 3:
+            raise ValueError(f"dims must be a list of three sizes, got {dims!r}")
         # int() would truncate 2.5 to 2 and take true as 1
         whole = (isinstance(n, int) and not isinstance(n, bool)
                  or isinstance(n, float) and n.is_integer() for n in dims)
         if not all(whole):
             raise ValueError(f"dims must be whole numbers, got {dims!r}")
         dims = Dims(*(int(n) for n in dims))
-        p = np.asarray(doc["p"], dtype=float).reshape(dims.shape, order="C")
+        try:
+            p = np.asarray(doc["p"], dtype=float).reshape(dims.shape, order="C")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"p must be a list of {dims.size} numbers: {exc}") from None
         return cls(dims, p)
 
 

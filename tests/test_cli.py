@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import blockgibbs
-from blockgibbs import analyze, anti_example_pmf, cli, product_pmf, run_chain
+from blockgibbs import Dims, analyze, anti_example_pmf, cli, product_pmf, random_pmf, run_chain
 from blockgibbs.analysis import Prop1Report
 from blockgibbs.cli import ConfigError, main, parse_config
 from blockgibbs.streams import _MAX_ITERATION
@@ -192,6 +192,7 @@ def test_simulate_non_finite_model_exits_2(tmp_path, capsys, override, field):
         ("exact", {"nmx": 80}, "nmx"),
         ("simulate", {"burnin": 150}, "burnin"),
         ("exact", {"dims": None, "pmf": SMALL_PMF, "seed": "x", "floor": "abc"}, "seed"),
+        ("exact", {"check": ["bogus"]}, "check"),
     ],
 )
 def test_invalid_config_values_exit_2_naming_the_key(
@@ -310,6 +311,46 @@ def test_parser_reuse_leaves_no_state_behind(tmp_path):
     b = parse_config(["exact", "--dims", "2,2,2", "--out", str(tmp_path / "b")])
     assert (a.out_dir, b.out_dir) == (str(tmp_path / "a"), str(tmp_path / "b"))
     assert parse_config(["exact", "--dims", "2,2,2"]).out_dir == "."
+
+
+#: Each flag that takes a value, the subcommand it belongs to, and the key
+#: its errors name.
+VALUE_FLAGS = {
+    "--seed": ("exact", "seed"), "--floor": ("exact", "floor"), "--nmax": ("exact", "nmax"),
+    "--dims": ("exact", "--dims"), "--check": ("exact", "check"), "--variant": ("simulate", "variant"),
+    "--n": ("simulate", "n"), "--burn-in": ("simulate", "burn_in"),
+}
+
+
+def _valid_argv(mode, model_file, out):
+    """A run of ``mode`` whose every setting is good, writing to ``out``."""
+    base = ["exact", "--dims", "2,2,2"] if mode == "exact" else ["simulate", "--config", model_file, "--n", "300"]
+    return base + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("flag", VALUE_FLAGS)
+def test_a_bad_flag_value_meets_its_settings_rule(tmp_path, capsys, model_file, flag):
+    # flags reach the same rules as config values: no argparse conversion
+    # stops the parse or words the message
+    mode, key = VALUE_FLAGS[flag]
+    out = tmp_path / "out"
+    assert main(_valid_argv(mode, model_file, out) + [flag, "x"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "simulate"])
+def test_every_bad_flag_value_is_listed(tmp_path, capsys, model_file, mode):
+    flags = [flag for flag, (flag_mode, _) in VALUE_FLAGS.items() if flag_mode == mode]
+    out = tmp_path / "out"
+    argv = _valid_argv(mode, model_file, out) + [arg for flag in flags for arg in (flag, "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(flags), err
+    for flag in flags:
+        assert sum(line.startswith(f"error: {VALUE_FLAGS[flag][1]} must be ") for line in err) == 1, err
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -568,8 +609,61 @@ def test_exact_zero_conditioning_cell_exits_2_naming_the_source(tmp_path, capsys
 
 def test_exact_missing_pmf_file_is_io_error(tmp_path, capsys):
     code = main(["exact", "--pmf", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
-    assert code == 1
-    assert "nope.json" in capsys.readouterr().err
+    assert code == 2
+    assert f"error: cannot read {tmp_path / 'nope.json'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read {path}: "), ('{"dims": [2,', "malformed JSON in {path}: "),
+     ("[1, 2]", "{path} must contain a JSON object")],
+)
+@pytest.mark.parametrize("flag", ["--config", "--pmf"])
+def test_a_bad_input_file_exits_2_beside_every_other_error(tmp_path, capsys, flag, content, message):
+    # --config and --pmf share one reader, so each fault reads the same and
+    # is listed with the other settings' errors
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert main(["exact", flag, str(path), "--nmax", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: " + message.format(path=path)), err
+    assert "error: --nmax must be >= 3, got 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--dims", "8,8,8", "--floor", "0.01"], "--floor must lie in (0, 0.00195312) for 512 states, got 0.01"),
+     (["--dims", "0,6,6"], "--dims 0,6,6: nx must be a positive integer, got 0")],
+)
+def test_a_bad_random_source_is_one_error(tmp_path, capsys, argv, message):
+    # a random pmf is built only from dims and a floor that passed their checks
+    out = tmp_path / "out"
+    assert main(["exact", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_a_random_pmf_is_built_while_parsing():
+    pmf = parse_config(["exact", "--dims", "2,2,2", "--seed", "7"]).pmf
+    assert pmf.p.tobytes() == random_pmf(Dims(2, 2, 2), 7, 0.005).p.tobytes()
+
+
+def test_a_pmf_document_error_names_its_field(tmp_path, capsys):
+    path = tmp_path / "pmf.json"
+    path.write_text(json.dumps({"p": [0.5, 0.5]}))
+    assert main(["exact", "--pmf", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: invalid pmf in --pmf {path}: missing field 'dims'\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "simulate"])
+def test_an_unwritable_out_exits_1(tmp_path, capsys, model_file, mode):
+    out = tmp_path / "out"
+    out.write_text("")  # a file where the output directory should be
+    assert main(_valid_argv(mode, model_file, out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: i/o failure on {out}: ")
 
 
 def test_exact_stationary_residual_failure_exits_1(tmp_path, capsys, monkeypatch):

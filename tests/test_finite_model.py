@@ -88,6 +88,24 @@ def test_json_round_trip_uses_x_major_flattening(pmf_322):
     np.testing.assert_array_equal(back.p, pmf_322.p)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"p": [1.0]}, "missing field 'dims'"),
+        ({"dims": [1, 1, 1]}, "missing field 'p'"),
+        ({"dims": 3, "p": [1.0]}, "dims must be a list of three sizes, got 3"),
+        ({"dims": [2, 1], "p": [0.5, 0.5]}, r"dims must be a list of three sizes, got \[2, 1\]"),
+        ({"dims": [2.5, 1, 1], "p": [0.5, 0.5]}, r"dims must be whole numbers, got \[2.5, 1, 1\]"),
+        ({"dims": [2, 1, 1], "p": [0.5, 0.25, 0.25]}, "p must be a list of 2 numbers: cannot reshape"),
+        ({"dims": [2, 1, 1], "p": {"x": 1.0}}, "p must be a list of 2 numbers: "),
+        ([2, 1, 1], "a pmf must be an object with fields dims and p, got list"),
+    ],
+)
+def test_json_document_errors_name_the_field(doc, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        JointPmf3.from_json_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # marginal
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def _dims(value, key: str) -> tuple[int, int, int]:
             return tuple(config_int(part, key) for part in parts)
         except ValueError:
             pass
-    raise ValueError(f"--dims must be three comma-separated integers, got {value!r}")
+    raise ValueError(f"{key} must be three comma-separated integers, got {value!r}")
 
 
 _OUT = (_rule(lambda v: isinstance(v, str), "{key} must be a directory path"), ".")
@@ -274,7 +274,7 @@ _SETTINGS = {
         "floor": (_number, CORPUS_FLOOR),
         "pmf_file": (_rule(lambda v: isinstance(v, str), "{key} must be a file path"), None),
         "pmf": (None, None),  # an inline pmf, checked when it is loaded
-        "nmax": (_rule(lambda n: n >= 3, "--{key} must be >= 3", config_int), 50),
+        "nmax": (_rule(lambda n: n >= 3, "{key} must be >= 3", config_int), 50),
     },
     "simulate": {
         "out": _OUT,
@@ -333,14 +333,14 @@ def parse_config(argv) -> RunConfig:
                 try:
                     size = Dims(*dims).size
                 except ValueError as exc:
-                    errors.append(f"--dims {','.join(map(str, dims))}: {exc}")
+                    errors.append(f"dims {','.join(map(str, dims))}: {exc}")
                 else:
                     if settings.get("floor") is None:  # a default valid at every size
                         floor = min(floor, 0.5 / size)
                     # random_pmf needs every entry >= floor, so floor * size < 1
                     if floor is not None and not 0.0 < floor < 1.0 / size:
                         errors.append(
-                            f"--floor must lie in (0, {1.0 / size:.6g}) for {size} "
+                            f"floor must lie in (0, {1.0 / size:.6g}) for {size} "
                             f"states, got {floor}"
                         )
                     elif seed is not None and floor is not None:

@@ -11,19 +11,19 @@ is one vector draw and a sweep reads three labels of keyed noise (see
 whose shape a + (m - 1) / 2 is fixed for the chain, and mu and theta are
 mean + sd * z. So ``run_chain`` draws a chain's noise first, one bulk draw
 per label and block of ``streams.BLOCK`` sweeps. The A and mu draws read
-theta only through its mean and sum of squared deviations SS, so
-``block_step`` and ``ooo_step`` are pure functions of the scalar state
-(A, mu, theta-bar, SS) and one sweep's noise, whose theta part enters
-through three statistics (see ``_mu_theta``), and theta is built after the
-sweeps. The out-of-order A draw is read one iteration ahead, so the
-out-of-order trajectory is bit-for-bit the shifted view (mu_n, theta_n,
-A_{n+1}) of the block trajectory, which ``shifted_view`` slices out of its
-arrays.
+theta only through its mean and sum of squared deviations SS, which read
+its noise through three statistics, so one loop (``_sweeps``) runs a chunk
+of sweeps on the scalar state (A, mu, theta-bar, SS), and theta is built
+after it; ``block_step`` and ``ooo_step`` are one-row calls of that loop.
+The out-of-order A draw is read one iteration ahead, so the out-of-order
+trajectory is bit-for-bit the shifted view (mu_n, theta_n, A_{n+1}) of the
+block trajectory, which ``shifted_view`` slices out of its arrays.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import math
 import os
@@ -125,19 +125,31 @@ def theta_params(mu: float, A: float, data: RemData) -> tuple[np.ndarray, float]
     return (V * mu + A * data.y) / (A + V), A * V / (A + V)
 
 
-def _mu_theta(A, theta_bar, z_mu, z_bar, s_yz, s_zz, data: RemData):
-    """mu given (theta, A), then theta = theta_params' mean + s Z, which is
-    c (y - y_bar) + s (Z - z_bar) about its mean, c = A / (A + V). Returns mu
-    and theta's mean and SS, from z_bar, s_yz = sum (y - y_bar)(Z - z_bar)
-    and s_zz = sum (Z - z_bar)^2."""
-    mu = theta_bar + math.sqrt(A / data.y.size) * z_mu
-    if A < A_FLOOR:
-        logger.warning("flooring A=%r at %r in theta draw", A, A_FLOOR)
-        A = A_FLOOR
-    V = data.V
-    c, s = A / (A + V), math.sqrt(A * V / (A + V))
-    return mu, (V * mu + A * data.y_bar) / (A + V) + s * z_bar, (
-        c * c * data.syy + 2 * c * s * s_yz + s * s * s_zz)
+def _sweeps(a_first: bool, A, mu, theta_bar, ss, noise, data: RemData, hyper: RemHyper):
+    """Sweeps from the state (A, mu, theta_bar, ss), one per noise row
+    (g, z_mu, z_bar, s_yz, s_zz), A drawn first (block) or last (ooo); the
+    new states' four columns as lists. theta = theta_params' mean + s Z is
+    c (y - y_bar) + s (Z - z_bar) about its mean, c = A / (A + V), so its
+    mean and SS read Z through z_bar, s_yz = sum (y - y_bar)(Z - z_bar) and
+    s_zz = sum (Z - z_bar)^2. mu reads A as drawn, theta A floored."""
+    b, V, m, y_bar, syy = hyper.b, data.V, data.m, data.y_bar, data.syy
+    columns = [], [], [], []
+    put_A, put_mu, put_bar, put_ss = (column.append for column in columns)
+    for g, z_mu, z_bar, s_yz, s_zz in noise:
+        if a_first:
+            A = (b + 0.5 * ss) / g
+        mu = theta_bar + math.sqrt(A / m) * z_mu
+        a = A
+        if a < A_FLOOR:
+            logger.warning("flooring A=%r at %r in theta draw", a, A_FLOOR)
+            a = A_FLOOR
+        c, s = a / (a + V), math.sqrt(a * V / (a + V))
+        theta_bar = (V * mu + a * y_bar) / (a + V) + s * z_bar
+        ss = c * c * syy + 2 * c * s * s_yz + s * s * s_zz
+        if not a_first:
+            A = (b + 0.5 * ss) / g
+        put_A(A), put_mu(mu), put_bar(theta_bar), put_ss(ss)
+    return columns
 
 
 def block_step(A, mu, theta_bar, ss, g, z_mu, z_bar, s_yz, s_zz, data, hyper):
@@ -145,16 +157,14 @@ def block_step(A, mu, theta_bar, ss, g, z_mu, z_bar, s_yz, s_zz, data, hyper):
     gamma ``g``, a standard normal ``z_mu`` and the statistics of the theta
     noise: A from theta, then mu given the new A, then theta given the new
     (mu, A). Returns the new state."""
-    A = (hyper.b + 0.5 * ss) / g
-    return (A, *_mu_theta(A, theta_bar, z_mu, z_bar, s_yz, s_zz, data))
+    return next(zip(*_sweeps(True, A, mu, theta_bar, ss, [(g, z_mu, z_bar, s_yz, s_zz)], data, hyper)))
 
 
 def ooo_step(A, mu, theta_bar, ss, g, z_mu, z_bar, s_yz, s_zz, data, hyper):
     """One out-of-order sweep from the same state and noise as
     ``block_step``: mu given the current A, then theta given (new mu,
     current A), then A from the new theta. Returns the new state."""
-    mu, theta_bar, ss = _mu_theta(A, theta_bar, z_mu, z_bar, s_yz, s_zz, data)
-    return (hyper.b + 0.5 * ss) / g, mu, theta_bar, ss
+    return next(zip(*_sweeps(False, A, mu, theta_bar, ss, [(g, z_mu, z_bar, s_yz, s_zz)], data, hyper)))
 
 
 def default_init(data: RemData) -> tuple[float, float, np.ndarray]:
@@ -164,7 +174,7 @@ def default_init(data: RemData) -> tuple[float, float, np.ndarray]:
     return a0, float(data.y.mean()), data.y.copy()
 
 
-_STEPS: dict[str, Callable] = {"block": block_step, "ooo": ooo_step}
+_STEPS: dict[str, Callable] = {v: functools.partial(_sweeps, v == "block") for v in VARIANTS}
 
 
 def _check_states(A, mu, theta, variant: str, first_iteration: int) -> None:
@@ -208,8 +218,8 @@ def run_chain(
     gamma(a + (m - 1) / 2) under ``A`` (read at iteration + 1 by the
     out-of-order sweep), standard normals under ``mu`` and ``theta``. No
     draw depends on the state, so per chunk of rows the statistics of the
-    theta noise take one pass, the sweeps one step each, and theta one pass
-    over its noise. Passing an explicit ``stream`` allows chunked
+    theta noise take one pass, the sweeps one loop, and theta one pass over
+    its noise. Passing an explicit ``stream`` allows chunked
     continuation (with ``first_iteration`` advanced, also to a point inside
     a block) and key auditing; from a trajectory row, results are identical
     to a monolithic run because each variate is addressed by its iteration,
@@ -234,8 +244,7 @@ def run_chain(
     stream.gamma(StreamKey(first_iteration + a_ahead, STEP_A), shape, A[1:])
     stream.normal(StreamKey(first_iteration, STEP_MU), mu[1:])
     stream.normal(StreamKey(first_iteration, STEP_THETA), theta[1:])
-    step = _STEPS[variant]
-    state = A[0].item(), mu[0].item(), theta_bar[0].item(), ss[0].item()
+    step = _STEPS[variant]  # the variant's chunk of sweeps, looked up per call: a tracer may rebind it
     dy = data.y - data.y_bar
     chunk = max(1, 4096 // data.m)  # rows per pass: 32 KB per temporary, whatever n and m
     for start in range(1, n + 1, chunk):
@@ -245,8 +254,8 @@ def run_chain(
         dz = z - z_bar[:, None]
         noise = zip(A[rows].tolist(), mu[rows].tolist(), z_bar.tolist(),
                     *(np.add.reduce(dz * w, axis=1).tolist() for w in (dy, dz)))
-        states = [state := step(*state, *sweep, data, hyper) for sweep in noise]
-        A[rows], mu[rows], theta_bar[rows], ss[rows] = zip(*states)
+        state = (column[start - 1].item() for column in (A, mu, theta_bar, ss))  # the row before
+        A[rows], mu[rows], theta_bar[rows], ss[rows] = step(*state, noise, data, hyper)
         # each row's theta draw read the sweep's A (ooo: the one before it)
         a = A[start - a_ahead : rows.stop - a_ahead, None]
         mean, var = theta_params(mu[rows, None], a, data)

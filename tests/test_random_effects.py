@@ -493,6 +493,36 @@ def test_run_chain_matches_the_vector_step_formulas(hyper, variant, m):
         assert (np.abs(got - want).max(axis=0) <= VECTOR_RTOL * scale).all(), name
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("m, below_floor", [(2, False), (8, True), (64, False)])
+def test_chained_steps_are_run_chain_bit_for_bit(hyper, variant, m, below_floor):
+    # block_step and ooo_step are one-row calls of run_chain's chunk loop:
+    # chained on the key layout's noise they give every row of the chain,
+    # across chunks of 4096 // m rows and blocks of BLOCK sweeps alike
+    data = RemData(1.5 * np.random.default_rng(100 + m).normal(size=m), V=1.0)
+    # theta's mean is exactly 0 below the floor, so mu shows which A it read
+    init = (1e-310, 0.0, np.tile([-1.0, 1.0], m // 2)) if below_floor else default_init(data)
+    n = 2 * BLOCK + 100
+    chain = run_chain(variant, init, data, hyper, n=n, seed=m)
+    noise = key_layout_noise(m, hyper.a + (m - 1) / 2, m)
+    step, ahead = (block_step, 0) if variant == "block" else (ooo_step, 1)
+    states = [tuple(column[0].item() for column in (chain.A, chain.mu, chain.theta_bar, chain.ss))]
+    dy = data.y - data.y_bar
+    for i in range(1, n + 1):
+        z = noise(i, 2)
+        z_bar = float(np.add.reduce(z)) / m
+        dz = z - z_bar
+        states.append(step(*states[-1], noise(i + ahead, 0), noise(i, 1), z_bar,
+                           float(np.add.reduce(dz * dy)), float(np.add.reduce(dz * dz)), data, hyper))
+    rows = np.column_stack([chain.A, chain.mu, chain.theta_bar, chain.ss])
+    assert np.array(states).tobytes() == rows.tobytes()
+    if below_floor and variant == "ooo":  # mu reads A as it is, theta the floored A
+        V, z_mu, z_bar = data.V, noise(1, 1), float(np.add.reduce(noise(1, 2))) / m
+        assert chain.mu[1] == math.sqrt(1e-310 / m) * z_mu != math.sqrt(A_FLOOR / m) * z_mu
+        s = math.sqrt(A_FLOOR * V / (A_FLOOR + V))
+        assert chain.theta_bar[1] == (V * chain.mu[1] + A_FLOOR * data.y_bar) / (A_FLOOR + V) + s * z_bar
+
+
 @pytest.mark.parametrize("variant", ["block", "ooo"])
 @pytest.mark.parametrize(
     "split",

@@ -55,7 +55,8 @@ def test_tracer_hooks_count_a_simulate_run_and_are_restored(tmp_path, tracing):
                                   "--out", str(tmp_path / "out")])
     values = tracing.op_values(tracer, 0)
     # one chain: one keyed draw per label (A, mu, theta), which binds once
-    # per block of sweeps it covers (here one), and one step per sweep
+    # per block of sweeps it covers (here one), and one step call per chunk
+    # of 4096 // m sweeps (here one)
     assert values["streams.draws"] == 3
     assert values["streams.audit_keys"] == 3
-    assert tracer.steps.count == n
+    assert tracer.steps.count == 1

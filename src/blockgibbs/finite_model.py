@@ -149,16 +149,22 @@ class JointPmf3:
         return cls(dims, p)
 
 
-def _once_per_pmf(build):
-    """Decorate a function of a pmf alone: its result is built on the first
-    call, kept on the pmf, and returned again by every later call."""
+def _kept(build):
+    """Decorate a function of an object with a ``_derived`` dict (a pmf or a
+    kernel) and hashable arguments: its result is built on the first call
+    with them, kept in the dict, and returned by every later call. A call
+    with an unhashable argument, such as a list, builds every time."""
 
     @functools.wraps(build)
-    def kept(pmf: JointPmf3):
-        if build not in pmf._derived:
+    def kept(owner, *args):
+        key = (build, *args)
+        try:
+            return owner._derived[key]
+        except KeyError:
             # threads that both built it still return the one kept object
-            pmf._derived.setdefault(build, build(pmf))
-        return pmf._derived[build]
+            return owner._derived.setdefault(key, build(owner, *args))
+        except TypeError:
+            return build(owner, *args)
 
     return kept
 
@@ -176,7 +182,8 @@ def marginal(pmf: JointPmf3, variables: Iterable[str]) -> np.ndarray:
     return table
 
 
-def conditional(pmf: JointPmf3, target: Iterable[str], given: Iterable[str]) -> np.ndarray:
+@_kept
+def conditional(pmf: JointPmf3, target: Iterable[str], given: Iterable[str], /) -> np.ndarray:
     """Conditional table of ``target`` given ``given``.
 
     Its axes are (given..., target...), each group in canonical (X, Y, Z)
@@ -184,16 +191,18 @@ def conditional(pmf: JointPmf3, target: Iterable[str], given: Iterable[str]) -> 
     to 1. Raises if a conditioning cell has zero probability; strictly
     positive pmfs (e.g. from ``random_pmf``) can never hit that path. The
     table is read-only and kept on the pmf, so every call with the same pmf
-    and variables returns the same array.
+    and variables returns the same array; a repeated call is one lookup.
     """
     t_axes = _axis_indices(target)
     g_axes = _axis_indices(given)
     if set(t_axes) & set(g_axes):
         raise ValueError("target and given must be disjoint")
-    key = (t_axes, g_axes)
-    if key in pmf._derived:
-        return pmf._derived[key]
+    return _conditional(pmf, t_axes, g_axes)
 
+
+@_kept
+def _conditional(pmf: JointPmf3, t_axes: tuple[int, ...], g_axes: tuple[int, ...]) -> np.ndarray:
+    """``conditional`` on canonical axes: one table however labels are spelled."""
     union = sorted(t_axes + g_axes)
     joint = marginal(pmf, [AXES[i] for i in union])
     # reorder union axes to (given..., target...)
@@ -208,10 +217,10 @@ def conditional(pmf: JointPmf3, target: Iterable[str], given: Iterable[str]) -> 
     # C order, so that the kernels built from it sum in one fixed order
     table = np.ascontiguousarray(joint / denom.reshape(denom.shape + (1,) * len(t_axes)))
     table.setflags(write=False)
-    return pmf._derived.setdefault(key, table)
+    return table
 
 
-@_once_per_pmf
+@_kept
 def pi_star(pmf: JointPmf3) -> JointPmf3:
     """Distribution actually preserved by the out-of-order sweep.
 

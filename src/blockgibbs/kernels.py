@@ -12,8 +12,8 @@ and the two-block sweeps are its rotations:
   block          STEPS rotated by 0, codec (X, Y, Z), rows read z
   out-of-order   STEPS rotated by 1, codec (Y, Z, X), rows read (z, x)
   rotated block  STEPS rotated by 2, codec (Z, X, Y), rows read (x, y)
-  z-marginal     block updates on codec (Z,):     K_z, the block core
-  xy-marginal    rotated updates on codec (X, Y): K_xy, the rotated core
+  z-marginal     the block sweep on codec (Z,):      K_z, the block core
+  xy-marginal    the rotated sweep on codec (X, Y): K_xy, the rotated core
 
 plus single-site sweeps, the three full conditionals in any of the six
 update orders (``gibbs_kernel``). The block, rotated, and out-of-order
@@ -34,12 +34,15 @@ the smallest). The package forms none of C, K and the core itself.
 
 The five kernel factories and the prop1 start-measure banks, ``nu_z`` (row
 z, on codec (Z, X)) and ``nu_xz`` (row (x, z), on codec (X, Y)), build their
-object once per pmf and keep it on the pmf: every caller shares one. What a
-kernel builds from its labels and subscripts alone is planned once per sweep.
+object once per pmf and keep it on the pmf: every caller shares one. A
+marginal chain is a view of its sweep (``Kernel.core_chain``) that shares its
+tables, factors and solves. What a kernel builds from its labels and
+subscripts alone is planned once per sweep.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .finite_model import AXES, JointPmf3, _once_per_pmf, conditional, marginal
+from .finite_model import AXES, JointPmf3, _kept, conditional, marginal
 
 #: Row-stochasticity tolerance for kernel rows.
 ROW_SUM_TOL = 1e-12
@@ -117,7 +120,8 @@ class Kernel:
     """Row-stochastic transition kernel on the codec's states, stored as its
     conditional updates and its r x r core's factors (L, U), read-only: the
     updates up to where the cycle holds fewest values, k, and the rest. The
-    core's eigenvalues and stationary solve come from ``reduced`` = U L.
+    core's eigenvalues and stationary solve come from ``reduced`` = U L on
+    first use, kept in ``_derived``, which the kernel's ``core_chain`` shares.
 
     ``updates`` holds (einsum subscript, table) pairs, run in turn. A
     subscript names its table's axes: current coordinates x, y, z and next
@@ -133,6 +137,7 @@ class Kernel:
     factors: tuple = field(init=False, repr=False)  # (L, U)
     reduced: np.ndarray = field(init=False, repr=False)  # U L
     _steps: tuple = field(init=False, repr=False)  # (einsum, table) per update
+    _derived: dict = field(default_factory=dict, init=False, repr=False)  # the core's, shared by core_chain
 
     def __post_init__(self) -> None:
         labels = self.codec.labels
@@ -172,14 +177,29 @@ class Kernel:
             w = np.einsum(subscripts, w, table)
         return w.reshape(v.shape)
 
-    @functools.cached_property
+    def core_chain(self) -> Kernel:
+        """This kernel on the coordinates its rows read, the others drawn and
+        summed out: its core C R as a chain (K_z of the block sweep, K_xy of
+        the rotated one), with its own codec and steps and the rest shared,
+        ``_derived`` too, so nothing is checked, contracted or solved again."""
+        subs, tables = zip(*self.updates)
+        unread = sum(lab.lower() not in "".join(subs) for lab in self.codec.labels)  # a prefix
+        codec = StateCodec(self.codec.labels[unread:], self.codec.sizes[unread:])
+        chain = copy.copy(self)
+        object.__setattr__(chain, "codec", codec)
+        object.__setattr__(chain, "_steps", tuple(zip(_plan(codec.labels, subs)[1], tables)))
+        return chain
+
+    @property
+    @_kept
     def core(self) -> np.ndarray:
         """The r x r core L U (read-only), formed only for a caller that asks."""
         core = np.matmul(*self.factors)
         core.setflags(write=False)
         return core
 
-    @functools.cached_property
+    @property
+    @_kept
     def core_eigenvalues(self) -> np.ndarray:
         """U L's k eigenvalues (read-only). The core's are these and r - k
         zeros (Liu, Wong & Kong 1994), K's these and s - k zeros."""
@@ -187,7 +207,8 @@ class Kernel:
         eigs.setflags(write=False)
         return eigs
 
-    @functools.cached_property
+    @property
+    @_kept
     def core_stationary(self) -> np.ndarray:
         """mu with mu core = mu and sum(mu) = 1 (read-only): nu U, normalised,
         with ((U L)^T - I) nu = 0 solved square, its last equation (redundant,
@@ -252,17 +273,25 @@ def flatten_to_codec(pmf: JointPmf3, codec: StateCodec) -> np.ndarray:
     return np.transpose(marginal(pmf, codec.labels), perm).ravel()
 
 
-def _sweep_kernel(pmf: JointPmf3, updates: Sequence[tuple[str, Sequence[str]]]) -> Kernel:
-    """Kernel of the sweep that runs ``updates`` in order, each a (drawn
-    coordinate, given coordinates) pair read off its conditional table at
-    the freshest values. The codec is the draw order."""
-    drawn, pairs = "", []
+@functools.cache
+def _subscripts(updates: tuple) -> tuple[str, tuple[str, ...]]:
+    """A sweep's draw order and its updates' subscripts, strings only, once per sweep."""
+    drawn, subs = "", []
     for target, given in updates:
         # a conditional table's axes are (given..., target), given in AXES order
         at = "".join(u.lower().translate(_NEXT) if u in drawn else u.lower() for u in AXES if u in given)
-        pairs.append((at + target.lower().translate(_NEXT), conditional(pmf, target, given)))
+        subs.append(at + target.lower().translate(_NEXT))
         drawn += target
-    return Kernel(StateCodec.for_labels(pmf, drawn), tuple(pairs))
+    return drawn, tuple(subs)
+
+
+def _sweep_kernel(pmf: JointPmf3, updates: tuple[tuple[str, Sequence[str]], ...]) -> Kernel:
+    """Kernel of the sweep that runs ``updates`` in order, each a (drawn
+    coordinate, given coordinates) pair read off its conditional table at
+    the freshest values. The codec is the draw order."""
+    drawn, subs = _subscripts(updates)
+    tables = [conditional(pmf, target, given) for target, given in updates]
+    return Kernel(StateCodec.for_labels(pmf, drawn), tuple(zip(subs, tables)))
 
 
 def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
@@ -276,17 +305,17 @@ def gibbs_kernel(pmf: JointPmf3, ordering: Sequence[str]) -> Kernel:
     order = tuple(ordering)
     if sorted(order) != sorted(AXES):
         raise ValueError(f"ordering must be a permutation of {AXES}, got {order!r}")
-    return _sweep_kernel(pmf, [(lab, tuple(a for a in AXES if a != lab)) for lab in order])
+    return _sweep_kernel(pmf, tuple((lab, tuple(a for a in AXES if a != lab)) for lab in order))
 
 
-@_once_per_pmf
+@_kept
 def block_kernel(pmf: JointPmf3) -> Kernel:
     """``STEPS``: X given z, Y given (x', z), then Z given (x', y'). It reads
     only z: nz distinct rows."""
     return _sweep_kernel(pmf, STEPS)
 
 
-@_once_per_pmf
+@_kept
 def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
     """``STEPS`` rotated by 2: Z given (x, y), then X given z', then Y given
     (x', z'), the block sweep's (X, Y) refresh given the new z. This is the
@@ -295,7 +324,7 @@ def rotated_block_kernel(pmf: JointPmf3) -> Kernel:
     return _sweep_kernel(pmf, STEPS[2:] + STEPS[:2])
 
 
-@_once_per_pmf
+@_kept
 def ooo_kernel(pmf: JointPmf3) -> Kernel:
     """Out-of-order sweep, ``STEPS`` rotated by 1: Y given (x, z), then Z
     given (x, y'), then X given z'. Splitting the (X, Y) refresh across
@@ -304,30 +333,21 @@ def ooo_kernel(pmf: JointPmf3) -> Kernel:
     return _sweep_kernel(pmf, STEPS[1:] + STEPS[:1])
 
 
-def _core_chain(pmf: JointPmf3, kernel: Kernel, labels: Sequence[str]) -> Kernel:
-    """The sweep's updates as a chain on ``labels``, the coordinates its rows
-    read, the others drawn and summed out. Its cycle is the sweep's, so it
-    shares the sweep's eigenvalues and stationary solve."""
-    chain = Kernel(StateCodec.for_labels(pmf, labels), kernel.updates)
-    vars(chain).update(core_eigenvalues=kernel.core_eigenvalues, core_stationary=kernel.core_stationary)
-    return chain
-
-
-@_once_per_pmf
+@_kept
 def marginal_xy_kernel(pmf: JointPmf3) -> Kernel:
-    """K_xy, the rotated sweep's core: the block sweep projected onto (X, Y),
-    reversible with respect to the (X, Y)-marginal of the pmf."""
-    return _core_chain(pmf, rotated_block_kernel(pmf), ("X", "Y"))
+    """K_xy, the rotated sweep's core chain: the block sweep projected onto
+    (X, Y), reversible with respect to the (X, Y)-marginal of the pmf."""
+    return rotated_block_kernel(pmf).core_chain()
 
 
-@_once_per_pmf
+@_kept
 def marginal_z_kernel(pmf: JointPmf3) -> Kernel:
-    """K_z, the block sweep's core: the block sweep projected onto Z,
+    """K_z, the block sweep's core chain: the block sweep projected onto Z,
     reversible with respect to the Z-marginal of the pmf."""
-    return _core_chain(pmf, block_kernel(pmf), ("Z",))
+    return block_kernel(pmf).core_chain()
 
 
-@_once_per_pmf
+@_kept
 def nu_z(pmf: JointPmf3) -> np.ndarray:
     """The nz start measures pinning Z = z with X drawn from P(X | Z=z),
     row z (read-only), on the out-of-order core's codec (Z, X)."""
@@ -338,7 +358,7 @@ def nu_z(pmf: JointPmf3) -> np.ndarray:
     return bank
 
 
-@_once_per_pmf
+@_kept
 def nu_xz(pmf: JointPmf3) -> np.ndarray:
     """The nx * nz start measures pinning X = x with Y drawn from
     P(Y | X=x, Z=z), row x * nz + z (read-only), on K_xy's codec (X, Y)."""

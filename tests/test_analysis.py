@@ -548,9 +548,9 @@ def test_check_prop1_reads_the_ooo_curves_off_the_two_cores(monkeypatch):
 
 def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
     # every check reads the same five kernels and pi_star off the pmf: one
-    # construction per kernel, one pi_star, and one core eigensolve and one
-    # square stationary solve per distinct core, since K_z and K_xy are the
-    # block and rotated cores
+    # construction per sweep, since K_z and K_xy are views of the block and
+    # rotated sweeps, one pi_star, and one core eigensolve and one square
+    # stationary solve per distinct core
     counts = {"eigvals": 0, "solve": 0, "lstsq": 0, "kernels": 0, "pmfs": 0}
 
     def counting(key, fn):
@@ -566,7 +566,7 @@ def test_analyze_derives_each_kernel_once(monkeypatch, pmf_322):
     monkeypatch.setattr(Kernel, "__post_init__", counting("kernels", Kernel.__post_init__))
     monkeypatch.setattr(JointPmf3, "__post_init__", counting("pmfs", JointPmf3.__post_init__))
     analyze(pmf_322, nmax=10)
-    assert counts == {"eigvals": 3, "solve": 3, "lstsq": 0, "kernels": 5, "pmfs": 1}
+    assert counts == {"eigvals": 3, "solve": 3, "lstsq": 0, "kernels": 3, "pmfs": 1}
 
     factories = (block_kernel, rotated_block_kernel, ooo_kernel, marginal_xy_kernel,
                  marginal_z_kernel)

@@ -18,6 +18,7 @@ from blockgibbs import (
     Dims,
     JointPmf3,
     conditional,
+    finite_model,
     marginal,
     pi_star,
     product_pmf,
@@ -158,6 +159,52 @@ def test_conditional_built_once_per_pmf(pmf_322, anti_pmf):
     assert other is not first and other.shape == (1, 2, 2)
 
 
+def test_a_conditional_hit_is_one_table_for_every_spelling(monkeypatch, pmf_322):
+    # strings, tuples, lists and permuted labels all name one read-only
+    # table, cold or warm; a repeated hashable spelling reads no label
+    first = conditional(pmf_322, ("X", "Z"), ("Y",))
+    spellings = [("XZ", "Y"), (("Z", "X"), ("Y",)), (["X", "Z"], ["Y"]), ("ZX", ["Y"]), ({"X", "Z"}, "Y")]
+    for _ in range(2):
+        for target, given in spellings:
+            assert conditional(pmf_322, target, given) is first
+    assert not first.flags.writeable
+    canonicalised = []
+    monkeypatch.setattr(finite_model, "_axis_indices", lambda labels: canonicalised.append(labels))
+    for target, given in [("XZ", "Y"), (("Z", "X"), ("Y",))]:
+        assert conditional(pmf_322, target, given) is first
+    assert canonicalised == []
+
+
+def zero_cell_pmf() -> JointPmf3:
+    p = np.zeros((2, 2, 1))
+    p[:, 0, 0] = 0.5  # Y = 1 has zero probability
+    return JointPmf3(Dims(2, 2, 1), p)
+
+
+@pytest.mark.parametrize("target,given", [
+    (("W",), ("Z",)),  # an unknown label
+    ((), ("Z",)),  # an empty set
+    ("X", ""),
+    (("X",), ("X", "Z")),  # target and given overlap
+    ("Y", "YZ"),
+    (["X"], ["Y"]),  # on zero_cell_pmf: the cell Y=1 has no mass
+    ("X", "Y"),
+])
+def test_a_bad_conditional_request_raises_alike_cold_and_warm(target, given):
+    errors = []
+    for warm in (False, True, True):
+        pmf = zero_cell_pmf()
+        if warm:  # tables built, and this request refused once
+            for t, g in [("X", "Z"), ("Y", "XZ"), ("YZ", "X")]:
+                conditional(pmf, t, g)
+            with pytest.raises(ValueError):
+                conditional(pmf, target, given)
+        with pytest.raises(ValueError) as excinfo:
+            conditional(pmf, target, given)
+        errors.append(str(excinfo.value))
+    assert errors == [errors[0]] * 3
+
+
 def test_conditional_row_normalization(anti_pmf):
     # P(Y | X=0, Z=0) = (0.4, 0.1) / 0.5 = (0.8, 0.2)
     table = conditional(anti_pmf, ("Y",), ("X", "Z"))  # (x, z, y)
@@ -183,11 +230,8 @@ def test_chain_rule_reconstruction(seed, target, given):
 
 
 def test_conditional_zero_cell_named():
-    p = np.zeros((2, 2, 1))
-    p[:, 0, 0] = 0.5  # Y = 1 has zero probability
-    pmf = JointPmf3(Dims(2, 2, 1), p)
     with pytest.raises(ValueError, match=r"Y=1"):
-        conditional(pmf, ("X",), ("Y",))
+        conditional(zero_cell_pmf(), ("X",), ("Y",))
 
 
 def test_conditional_overlap_rejected(pmf_322):

@@ -1,11 +1,12 @@
-"""The per-sweep construction plan, ``kernels._plan``.
+"""The per-sweep construction plans, ``kernels._plan`` and ``kernels._subscripts``.
 
 A kernel's plan (what it builds from its codec labels and update subscripts
-alone) is built once per process and shared by every kernel of that sweep,
-whatever the pmf's dims. These tests pin that the cache grows with the sweeps
-and not with the dims, that a refused table is refused the same way on every
-call, that a warm cache changes no bit of a kernel, and that it masks none of
-the mutation gate's faults.
+alone), and a sweep's update subscripts, are built once per process and
+shared by every kernel of that sweep, whatever the pmf's dims. These tests
+pin that the caches grow with the sweeps and not with the dims, that a
+refused table is refused the same way on every call, that a warm cache
+changes no bit of a kernel, and that it masks none of the mutation gate's
+faults.
 """
 
 import itertools
@@ -40,13 +41,20 @@ def every_kernel(pmf) -> list[Kernel]:
 
 
 def test_the_plan_cache_grows_with_the_sweeps_not_the_dims():
-    kernels._plan.cache_clear()
+    # one plan per kernel's (codec labels, subscripts), and one set of update
+    # subscripts per sweep built from conditional tables: not the two
+    # marginal chains, which are their sweeps on fewer coordinates
+    caches = (kernels._plan, kernels._subscripts)
+    for cache in caches:
+        cache.cache_clear()
     sizes = []
     for i, dims in enumerate([(2, 2, 2), (3, 2, 2), (4, 4, 4), (5, 3, 2)]):
         every_kernel(random_pmf(Dims(*dims), seed=i, floor=0.005))
-        sizes.append(kernels._plan.cache_info().currsize)
+        sizes.append(tuple(cache.cache_info().currsize for cache in caches))
     assert sizes == [sizes[0]] * 4
-    assert sizes[0] == len(SWEEPS) + len(ORDERS)
+    assert sizes[0] == (len(SWEEPS) + len(ORDERS), len(SWEEPS) - 2 + len(ORDERS))
+    drawn, subs = kernels._subscripts(kernels.STEPS)  # strings only, no table
+    assert (drawn, subs) == ("XYZ", ("za", "azb", "abc"))
 
 
 def test_a_refused_table_is_refused_alike_on_every_call(pmf_322):

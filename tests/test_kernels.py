@@ -15,10 +15,12 @@ from blockgibbs import (
     JointPmf3,
     Kernel,
     StateCodec,
+    analyze,
     block_kernel,
     conditional,
     flatten_to_codec,
     gibbs_kernel,
+    kernels,
     marginal,
     marginal_xy_kernel,
     marginal_z_kernel,
@@ -273,21 +275,48 @@ def test_marginal_z_reversible(pmf_322):
 
 def test_marginal_kernels_are_the_sweep_cores(corpus, anti_pmf):
     # K_z is the block core and K_xy the rotated core: the sweep's own
-    # updates on the coordinates its rows read, the others summed out, with
-    # the same factor pair, and each pair shares one eigenvalue array and
-    # stationary solve.
+    # updates on the coordinates its rows read, the others summed out. Each
+    # is a view of its sweep that shares its updates, factor pair, eigenvalue
+    # array and stationary solve, whichever of the two solves first.
     pairs = ((marginal_z_kernel, block_kernel, ("Z",)),
              (marginal_xy_kernel, rotated_block_kernel, ("X", "Y")))
-    for pmf in corpus[:4] + [anti_pmf]:
+    for i, pmf in enumerate(corpus[:4] + [anti_pmf]):
         for marginal_factory, sweep_factory, labels in pairs:
             chain, sweep = marginal_factory(pmf), sweep_factory(pmf)
             assert chain.codec == StateCodec.for_labels(pmf, labels)
-            assert all(a is b for (_, a), (_, b) in zip(chain.updates, sweep.updates))
+            for name in ("updates", "factors", "reduced"):
+                assert getattr(chain, name) is getattr(sweep, name), name
+            first, second = (chain, sweep) if i % 2 else (sweep, chain)
+            for name in ("core", "core_eigenvalues", "core_stationary"):
+                assert getattr(first, name) is getattr(second, name), name
             np.testing.assert_allclose(kernel_rows(chain), sweep.core, rtol=0, atol=1e-15)
-            for got, want in zip(chain.factors + (chain.reduced,), sweep.factors + (sweep.reduced,)):
-                np.testing.assert_array_equal(got, want)
-            assert chain.core_eigenvalues is sweep.core_eigenvalues
-            assert chain.core_stationary is sweep.core_stationary
+
+
+def test_a_marginal_chain_builds_nothing(monkeypatch, pmf_322):
+    # across one analyze, only the three sweeps are constructed, and every
+    # factor contraction is one of theirs
+    built, contracting, contracted = [], [], []
+
+    def post_init(kernel):
+        contracting.append(kernel)
+        try:
+            real_post_init(kernel)
+        finally:
+            contracting.pop()
+        built.append(kernel)
+
+    def contract(*args):
+        contracted.append(contracting[-1])
+        return real_contract(*args)
+
+    real_post_init, real_contract = Kernel.__post_init__, kernels._contract
+    monkeypatch.setattr(Kernel, "__post_init__", post_init)
+    monkeypatch.setattr(kernels, "_contract", contract)
+    analyze(pmf_322, nmax=10)
+    sweeps = [factory(pmf_322) for factory in (block_kernel, rotated_block_kernel, ooo_kernel)]
+    assert sorted(map(id, built)) == sorted(map(id, sweeps))
+    assert {id(k) for k in contracted} == set(map(id, sweeps))
+    assert len(contracted) <= 2 * len(sweeps)
 
 
 def test_the_shared_core_solve_is_the_chains_own(corpus, anti_pmf):

@@ -4,8 +4,8 @@ order, and at least one independent check must fail on it.
 The prop1 pairs hold by construction, so ``check_prop1``'s own verdict
 cannot see a broken sweep. What can is listed in ``CHECKS``: the acceptance
 verdicts of ``analyze``, the dense reference of the prop1 curves (worst
-cases, and per start), the exact-arithmetic oracle, and the pinned
-violation labels. A fault is applied by monkeypatching the names the
+cases, and per start), the exact-arithmetic oracle, the pinned violation
+labels, and the rate witness. A fault is applied by monkeypatching the names the
 package looks up at call time, and every check builds fresh pmfs, since
 kernels and tables are kept per pmf object.
 
@@ -15,6 +15,10 @@ per-start witness catches that fault. A faulty factor M of the
 out-of-order core moves its spectrum and stationary solve but none of its
 steps, and no prop1 curve reads it, so only the rate witness catches that
 one: the acceptance pmf has nx != ny, where the fault does not exist.
+K_xy shares its factor pair with the rotated sweep; a pair from a rotated
+sweep on the transposed P(Z | X,Y) leaves K_xy's steps alone but moves its
+spectrum and the prop1 curves read off it, so the rate witness and the
+dense reference catch it, on the corpus pmfs with nx == ny.
 """
 
 import numpy as np
@@ -99,6 +103,24 @@ def ooo_m_from_transposed_z_table(monkeypatch):
     monkeypatch.setattr(analysis, "ooo_kernel", faulty)
 
 
+def xy_core_from_transposed_z_table(monkeypatch):
+    # K_xy steps right, but the factor pair it shares with the rotated
+    # sweep, which its spectrum, stationary solve and prop1 curves read,
+    # comes from a rotated sweep on P(Z | X,Y) with x and y transposed
+    steps = kernels.STEPS[2:] + kernels.STEPS[:2]
+
+    def faulty(pmf):
+        chain = kernels._sweep_kernel(pmf, steps).core_chain()
+        with pytest.MonkeyPatch.context() as patch:
+            table_fault(("Z",), ("X", "Y"), x_and_y_swapped)(patch)
+            wrong = kernels._sweep_kernel(pmf, steps)
+        for name in ("factors", "reduced"):
+            object.__setattr__(chain, name, getattr(wrong, name))
+        return chain
+
+    monkeypatch.setattr(analysis, "marginal_xy_kernel", faulty)
+
+
 def nu_xz_rows(order):
     """A fault that hands check_prop1 the nu_xz rows in ``order(count)``."""
 
@@ -120,6 +142,7 @@ FAULTS = {
     "last two nu_xz rows swapped": nu_xz_rows(last_two_swapped),
     "P(Y | X,Z) with x and z transposed": table_fault(("Y",), ("X", "Z"), x_and_z_swapped),
     "ooo factor M from P(Z | X,Y) with x and y transposed": ooo_m_from_transposed_z_table,
+    "K_xy factors from P(Z | X,Y) with x and y transposed": xy_core_from_transposed_z_table,
 }
 
 

@@ -56,18 +56,26 @@ RATE_TOL = 1e-8
 
 STATIONARY_RESIDUAL_TOL = 1e-12
 
+#: Float64s that one chunk of ``tv_curve``'s steps may hold per temporary
+#: (512 KB): steps x start rows x the widest read.
+TV_CHUNK_FLOATS = 65536
+
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Eigenvalue moduli (descending), the second largest eigenvalue modulus,
-    and the multiplicity of the unit eigenvalue."""
+    """Eigenvalue moduli of all s states (descending), the second largest
+    eigenvalue modulus, the multiplicity of the unit eigenvalue, and the
+    number of structural zeros: the s - k eigenvalues K = R C has beyond its
+    core's k. The report writes the k core moduli and that count."""
 
     moduli: np.ndarray
     slem: float
     unit_multiplicity: int
+    structural_zeros: int
 
     def to_json_dict(self) -> dict:
-        return {"moduli": self.moduli.tolist(), "slem": float(self.slem),
+        return {"moduli": self.moduli[: self.moduli.size - self.structural_zeros].tolist(),
+                "structural_zeros": int(self.structural_zeros), "slem": float(self.slem),
                 "unit_multiplicity": int(self.unit_multiplicity)}
 
 
@@ -76,12 +84,13 @@ def spectrum(kernel: Kernel) -> SpectrumSummary:
     structural zeros. The slem is the largest modulus among eigenvalues with
     |lambda - 1| > UNIT_EIG_TOL."""
     core_eigs = kernel.core_eigenvalues
-    eigs = np.concatenate([core_eigs, np.zeros(kernel.codec.size - core_eigs.size)])
+    zeros = kernel.codec.size - core_eigs.size
+    eigs = np.concatenate([core_eigs, np.zeros(zeros)])
     moduli = np.sort(np.abs(eigs))[::-1]
     non_unit = eigs[np.abs(eigs - 1.0) > UNIT_EIG_TOL]
     slem = float(np.abs(non_unit).max()) if non_unit.size else 0.0
     unit_multiplicity = int(np.count_nonzero(np.abs(eigs - 1.0) <= UNIT_EIG_TOL))
-    return SpectrumSummary(moduli, slem, unit_multiplicity)
+    return SpectrumSummary(moduli, slem, unit_multiplicity, zeros)
 
 
 def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
@@ -118,10 +127,11 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
     it, with y_n = w_1 L (U L)^(n-2) stepped on U L and read through U P,
     formed once, a chunk of steps at a time: each law's distances for the
     chunk are one product, subtract, abs and reduce. A chunk is the most
-    steps whose (steps x start rows x widest read) temporaries fit in 4,096
-    float64s (32 KB), at least one, so memory past the output does not grow
-    with nmax. Every product and reduce is the one a step at a time would
-    make, so the curves are bit-identical to stepping one at a time."""
+    steps whose (steps x start rows x widest read) temporaries fit in
+    TV_CHUNK_FLOATS, 65,536 float64s (512 KB), at least one, so memory past
+    the output does not grow with nmax. Every product and reduce is the one
+    a step at a time would make, so the curves are bit-identical to stepping
+    one at a time."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     cur = np.asarray(start, dtype=float)
@@ -146,7 +156,7 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
     laws, targets = [law for law, _ in reads], [t for _, t in reads]
     _distances(out[:, 1:2], w[None], laws, targets)
     laws = [u if law is None else u @ law for law in laws]  # the reads past step 1
-    chunk = max(1, min(nmax - 1, 4096 // max(1, len(bank) * max(widths))))
+    chunk = max(1, min(nmax - 1, TV_CHUNK_FLOATS // max(1, len(bank) * max(widths))))
     # two buffers in turn, so no step's product writes over its own input
     bufs = np.empty((2, chunk, len(bank), len(u)))
     y = np.matmul(w, l, out=bufs[0, 0])

@@ -174,9 +174,9 @@ def prop1_curve_calls(monkeypatch, pmf, nmax):
 @pytest.mark.parametrize(
     "dims, nmax, regime",
     [
-        ((2, 2, 2), 50, "one chunk"),  # 4 rows x 4 wide x steps 2..50 fit in 4,096
-        ((8, 8, 8), 12, "one step"),  # 64 rows x 64 wide = 4,096
-        ((3, 2, 2), 200, "partial"),  # 6 rows x 6 wide: steps 2..200 in chunks of 113, then 86
+        ((2, 2, 2), 50, "one chunk"),  # 4 rows x 4 wide x steps 2..50 fit in 65,536
+        ((16, 16, 16), 12, "one step"),  # 256 rows x 256 wide = 65,536
+        ((8, 8, 8), 200, "partial"),  # 64 rows x 64 wide: steps 2..200 in chunks of 16, then 7
     ],
 )
 def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dims, nmax, regime):
@@ -189,7 +189,7 @@ def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dim
     kernel, start, _, n, reads = calls[1]
     assert kernel is marginal_xy_kernel(pmf)
     widest = max(len(kernel.factors[0]) if law is None else law.shape[1] for law, _ in reads)
-    chunk = min(n - 1, max(1, 4096 // (len(start) * widest)))  # steps 2..n
+    chunk = min(n - 1, max(1, analysis.TV_CHUNK_FLOATS // (len(start) * widest)))  # steps 2..n
     steps = n - 1
     assert {"one chunk": chunk == steps, "one step": chunk == 1,
             "partial": 1 < chunk < steps and steps % chunk}[regime]
@@ -205,9 +205,10 @@ def test_chunked_tv_curve_is_bitwise_one_step_at_a_time(monkeypatch, corpus, dim
 @pytest.mark.parametrize("n", [3, 8])
 def test_tv_curve_memory_does_not_grow_with_nmax(n):
     # past its output, tv_curve holds a chunk of steps at a time: the peak
-    # is the same at nmax 50 and 3,200, where stacking every step's weights
-    # would add 3,200 x rows x r float64s (2.7 MB at 3^3). The slack covers
-    # the int objects of a longer range.
+    # is the same at nmax 1,000 and 4,000, both past a chunk's steps (606 at
+    # 3^3, 14 at 8^3), where stacking every step's weights would add 4,000 x
+    # rows x r float64s (3.5 MB at 3^3). The slack covers the int objects of
+    # a longer range.
     pmf = random_pmf(Dims(n, n, n), seed=16, floor=1e-4)
     k = ooo_kernel(pmf)
     rows = kernel_rows(k)
@@ -217,6 +218,7 @@ def test_tv_curve_memory_does_not_grow_with_nmax(n):
     target = flatten_to_codec(pi_star(pmf), k.codec)
     law = ((rows, target),)
     tv_curve(k, bank, target, 3, law)  # cached cores and first-call allocations
+    assert analysis.TV_CHUNK_FLOATS // (len(bank) * len(rows)) < 1000 - 1  # the budget binds
 
     def peak(nmax):
         tracemalloc.start()
@@ -226,7 +228,7 @@ def test_tv_curve_memory_does_not_grow_with_nmax(n):
         finally:
             tracemalloc.stop()
 
-    short, long = peak(50), peak(3200)
+    short, long = peak(1000), peak(4000)
     assert abs(long - short) < 1024, (short, long)
 
 

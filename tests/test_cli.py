@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import blockgibbs
-from blockgibbs import Dims, analyze, anti_example_pmf, cli, product_pmf, random_pmf, run_chain
+from blockgibbs import Dims, analysis, analyze, anti_example_pmf, cli, product_pmf, random_pmf, run_chain
 from blockgibbs.analysis import Prop1Report
 from blockgibbs.cli import ConfigError, main, parse_config
 from blockgibbs.streams import _MAX_ITERATION
@@ -31,15 +31,15 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "9bcd3a437021fdce79fbdaea78c27834a1cf79ea0f4103858ad06ef9a7a3259c",
+        "1b4cabdf5253ed1cd279ae2fcd139e9f392f72bc454dde2e239fa3fc380e06d4",
         "c8c0ba2d5996a5707b5f982e842c7d73d5ea6c8f8e3c637b9dbdcd938b57f7e9",
     ),
     "dims-4,4,4-seed-11": (
-        "761846295f833dc087ddfe92fba9895df6e0c5cbcf15e827ebadf1bd947e36ae",
+        "60922de8573585d9c1e7409b2c1fc473ee132392ef89168a414870a02d5f944a",
         "c1ee5263fabf264031b84b640ce0915e00ec80ed6f853c90430b296e91a66240",
     ),
     "anti-example": (
-        "2bd637b29255c053beba223e18cce572234964227e7dc341771c04991e8a7739",
+        "668d720e8d5abb19879a6380b51bfcda1189b483b270ac2e01e7b3e4f57d67f9",
         "6278ed004e3e10a9c7f58034e6d347cfd26d26febd3843b7776c6e1d86bea480",
     ),
 }
@@ -528,25 +528,50 @@ def test_write_tv_curves_matches_the_reference_renderer(tmp_path, corpus):
                                       "2,4.9406564584124654e-324,1e-300,,,,1e-300,0.10000000000000001,false"]
 
 
+def _exact_case_argv(tmp_path, case) -> list:
+    """The exact command line of a golden case, or of an inline product pmf
+    (``"product"``), writing to tmp_path / "out"."""
+    inline = {"anti-example": anti_example_pmf(), "product": product_pmf([0.3, 0.7], [0.5, 0.5], [0.4, 0.6])}
+    if case in inline:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"pmf": inline[case].to_json_dict()}))
+        argv = ["exact", "--config", str(cfg_path)]
+    else:
+        _, dims, _, seed = case.split("-")
+        argv = ["exact", "--dims", dims, "--seed", seed]
+    return argv + ["--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_EXACT_SHA256))
 def test_exact_outputs_golden_digest(tmp_path, case):
     # pins every number and verdict of the exact path's two artifacts for
     # seeded random pmfs (4x4x4 is the largest corpus shape) and for the
     # counterexample (given inline, so that no file path enters report.json)
     out = tmp_path / "out"
-    if case == "anti-example":
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"pmf": anti_example_pmf().to_json_dict()}))
-        argv = ["exact", "--config", str(cfg_path)]
-    else:
-        _, dims, _, seed = case.split("-")
-        argv = ["exact", "--dims", dims, "--seed", seed]
-    assert main(argv + ["--out", str(out)]) == 0
+    assert main(_exact_case_argv(tmp_path, case)) == 0
     digests = tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("report.json", "tv_curves.csv")
     )
     assert digests == GOLDEN_EXACT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXACT_SHA256) + ["product"])
+def test_report_spectra_are_core_moduli_and_a_structural_zero_count(tmp_path, case):
+    # each kernel's spectrum is written as its k core moduli, descending, and
+    # the count of its s - k structural zeros, not of the moduli that are 0.0
+    cfg = parse_config(_exact_case_argv(tmp_path, case))
+    assert cli.run(cfg) == 0
+    written = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["rates"]["spectra"]
+    summaries = analysis.check_rate_equality(cfg.pmf).spectra
+    kernels = {name: kernel for name, (kernel, _) in analysis._sweeps(cfg.pmf).items()}
+    assert list(written) == list(summaries) == list(kernels)
+    for name, kernel in kernels.items():
+        moduli, zeros = written[name]["moduli"], written[name]["structural_zeros"]
+        assert len(moduli) == kernel.core_eigenvalues.size, name
+        assert zeros == kernel.codec.size - len(moduli), name
+        assert moduli == sorted(moduli, reverse=True), name
+        assert moduli + [0.0] * zeros == summaries[name].moduli.tolist(), name
 
 
 def test_exact_non_finite_pmf_exits_2_at_parse_time(tmp_path, capsys):

@@ -63,34 +63,39 @@ TV_CHUNK_FLOATS = 65536
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Eigenvalue moduli of all s states (descending), the second largest
-    eigenvalue modulus, the multiplicity of the unit eigenvalue, and the
-    number of structural zeros: the s - k eigenvalues K = R C has beyond its
-    core's k. The report writes the k core moduli and that count."""
+    """A kernel's eigenvalue moduli as its k x k core's k moduli (descending)
+    and the count of its s - k structural zeros, the eigenvalues K = R C has
+    beyond the core (Liu, Wong & Kong 1994), with the second largest
+    eigenvalue modulus and the multiplicity of the unit eigenvalue."""
 
-    moduli: np.ndarray
+    core_moduli: np.ndarray
+    structural_zeros: int
     slem: float
     unit_multiplicity: int
-    structural_zeros: int
+
+    @property
+    def moduli(self) -> np.ndarray:
+        """All s moduli, descending, built read-only on each access."""
+        moduli = np.pad(self.core_moduli, (0, self.structural_zeros))
+        moduli.flags.writeable = False
+        return moduli
 
     def to_json_dict(self) -> dict:
-        return {"moduli": self.moduli[: self.moduli.size - self.structural_zeros].tolist(),
-                "structural_zeros": int(self.structural_zeros), "slem": float(self.slem),
-                "unit_multiplicity": int(self.unit_multiplicity)}
+        return {"moduli": self.core_moduli.tolist(), "structural_zeros": int(self.structural_zeros),
+                "slem": float(self.slem), "unit_multiplicity": int(self.unit_multiplicity)}
 
 
 def spectrum(kernel: Kernel) -> SpectrumSummary:
-    """Eigenvalue summary of all s eigenvalues: U L's k plus s - k
-    structural zeros. The slem is the largest modulus among eigenvalues with
-    |lambda - 1| > UNIT_EIG_TOL."""
-    core_eigs = kernel.core_eigenvalues
-    zeros = kernel.codec.size - core_eigs.size
-    eigs = np.concatenate([core_eigs, np.zeros(zeros)])
-    moduli = np.sort(np.abs(eigs))[::-1]
-    non_unit = eigs[np.abs(eigs - 1.0) > UNIT_EIG_TOL]
-    slem = float(np.abs(non_unit).max()) if non_unit.size else 0.0
+    """Eigenvalue summary read off U L's k eigenvalues. The slem is the
+    largest modulus among eigenvalues with |lambda - 1| > UNIT_EIG_TOL; the
+    s - k structural zeros, never within it of 1, move neither it nor the
+    unit multiplicity."""
+    eigs = kernel.core_eigenvalues
+    moduli = np.abs(eigs)
+    non_unit = moduli[np.abs(eigs - 1.0) > UNIT_EIG_TOL]
+    slem = float(non_unit.max()) if non_unit.size else 0.0
     unit_multiplicity = int(np.count_nonzero(np.abs(eigs - 1.0) <= UNIT_EIG_TOL))
-    return SpectrumSummary(moduli, slem, unit_multiplicity, zeros)
+    return SpectrumSummary(np.sort(moduli)[::-1], kernel.codec.size - eigs.size, slem, unit_multiplicity)
 
 
 def stationary(kernel: Kernel) -> tuple[np.ndarray, float]:
@@ -202,6 +207,8 @@ class Prop1Report:
     ``chain2`` rows are (out-of-order at n, xy-marginal from nu_xz at n-1,
     rotated from lifted nu_xz at n-1), verified for n >= 1, per start state.
     Past step 0 every term is read off K_z or K_xy (see ``check_prop1``).
+    The per-n rows and ok flags are written once, to tv_curves.csv; the
+    report's JSON holds the verdicts, ``max_violation`` and ``violations``.
     """
 
     nmax: int
@@ -221,8 +228,6 @@ class Prop1Report:
         return self.chain1_verdict and self.chain2_verdict
 
     def to_json_dict(self) -> dict:
-        # undefined terms (NaN) become null
-        chain1, chain2 = (np.where(np.isnan(a), None, a).tolist() for a in (self.chain1, self.chain2))
         return {
             "nmax": self.nmax,
             "tol": self.tol,
@@ -231,9 +236,6 @@ class Prop1Report:
             "chain2_verdict": self.chain2_verdict,
             "max_violation": float(self.max_violation),
             "violations": self.violations,
-            "rows": [{"n": n, "chain1": chain1[i], "chain1_ok": self.chain1_ok[i],
-                      "chain2": chain2[i], "chain2_ok": self.chain2_ok[i]}
-                     for i, n in enumerate(self.n_values.tolist())],
         }
 
 
@@ -352,7 +354,6 @@ class RateEqualityReport:
             "tol": self.tol,
             "multiset_gap": float(self.multiset_gap),
             "slem_gap": float(self.slem_gap),
-            "slems": {k: float(v.slem) for k, v in self.spectra.items()},
             "spectra": {k: v.to_json_dict() for k, v in self.spectra.items()},
         }
 

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .analysis import ChainReport, analyze
+from .analysis import MARGINAL_SUBSETS, ChainReport, analyze
 from .corpus import CORPUS_FLOOR
 from .finite_model import Dims, JointPmf3, conditional, random_pmf
 from .kernels import STEPS
@@ -83,12 +83,6 @@ class RunConfig:
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in report")
-    return format(x, ".17g")
-
-
 def _write_json(obj, path) -> None:
     """JSON writer with floats fixed at 17 significant digits so identical
     runs produce byte-identical files. Items go one per line under a
@@ -97,7 +91,9 @@ def _write_json(obj, path) -> None:
 
     def render(node, indent: str) -> str:
         if isinstance(node, (float, np.floating)):
-            return _format_float(float(node))
+            if not math.isfinite(node):
+                raise ValueError(f"non-finite value {float(node)!r} in report")
+            return format(float(node), ".17g")
         if isinstance(node, dict):
             if not node:
                 return "{}"
@@ -110,10 +106,7 @@ def _write_json(obj, path) -> None:
             if not node:
                 return "[]"
             pad = indent + "  "
-            # Python floats, most list items, skip the type dispatch
-            items = f",\n{pad}".join(
-                [_format_float(v) if type(v) is float else render(v, pad) for v in node]
-            )
+            items = f",\n{pad}".join([render(v, pad) for v in node])
             return f"[\n{pad}{items}\n{indent}]"
         if isinstance(node, bool) or node is None:
             return _LITERALS[node]
@@ -408,7 +401,7 @@ def _load_pmf(source: dict) -> JointPmf3:
 
 
 def _check_verdicts(report: ChainReport) -> dict[str, bool]:
-    preserved = [report.marginal_tv[k] for k in ("X", "Y", "Z", "XZ", "YZ")]
+    preserved = [report.marginal_tv["".join(subset)] for subset in MARGINAL_SUBSETS[:-1]]
     return {
         "prop1": report.prop1.verdict,
         "rates": report.rate.verdict,

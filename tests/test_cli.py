@@ -31,15 +31,15 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "1b4cabdf5253ed1cd279ae2fcd139e9f392f72bc454dde2e239fa3fc380e06d4",
+        "ab102172c327e6a350a66f1aaf5232468ac6e61aa27b5989b814af3aecfbf799",
         "c8c0ba2d5996a5707b5f982e842c7d73d5ea6c8f8e3c637b9dbdcd938b57f7e9",
     ),
     "dims-4,4,4-seed-11": (
-        "60922de8573585d9c1e7409b2c1fc473ee132392ef89168a414870a02d5f944a",
+        "ac59954ec1decc257b8a034aee87b5122bc04cd71ed6407779b05b36c06ea300",
         "c1ee5263fabf264031b84b640ce0915e00ec80ed6f853c90430b296e91a66240",
     ),
     "anti-example": (
-        "668d720e8d5abb19879a6380b51bfcda1189b483b270ac2e01e7b3e4f57d67f9",
+        "c4362f7d3711aa3a90e1298a6bc5c70080289f3293f7ffa3e0283ffc8baec43c",
         "6278ed004e3e10a9c7f58034e6d347cfd26d26febd3843b7776c6e1d86bea480",
     ),
 }
@@ -377,7 +377,7 @@ def test_exact_mode_product_pmf(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert all(report["verdicts"].values())
-    assert max(report["report"]["rates"]["slems"].values()) < 1e-12
+    assert max(spec["slem"] for spec in report["report"]["rates"]["spectra"].values()) < 1e-12
 
     with open(out / "tv_curves.csv") as fh:
         rows = list(csv.reader(fh))
@@ -394,9 +394,10 @@ def test_exact_mode_seeded_corpus_member(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["verdicts"]["prop1"] is True
-    rows = report["report"]["prop1"]["rows"]
-    assert rows[0]["n"] == 1
-    assert rows[0]["chain1"][2] is None  # undefined term serialized as null
+    with open(out / "tv_curves.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["n"] == "1"
+    assert rows[0]["tv_ooo_from_nu_z"] == ""  # undefined term written as an empty cell
 
 
 def test_exact_mode_inline_pmf(tmp_path):
@@ -572,6 +573,26 @@ def test_report_spectra_are_core_moduli_and_a_structural_zero_count(tmp_path, ca
         assert zeros == kernel.codec.size - len(moduli), name
         assert moduli == sorted(moduli, reverse=True), name
         assert moduli + [0.0] * zeros == summaries[name].moduli.tolist(), name
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXACT_SHA256) + ["product"])
+def test_prop1_rows_are_written_once_to_tv_curves(tmp_path, case):
+    # report.json carries neither the per-n prop1 rows nor a second copy of
+    # the slems; tv_curves.csv holds every row, bit for bit
+    cfg = parse_config(_exact_case_argv(tmp_path, case))
+    assert cli.run(cfg) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert "rows" not in report["prop1"]
+    assert "slems" not in report["rates"]
+    with open(tmp_path / "out" / "tv_curves.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    p = analysis.check_prop1(cfg.pmf, cfg.nmax)
+    assert [int(row[0]) for row in rows] == p.n_values.tolist()
+    cells = np.array([[float(cell) if cell else np.nan for cell in row[1:4] + row[5:8]] for row in rows])
+    assert cells.tobytes() == np.hstack([p.chain1, p.chain2]).tobytes()
+    flag = {"": None, "true": True, "false": False}
+    assert [flag[row[4]] for row in rows] == p.chain1_ok
+    assert [flag[row[8]] for row in rows] == p.chain2_ok
 
 
 def test_exact_non_finite_pmf_exits_2_at_parse_time(tmp_path, capsys):

@@ -56,6 +56,16 @@ RATE_TOL = 1e-8
 
 STATIONARY_RESIDUAL_TOL = 1e-12
 
+#: The exact verdicts, in report order (``ChainReport.verdicts``).
+CHECK_NAMES = ("prop1", "rates", "invariance", "marginals")
+
+#: Largest L1 residual of pi_star under the out-of-order kernel that counts
+#: as invariance.
+INVARIANCE_TOL = 1e-12
+
+#: Largest TV between the pmf and pi_star on a marginal pi_star preserves.
+PRESERVED_MARGINAL_TOL = 1e-14
+
 #: Float64s that one chunk of ``tv_curve``'s steps may hold per temporary
 #: (512 KB): steps x start rows x the widest read.
 TV_CHUNK_FLOATS = 65536
@@ -432,6 +442,18 @@ class ChainReport:
             "marginal_tv": {k: float(v) for k, v in self.marginal_tv.items()},
             "prop1": self.prop1.to_json_dict(),
         }
+
+    @property
+    def verdicts(self) -> dict[str, bool]:
+        """Each check in ``CHECK_NAMES`` order, true when its value is within
+        its tolerance: prop1 and rates as their reports decide, the pi_star
+        residual against INVARIANCE_TOL, and the largest TV on the marginals
+        pi_star preserves (all of MARGINAL_SUBSETS but XY) against
+        PRESERVED_MARGINAL_TOL."""
+        preserved = max(self.marginal_tv["".join(subset)] for subset in MARGINAL_SUBSETS[:-1])
+        return dict(zip(CHECK_NAMES, (self.prop1.verdict, self.rate.verdict,
+                                      self.invariance[0] <= INVARIANCE_TOL,
+                                      preserved <= PRESERVED_MARGINAL_TOL)))
 
 
 def analyze(pmf: JointPmf3, nmax: int = 50) -> ChainReport:

@@ -85,9 +85,10 @@ class JointPmf3:
 
     The tensor is validated (nonnegative, unit mass) and frozen read-only at
     construction; operations on it are pure functions. What is derived from
-    it alone (conditional tables, ``pi_star``, the five sweep kernels) is
-    built on first use and kept in ``_derived``, so each is built once per
-    pmf and every caller shares the same read-only object.
+    it alone (conditional tables, ``pi_star``, the five sweep kernels and the
+    ``nu_z`` and ``nu_xz`` start banks) is built on first use and kept in
+    ``_derived``, so each is built once per pmf and every caller shares the
+    same read-only object.
     """
 
     dims: Dims

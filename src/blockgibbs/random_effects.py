@@ -281,8 +281,9 @@ def shifted_view(trajectory: Trajectory) -> Trajectory:
 
 def estimate(values: np.ndarray, burn_in: int) -> tuple[float, float]:
     """Ergodic average of per-state values (one per trajectory state) after
-    burn-in, with a batch-means standard error using floor(sqrt(n))
-    batches."""
+    burn-in, with a batch-means standard error. The n post-burn-in states
+    make n // b batches of b = floor(sqrt(n)) states each, and the mean and
+    the SE are taken over the first (n // b) * b of them: n = 130 uses 121."""
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     values = np.asarray(values, dtype=float)[burn_in:]
@@ -446,30 +447,3 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     index += np.arange(0, src.size, _CELL)[:, None]
     out = src.ravel().take(index)
     return out[out != 0].tobytes()
-
-
-@dataclass
-class ModelConfig:
-    """One chain's model and run settings, as carried by the model JSON
-    document {"y": [...], "V": ..., "a": ..., "b": ..., "n": ...,
-    "burn_in": ..., "seed": ..., "variant": "block"|"ooo"}; the command line
-    reads and checks them."""
-
-    data: RemData
-    hyper: RemHyper
-    n: int
-    burn_in: int
-    seed: int
-    variant: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "y": self.data.y.tolist(),
-            "V": self.data.V,
-            "a": self.hyper.a,
-            "b": self.hyper.b,
-            "n": self.n,
-            "burn_in": self.burn_in,
-            "seed": self.seed,
-            "variant": self.variant,
-        }

@@ -102,10 +102,10 @@ def test_parse_simulate_merges_config_and_flags(model_file):
         ["simulate", "--config", model_file, "--variant", "ooo", "--n", "10000"]
     )
     assert cfg.mode == "simulate"
-    assert cfg.model.variant == "ooo"
-    assert cfg.model.n == 10000
-    assert cfg.model.burn_in == 0 and cfg.model.seed == 0
-    assert cfg.model.data.m == 6
+    assert cfg.variant == "ooo"
+    assert cfg.n == 10000
+    assert cfg.burn_in == 0 and cfg.seed == 0
+    assert cfg.data.m == 6
 
 
 def test_parse_simulate_flag_overrides_file(tmp_path):
@@ -113,8 +113,8 @@ def test_parse_simulate_flag_overrides_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     cfg = parse_config(["simulate", "--config", str(path), "--n", "900"])
-    assert cfg.model.n == 900
-    assert cfg.model.seed == 3
+    assert cfg.n == 900
+    assert cfg.seed == 3
 
 
 def test_parse_simulate_requires_n(model_file):
@@ -272,7 +272,7 @@ def test_simulate_n_beyond_the_stream_bound_exits_2(tmp_path, capsys, model_file
     assert main(argv + [str(bound + 1)]) == 2
     assert capsys.readouterr().err == f"error: n must be <= {bound}, got {bound + 1}\n"
     assert not out.exists()
-    assert parse_config(argv + [str(bound)]).model.n == bound
+    assert parse_config(argv + [str(bound)]).n == bound
 
 
 def test_simulate_n_too_large_to_allocate_exits_1(tmp_path, capsys, model_file):
@@ -289,9 +289,9 @@ def test_simulate_run_settings_may_be_integral_floats_or_numeric_strings(tmp_pat
     # run's shifted view needs
     path = tmp_path / "model.json"
     path.write_text(json.dumps(dict(MODEL, n=110.0, burn_in="10", seed="3")))
-    model = parse_config(["simulate", "--config", str(path)]).model
-    assert (model.n, model.burn_in, model.seed, model.variant) == (110, 10, 3, "block")
-    assert all(type(v) is int for v in (model.n, model.burn_in, model.seed))
+    cfg = parse_config(["simulate", "--config", str(path)])
+    assert (cfg.n, cfg.burn_in, cfg.seed, cfg.variant) == (110, 10, 3, "block")
+    assert all(type(v) is int for v in (cfg.n, cfg.burn_in, cfg.seed))
 
 
 @pytest.mark.parametrize("mode", ["exact", "simulate"])
@@ -721,6 +721,31 @@ def test_exact_stationary_residual_failure_exits_1(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert re.search(r"error: stationary solve residual \S+ exceeds tolerance 0\b", err), err
     assert not (out / "report.json").exists()
+
+
+def test_verdicts_are_values_against_the_analysis_tolerances(tmp_path, monkeypatch):
+    # analysis decides every verdict, in CHECK_NAMES order, and the command
+    # line takes them as they are: a tolerance tightened there fails the run
+    argv = ["exact", "--dims", "3,2,2", "--seed", "1", "--floor", "0.005", "--nmax", "5"]
+    report = analyze(random_pmf(Dims(3, 2, 2), seed=1, floor=0.005), nmax=5)
+    preserved = max(report.marginal_tv[name] for name in ("X", "Y", "Z", "XZ", "YZ"))
+    rate = report.rate
+    assert list(report.verdicts) == list(cli.CHECK_NAMES) == ["prop1", "rates", "invariance", "marginals"]
+    assert report.verdicts == {
+        "prop1": report.prop1.max_violation <= report.prop1.tol,
+        "rates": max(rate.multiset_gap, rate.slem_gap) <= rate.tol,
+        "invariance": report.invariance[0] <= analysis.INVARIANCE_TOL,
+        "marginals": preserved <= analysis.PRESERVED_MARGINAL_TOL,
+    }
+    assert all(report.verdicts.values())
+    assert main(argv + ["--out", str(tmp_path / "pass")]) == 0
+
+    monkeypatch.setattr(analysis, "PRESERVED_MARGINAL_TOL", -1.0)
+    out = tmp_path / "fail"
+    assert main(argv + ["--out", str(out)]) == 1
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["passed"] is False
+    assert doc["verdicts"] == {"prop1": True, "rates": True, "invariance": True, "marginals": False}
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from blockgibbs import (
     Dims,
     analysis,
     analyze,
-    cli,
     finite_model,
     kernels,
     random_pmf,
@@ -157,7 +156,7 @@ def fails(check, *args) -> bool:
 
 def acceptance_verdicts():
     pmf = random_pmf(Dims(3, 2, 3), seed=1601, floor=0.005)
-    verdicts = cli._check_verdicts(analyze(pmf, nmax=20))
+    verdicts = analyze(pmf, nmax=20).verdicts
     assert all(verdicts.values()), verdicts
 
 

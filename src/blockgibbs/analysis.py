@@ -66,9 +66,15 @@ INVARIANCE_TOL = 1e-12
 #: Largest TV between the pmf and pi_star on a marginal pi_star preserves.
 PRESERVED_MARGINAL_TOL = 1e-14
 
-#: Float64s that one chunk of ``tv_curve``'s steps may hold per temporary
-#: (512 KB): steps x start rows x the widest read.
+#: Float64s that one chunk of ``tv_curve``'s steps may hold in its scratch
+#: buffer (512 KB): steps x start rows x the widest read.
 TV_CHUNK_FLOATS = 65536
+
+#: Largest |mass - 1| of a ``tv_curve`` start row. Past step 1 each read's
+#: target is folded into its law on the assumption that the weights have
+#: mass 1, which moves a distance by at most the row's mass gap: at this
+#: tolerance, 5e-14 in TV, a twentieth of INEQ_SLACK.
+START_MASS_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -136,17 +142,27 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
     is followed on the rows, start K^n = w_n C with weights w_n = (start R)
     core^(n-1), and entry [n] is tv(w_n P, t), P None reading w_n itself.
     ``start`` is a probability vector, or a bank of them with one per row,
-    which gives each curve entry one value per row.
+    which gives each curve entry one value per row; a row whose mass is not
+    1 within START_MASS_TOL is refused.
 
     With core = L U, w_1 = start R is read as it is, and w_n = y_n U past
-    it, with y_n = w_1 L (U L)^(n-2) stepped on U L and read through U P,
-    formed once, a chunk of steps at a time: each law's distances for the
-    chunk are one product, subtract, abs and reduce. A chunk is the most
-    steps whose (steps x start rows x widest read) temporaries fit in
+    it, with y_n = w_1 L (U L)^(n-2) stepped on U L. y_n has mass 1, so
+    w_n P - t = y_n (U P - 1 t^T), and each read past step 1 is one product
+    with U P - 1 t^T, formed once, a chunk of steps at a time, into one
+    scratch buffer, then an abs and a row sum in place. A chunk is the most
+    steps whose (steps x start rows x widest read) block fits in
     TV_CHUNK_FLOATS, 65,536 float64s (512 KB), at least one, so memory past
-    the output does not grow with nmax. Every product and reduce is the one
-    a step at a time would make, so the curves are bit-identical to stepping
-    one at a time."""
+    the output does not grow with nmax. Every product and row sum is the one
+    a step at a time would make (``einsum`` adds each row in a fixed order,
+    whatever else the chunk holds), so the curves are bit-identical to
+    stepping one at a time.
+
+    A row sum of m terms in any fixed order is within (m - 1) u of the sum
+    of their magnitudes (Higham 2002, ch. 4), u = 2^-53. The terms are the
+    |entries| of a difference of two probability vectors, which sum to at
+    most 2, so at the widest read of ``check_prop1`` under the pair-cell cap,
+    m = 4,096 cells, a distance moves by at most 4,095 u, 4.5e-13 in TV,
+    under INEQ_SLACK."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     cur = np.asarray(start, dtype=float)
@@ -164,14 +180,19 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
                 f"does not match its target shape {np.shape(t)}"
             )
     bank = cur.reshape(-1, s)  # a single vector steps as a one-row bank
+    w = bank if r == s else bank.reshape(len(bank), -1, r).sum(axis=1)  # start R, never written
+    mass = w.sum(axis=1)
+    off = np.abs(mass - 1.0) > START_MASS_TOL
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(f"start row {row} has mass {float(mass[row])!r}, not 1 within {START_MASS_TOL:g}")
     out = np.empty((len(reads), nmax + 1, len(bank)))
-    d = bank - target
-    out[:, 0] = np.add.reduce(np.abs(d, out=d), axis=-1)
-    w = bank.reshape(len(bank), -1, r).sum(axis=1)  # start R
-    laws, targets = [law for law, _ in reads], [t for _, t in reads]
-    _distances(out[:, 1:2], w[None], laws, targets)
-    laws = [u if law is None else u @ law for law in laws]  # the reads past step 1
+    out[:, 0] = np.add.reduce(np.abs(bank - target), axis=-1)  # its temporaries go at once
     chunk = max(1, min(nmax - 1, TV_CHUNK_FLOATS // max(1, len(bank) * max(widths))))
+    scratch = np.empty(chunk * len(bank) * max(widths))
+    _distances(out[:, 1:2], w[None], reads, scratch)
+    # the reads past step 1, each target folded into its law
+    folded = [((u if law is None else u @ law) - t, None) for law, t in reads]
     # two buffers in turn, so no step's product writes over its own input
     bufs = np.empty((2, chunk, len(bank), len(u)))
     y = np.matmul(w, l, out=bufs[0, 0])
@@ -180,19 +201,27 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
         ys = bufs[i % 2, : stop - first]
         for yn in ys[1 if first == 2 else 0 :]:
             y = np.matmul(y, kernel.reduced, out=yn)
-        _distances(out[:, first:stop], ys, laws, targets)
+        _distances(out[:, first:stop], ys, folded, scratch)
     out *= 0.5
     return out.reshape(out.shape[:2] + cur.shape[:-1])
 
 
-def _distances(out: np.ndarray, ws: np.ndarray, laws: list, targets: list) -> None:
-    """Twice each law's distance from its target, read off the weights ``ws``
-    [step, row] (None reading them as they are), into ``out`` [law, step, row]."""
-    for curve, law, t in zip(out, laws, targets):
-        d = ws.copy() if law is None else ws @ law
-        d -= t
+def _distances(out: np.ndarray, ws: np.ndarray, reads: list, scratch: np.ndarray) -> None:
+    """Twice each read's distance, off the weights ``ws`` [step, row], into
+    ``out`` [read, step, row], each formed in ``scratch``: (P, t) takes
+    ws P - t (ws - t for P None), and (P, None) takes ws P, its target
+    already folded into P."""
+    for curve, (law, t) in zip(out, reads):
+        width = len(t) if law is None else law.shape[-1]
+        d = scratch[: curve.size * width].reshape(curve.shape + (width,))
+        if law is None:
+            np.subtract(ws, t, out=d)
+        else:
+            np.matmul(ws, law, out=d)
+            if t is not None:
+                d -= t
         np.abs(d, out=d)
-        np.add.reduce(d, axis=-1, out=curve)
+        np.einsum("...j->...", d, out=curve)
 
 
 def _sweeps(pmf: JointPmf3) -> dict:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from blockgibbs import Dims, anti_example_pmf, random_pmf, seeded_corpus
+from blockgibbs import Dims, JointPmf3, anti_example_pmf, random_pmf, seeded_corpus
 
 #: ``--hypothesis-profile=ci``: the same examples on every run, and no
 #: per-example deadline on a shared runner.
@@ -56,3 +56,14 @@ def kernel_matrix(k) -> np.ndarray:
     m = k.step(np.eye(k.codec.size))
     m.setflags(write=False)
     return m
+
+
+def permutation_pmf(n: int, eps: float, sigma: np.ndarray, tau: np.ndarray) -> JointPmf3:
+    """p(x, y, z) = (1 - eps)/n 1{y = sigma(x), z = tau(x)} + eps/n^3 on
+    n x n x n, for permutations sigma and tau of 0..n-1. Its K_z = A B is
+    a I + (1 - a) 1 pi_z^T with a = (1 - eps)^2 / ((1 - eps) + eps/n) and
+    pi_z uniform, so every kernel's slem is a and every prop1 curve is
+    geometric with ratio a after one step of its chain."""
+    p = np.full((n, n, n), eps / n**3)
+    p[np.arange(n), sigma, tau] += (1 - eps) / n
+    return JointPmf3(Dims(n, n, n), p)

@@ -141,8 +141,9 @@ def test_tv_curve_reads_the_coordinates_the_last_update_reads(pmf_322):
 
 def tv_curve_one_step_at_a_time(kernel, start, target, nmax, reads):
     """The curve loop with its steps unchunked: the mass on each row read
-    through each law at step 1, then one U L product and one distance per
-    law, read through U P, per step. The reference for bit-identity."""
+    through each law at step 1, then one U L product per step and one
+    distance per law, read through U P - 1 t^T, its target folded in, each
+    row summed by einsum. The reference for bit-identity."""
     cur = np.asarray(start, dtype=float)
     out = np.empty((len(reads), nmax + 1) + cur.shape[:-1])
     out[:, 0] = np.add.reduce(np.abs(cur - target), axis=-1)
@@ -152,10 +153,11 @@ def tv_curve_one_step_at_a_time(kernel, start, target, nmax, reads):
         if n > 1:
             cur = cur @ l if n == 2 else cur @ kernel.reduced
         for curve, (law, t) in zip(out, reads):
-            if n > 1:
-                law = u if law is None else u @ law
-            read = cur if law is None else cur @ law
-            np.add.reduce(np.abs(read - t), axis=-1, out=curve[n, ...])
+            if n == 1:
+                d = cur - t if law is None else cur @ law - t
+            else:
+                d = cur @ ((u if law is None else u @ law) - t)
+            np.einsum("...j->...", np.abs(d), out=curve[n, ...])
     out *= 0.5
     return out
 
@@ -254,6 +256,21 @@ def test_tv_curve_rejects_shapes_that_would_broadcast(corpus):
     for args, message in bad:
         with pytest.raises(ValueError, match=message):
             tv_curve(*args)
+
+
+def test_tv_curve_rejects_a_start_row_whose_mass_is_not_one(corpus):
+    # past step 1 each read's target is folded into its law, which holds only
+    # for weights of mass 1: a row of mass 0.9 would read every later
+    # distance against 0.9 t
+    pmf = corpus[2]
+    k = block_kernel(pmf)
+    target = flatten_to_codec(pmf, k.codec)
+    bank = np.vstack([target, np.eye(k.codec.size)[:3]])
+    bank[2] *= 0.9
+    law = ((kernel_rows(k), target),)
+    with pytest.raises(ValueError, match=r"start row 2 has mass 0\.9, not 1 within 1e-13"):
+        tv_curve(k, bank, target, 5, law)
+    assert tv_curve(k, np.delete(bank, 2, axis=0), target, 5, law).shape == (1, 6, 3)
 
 
 @pytest.mark.parametrize("index", [1, 2, 3, 7])

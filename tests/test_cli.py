@@ -31,12 +31,12 @@ SMALL_PMF = product_pmf([0.5, 0.5], [1.0], [1.0]).to_json_dict()
 #: test_exact_outputs_golden_digest.
 GOLDEN_EXACT_SHA256 = {
     "dims-3,3,2-seed-7": (
-        "ab102172c327e6a350a66f1aaf5232468ac6e61aa27b5989b814af3aecfbf799",
-        "c8c0ba2d5996a5707b5f982e842c7d73d5ea6c8f8e3c637b9dbdcd938b57f7e9",
+        "dbf3117c790e105b471a83b99f8ca921b1a50f2229bf7c26623a353eb75bccc1",
+        "6d3a76b541db1392637895089c4768f72e1a479db1176b7720b35b80b6782edc",
     ),
     "dims-4,4,4-seed-11": (
-        "ac59954ec1decc257b8a034aee87b5122bc04cd71ed6407779b05b36c06ea300",
-        "c1ee5263fabf264031b84b640ce0915e00ec80ed6f853c90430b296e91a66240",
+        "9fd261f3fd35f1b7e09fe326d59740f3c59949d29318c978fefa875edca1dfa2",
+        "b7632504eb6f240542b0eef487b94dc0a9693b0c10251cbd1f6e52c1fd8187b3",
     ),
     "anti-example": (
         "c4362f7d3711aa3a90e1298a6bc5c70080289f3293f7ffa3e0283ffc8baec43c",

@@ -41,12 +41,10 @@ from .random_effects import (
     RemData,
     RemHyper,
     Trajectory,
-    block_step,
     default_init,
     estimate,
     ig_params,
     mu_params,
-    ooo_step,
     run_chain,
     shifted_view,
     theta_params,

@@ -409,8 +409,6 @@ def _multiset_gap(a: np.ndarray, b: np.ndarray) -> float:
     padding the shorter one with zeros (borderline-tiny eigenvalues then
     still pair up within tolerance)."""
     n = max(a.size, b.size)
-    if n == 0:
-        return 0.0
     a = np.sort_complex(np.concatenate([a, np.zeros(n - a.size)]))
     b = np.sort_complex(np.concatenate([b, np.zeros(n - b.size)]))
     return float(np.abs(a - b).max())

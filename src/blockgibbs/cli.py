@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -400,18 +401,17 @@ def _load_pmf(source: dict) -> JointPmf3:
 def _write_tv_curves(report: ChainReport, path) -> None:
     """One CSV row per step n, CRLF line ends: each term as ``%.17g``, empty
     where it is undefined (NaN), and each ok flag as true, false or empty.
-    The rows are templates filled by one format over the file's terms."""
+    One template for the whole file is filled by one format over the rows'
+    values; ``%.17g`` prints NaN as ``nan``, which no other text contains."""
     p = report.prop1
-    flag = {None: "", True: "true", False: "false"}
-    cells = np.hstack([p.chain1, p.chain2])
-    undefined = np.isnan(cells)
-    lines = ["n,tv_block_from_worst_state,tv_Kz,tv_ooo_from_nu_z,chain1_ok,"
-             "tv_ooo_from_state,tv_Kxy_from_nu,tv_Kdagger_from_nu,chain2_ok"]
-    for n, nan, ok1, ok2 in zip(p.n_values.tolist(), undefined.tolist(), p.chain1_ok, p.chain2_ok):
-        row = ["" if x else "%.17g" for x in nan]
-        lines.append(",".join([str(n), *row[:3], flag[ok1], *row[3:], flag[ok2]]))
+    flag = {None: "", True: "true", False: "false"}.get
+    columns = [p.n_values.tolist(), *p.chain1.T.tolist(), map(flag, p.chain1_ok),
+               *p.chain2.T.tolist(), map(flag, p.chain2_ok)]
+    template = ("n,tv_block_from_worst_state,tv_Kz,tv_ooo_from_nu_z,chain1_ok,tv_ooo_from_state,"
+                "tv_Kxy_from_nu,tv_Kdagger_from_nu,chain2_ok\r\n"
+                + "%d,%.17g,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%s\r\n" * len(p.n_values))
     with _new_file(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines + [""]) % tuple(cells[~undefined].tolist()))
+        fh.write((template % tuple(itertools.chain.from_iterable(zip(*columns)))).replace("nan", ""))
 
 
 def _run_exact(cfg: RunConfig) -> int:

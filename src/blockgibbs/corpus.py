@@ -15,10 +15,10 @@ CORPUS_FLOOR = 0.005
 CORPUS_SIZE = 50
 
 
-def seeded_corpus(count: int = CORPUS_SIZE, floor: float = CORPUS_FLOOR) -> list[JointPmf3]:
+def seeded_corpus(count: int = CORPUS_SIZE) -> list[JointPmf3]:
     """Deterministic corpus: member i has dims CORPUS_DIMS[i % 4], seed i."""
     return [
-        random_pmf(Dims(*CORPUS_DIMS[i % len(CORPUS_DIMS)]), seed=i, floor=floor)
+        random_pmf(Dims(*CORPUS_DIMS[i % len(CORPUS_DIMS)]), seed=i, floor=CORPUS_FLOOR)
         for i in range(count)
     ]
 

@@ -14,10 +14,10 @@ per label and block of ``streams.BLOCK`` sweeps. The A and mu draws read
 theta only through its mean and sum of squared deviations SS, which read
 its noise through three statistics, so one loop (``_sweeps``) runs a chunk
 of sweeps on the scalar state (A, mu, theta-bar, SS), and theta is built
-after it; ``block_step`` and ``ooo_step`` are one-row calls of that loop.
-The out-of-order A draw is read one iteration ahead, so the out-of-order
-trajectory is bit-for-bit the shifted view (mu_n, theta_n, A_{n+1}) of the
-block trajectory, which ``shifted_view`` slices out of its arrays.
+after it. The out-of-order A draw is read one iteration ahead, so the
+out-of-order trajectory is bit-for-bit the shifted view (mu_n, theta_n,
+A_{n+1}) of the block trajectory, which ``shifted_view`` slices out of its
+arrays.
 """
 
 from __future__ import annotations
@@ -150,21 +150,6 @@ def _sweeps(a_first: bool, A, mu, theta_bar, ss, noise, data: RemData, hyper: Re
             A = (b + 0.5 * ss) / g
         put_A(A), put_mu(mu), put_bar(theta_bar), put_ss(ss)
     return columns
-
-
-def block_step(A, mu, theta_bar, ss, g, z_mu, z_bar, s_yz, s_zz, data, hyper):
-    """One block sweep from the state (A, mu, theta_bar, ss), given a unit
-    gamma ``g``, a standard normal ``z_mu`` and the statistics of the theta
-    noise: A from theta, then mu given the new A, then theta given the new
-    (mu, A). Returns the new state."""
-    return next(zip(*_sweeps(True, A, mu, theta_bar, ss, [(g, z_mu, z_bar, s_yz, s_zz)], data, hyper)))
-
-
-def ooo_step(A, mu, theta_bar, ss, g, z_mu, z_bar, s_yz, s_zz, data, hyper):
-    """One out-of-order sweep from the same state and noise as
-    ``block_step``: mu given the current A, then theta given (new mu,
-    current A), then A from the new theta. Returns the new state."""
-    return next(zip(*_sweeps(False, A, mu, theta_bar, ss, [(g, z_mu, z_bar, s_yz, s_zz)], data, hyper)))
 
 
 def default_init(data: RemData) -> tuple[float, float, np.ndarray]:

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import test_analysis
+import test_closed_form_witness
 import test_factored_kernels
 import test_prop1_reference
 import test_rate_witness
@@ -198,3 +199,40 @@ def test_every_fault_fails_a_check(monkeypatch, fault):
 def test_only_the_rate_witness_sees_a_faulty_ooo_factor(monkeypatch):
     FAULTS["ooo factor M from P(Z | X,Y) with x and y transposed"](monkeypatch)
     assert [name for name, failed in CHECKS.items() if failed()] == ["rate witness"]
+
+
+CLOSED_FORM_CATCHES = [
+    "P(Y | X,Z) perturbed by 1e-9",
+    "P(Y | X,Z) with x and z transposed",
+    "ooo factor M from P(Z | X,Y) with x and y transposed",
+    "K_xy factors from P(Z | X,Y) with x and y transposed",
+]
+
+
+@pytest.mark.parametrize("n, eps, seed, catches", [
+    (6, 0.05, 1, CLOSED_FORM_CATCHES),
+    (16, 0.001, 2, CLOSED_FORM_CATCHES[1:]),
+])
+def test_the_closed_form_family_catches_the_faults_it_can_see(n, eps, seed, catches):
+    """The faults the closed-form family catches, pinned per case; it stays
+    out of ``CHECKS``, so the rate witness is still the only check there that
+    sees a faulty ooo factor M.
+
+    It misses three. The ooo sweep in block order leaves every slem at a,
+    the block sweep's, and no prop1 curve steps ``ooo_kernel``: they are
+    read off the two cores. A row permutation of the nu_xz bank moves every
+    curve read from it together, so each worst case and its ratio stay. The
+    1e-9 perturbation lands on the (x, z) = (0, 0) row of P(Y | X,Z), off
+    the permutations' support, which holds eps / n^2 of the mass: it moved
+    the slems and terms by 2.3e-13 and 2.8e-13 at n = 6, past bounds of
+    2.4e-14 and 4.0e-14, but by 7.1e-15 and 7.3e-15 at n = 16, inside
+    4.5e-13 and 5.7e-13.
+    """
+    family = test_closed_form_witness.test_permutation_pmf_rates_and_curves_match_the_closed_form
+    caught = []
+    for name, fault in FAULTS.items():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fault(monkeypatch)
+            if fails(family, n, eps, seed):
+                caught.append(name)
+    assert caught == catches

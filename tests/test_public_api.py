@@ -19,9 +19,8 @@ EXPORTED = {
     # corpus
     "anti_example_pmf", "seeded_corpus",
     # random_effects
-    "RemData", "RemHyper", "Trajectory", "block_step", "default_init",
-    "estimate", "ig_params", "mu_params", "ooo_step", "run_chain",
-    "shifted_view", "theta_params",
+    "RemData", "RemHyper", "Trajectory", "default_init", "estimate",
+    "ig_params", "mu_params", "run_chain", "shifted_view", "theta_params",
     # streams
     "KeyedStream", "StreamKey",
 }

@@ -26,17 +26,15 @@ from blockgibbs import (
     RemHyper,
     StreamKey,
     Trajectory,
-    block_step,
     default_init,
     estimate,
     ig_params,
     mu_params,
-    ooo_step,
     run_chain,
     shifted_view,
     theta_params,
 )
-from blockgibbs.random_effects import A_FLOOR, VARIANTS, trajectory_to_csv
+from blockgibbs.random_effects import _STEPS, A_FLOOR, VARIANTS, trajectory_to_csv
 from blockgibbs.streams import BLOCK
 
 
@@ -193,6 +191,12 @@ def vector_chain(variant, init, data, hyper, n, seed):
     A, mu, theta = (np.array(column) for column in zip(*states))
     d = theta - theta.mean(axis=1, keepdims=True)
     return Trajectory(A, mu, theta, theta.mean(axis=1), (d * d).sum(axis=1))
+
+
+def one_sweep(variant, state, noise, data, hyper):
+    """One sweep of ``run_chain``'s chunk loop from the scalar state
+    (A, mu, theta_bar, ss), given one noise row (g, z_mu, z_bar, s_yz, s_zz)."""
+    return next(zip(*_STEPS[variant](*state, [noise], data, hyper)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +385,7 @@ def test_block_step_median_composition(data, hyper):
     np.testing.assert_array_equal(theta, theta_hand)
     # the step itself, from the chain's initial state and the median noise
     start = (chain.A[0], chain.mu[0], chain.theta_bar[0], chain.ss[0])
-    assert block_step(*start, median, 0.0, 0.0, 0.0, 0.0, data, hyper) == (A, mu, theta_bar, ss)
+    assert one_sweep("block", start, (median, 0.0, 0.0, 0.0, 0.0), data, hyper) == (A, mu, theta_bar, ss)
     assert theta_bar == pytest.approx(np.mean(theta_hand), rel=STATS_RTOL)
     assert ss == pytest.approx(2 * (ig_params(theta, hyper)[1] - hyper.b), rel=STATS_RTOL)
 
@@ -400,7 +404,7 @@ def test_ooo_step_median_composition(data, hyper):
     assert mu == mu_hand
     np.testing.assert_array_equal(theta, theta_hand)
     start = (chain.A[0], chain.mu[0], chain.theta_bar[0], chain.ss[0])
-    assert ooo_step(*start, median, 0.0, 0.0, 0.0, 0.0, data, hyper) == (A, mu, theta_bar, ss)
+    assert one_sweep("ooo", start, (median, 0.0, 0.0, 0.0, 0.0), data, hyper) == (A, mu, theta_bar, ss)
     # A reads the recursion's SS, not theta_hand's sum of squares
     assert A == (hyper.b + 0.5 * ss) / median
     assert A == pytest.approx(rate / gammainccinv(shape, 0.5), rel=STATS_RTOL)
@@ -496,24 +500,24 @@ def test_run_chain_matches_the_vector_step_formulas(hyper, variant, m):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("m, below_floor", [(2, False), (8, True), (64, False)])
 def test_chained_steps_are_run_chain_bit_for_bit(hyper, variant, m, below_floor):
-    # block_step and ooo_step are one-row calls of run_chain's chunk loop:
-    # chained on the key layout's noise they give every row of the chain,
-    # across chunks of 4096 // m rows and blocks of BLOCK sweeps alike
+    # one-row calls of run_chain's chunk loop, chained on the key layout's
+    # noise, give every row of the chain, across chunks of 4096 // m rows
+    # and blocks of BLOCK sweeps alike
     data = RemData(1.5 * np.random.default_rng(100 + m).normal(size=m), V=1.0)
     # theta's mean is exactly 0 below the floor, so mu shows which A it read
     init = (1e-310, 0.0, np.tile([-1.0, 1.0], m // 2)) if below_floor else default_init(data)
     n = 2 * BLOCK + 100
     chain = run_chain(variant, init, data, hyper, n=n, seed=m)
     noise = key_layout_noise(m, hyper.a + (m - 1) / 2, m)
-    step, ahead = (block_step, 0) if variant == "block" else (ooo_step, 1)
+    ahead = 1 if variant == "ooo" else 0
     states = [tuple(column[0].item() for column in (chain.A, chain.mu, chain.theta_bar, chain.ss))]
     dy = data.y - data.y_bar
     for i in range(1, n + 1):
         z = noise(i, 2)
         z_bar = float(np.add.reduce(z)) / m
         dz = z - z_bar
-        states.append(step(*states[-1], noise(i + ahead, 0), noise(i, 1), z_bar,
-                           float(np.add.reduce(dz * dy)), float(np.add.reduce(dz * dz)), data, hyper))
+        states.append(one_sweep(variant, states[-1], (noise(i + ahead, 0), noise(i, 1), z_bar,
+                                float(np.add.reduce(dz * dy)), float(np.add.reduce(dz * dz))), data, hyper))
     rows = np.column_stack([chain.A, chain.mu, chain.theta_bar, chain.ss])
     assert np.array(states).tobytes() == rows.tobytes()
     if below_floor and variant == "ooo":  # mu reads A as it is, theta the floored A

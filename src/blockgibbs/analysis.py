@@ -187,7 +187,7 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
         row = int(np.argmax(off))
         raise ValueError(f"start row {row} has mass {float(mass[row])!r}, not 1 within {START_MASS_TOL:g}")
     out = np.empty((len(reads), nmax + 1, len(bank)))
-    out[:, 0] = np.add.reduce(np.abs(bank - target), axis=-1)  # its temporaries go at once
+    out[:, 0] = _l1_rows(bank, target)
     chunk = max(1, min(nmax - 1, TV_CHUNK_FLOATS // max(1, len(bank) * max(widths))))
     scratch = np.empty(chunk * len(bank) * max(widths))
     _distances(out[:, 1:2], w[None], reads, scratch)
@@ -204,6 +204,13 @@ def tv_curve(kernel: Kernel, start: np.ndarray, target: np.ndarray, nmax: int, r
         _distances(out[:, first:stop], ys, folded, scratch)
     out *= 0.5
     return out.reshape(out.shape[:2] + cur.shape[:-1])
+
+
+def _l1_rows(bank: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Row sums of |bank - target|, through one bank-sized temporary that
+    goes on return."""
+    gap = bank - target
+    return np.add.reduce(np.abs(gap, out=gap), axis=-1)
 
 
 def _distances(out: np.ndarray, ws: np.ndarray, reads: list, scratch: np.ndarray) -> None:
@@ -328,7 +335,7 @@ def check_prop1(pmf: JointPmf3, nmax: int, tol: float = INEQ_SLACK) -> Prop1Repo
     at_0 = []
     for bank, t in ((bank_xz, pi_zxy), (nu_z(pmf), flatten_to_codec(star, ooo))):
         w = bank.shape[1]
-        at_0.append(0.5 * (np.abs(bank - t[:w]).sum(axis=1) + t[w:].sum()))
+        at_0.append(0.5 * (_l1_rows(bank, t[:w]) + t[w:].sum()))
     tv_nu_rot = np.vstack([at_0[0], tv_nu_rot[:-1]])
     tv_nu_z = np.vstack([np.full(nz, np.nan), at_0[1], tv_nu_z[:-2]])
     xz_of_ooo_row = np.arange(nz * nx).reshape(nx, nz).T.ravel()  # ooo row z * nx + x

@@ -293,8 +293,9 @@ def _new_file(path, mode: str, **kwargs):
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write the states as CSV with columns iter, A, mu, theta_1..theta_m,
     iteration 0 included: every float as the bytes printf's ``%.17g`` gives
-    it, CRLF line ends. Rows are formatted ``4096 // (m + 3)`` at a time,
-    about 4,096 cells per pass whatever n and m, so memory stays bounded."""
+    it, CRLF line ends. Rows are formatted ``max(1, 4096 // (m + 3))`` at a
+    time, so a pass holds at most 4,096 cells whatever n, or one row where a
+    row is wider (m >= 4,094), and memory stays bounded."""
     A, mu, theta = trajectory[:3]
     m = theta.shape[1]
     width = m + 3
@@ -383,8 +384,8 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     the fraction's trailing zeros dropped. Every other cell (zeros,
     subnormals, exponent form, non-finite values) is printf's own; where
     such cells are more than half of the array, printf writes every cell.
-    Each cell goes through a fixed-width row, and the NULs that pad it are
-    compressed out at the end.
+    Each cell goes through a fixed-width row, gathered with ``take``, and
+    one ``bytes.translate`` deletes the NULs that pad it at the end.
     """
     lines, width = cells.shape
     v = cells.ravel()
@@ -398,9 +399,8 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     high, low = _split(a)
     while True:  # exact tests of q against 1e16 and 1e17 move d to the exponent
         k = 16 - d
-        p = a * _POW10[k]
-        e = ((high * _POW10_HIGH[k] - p) + high * _POW10_LOW[k] + low * _POW10_HIGH[k]
-             + low * _POW10_LOW[k])
+        p, high_k, low_k = a * _POW10.take(k), _POW10_HIGH.take(k), _POW10_LOW.take(k)
+        e = (high * high_k - p) + high * low_k + low * high_k + low * low_k
         off = ((p > 1e17) | ((p == 1e17) & (e >= 0))).astype(np.intp)
         off -= (p < 1e16) | ((p == 1e16) & (e < 0))
         if not off.any():
@@ -412,13 +412,13 @@ def _csv_lines(cells: np.ndarray) -> bytes:
         quads[j] = q // place
         q -= quads[j] * place
     quads[4] = q
-    zeros = _QUAD_ZEROS[quads[4]]
+    zeros = _QUAD_ZEROS.take(quads[4])
     run = quads[4] == 0
     for j in (3, 2, 1):  # the first group is q's leading digit, never 0
-        zeros += run * _QUAD_ZEROS[quads[j]]
+        zeros += run * _QUAD_ZEROS.take(quads[j])
         run &= quads[j] == 0
     src = np.empty((v.size, _CELL), dtype=np.uint8)
-    src.view(np.uint32)[:, :5] = _QUADS[quads].T
+    src.view(np.uint32)[:, :5] = _QUADS.take(quads).T
     src[:, _DOT], src[:, _NUL], src[:, _SIGN] = ord("."), 0, (v < 0) * np.uint8(ord("-"))
     src[:, _SEP], src[:, _SEP + 1] = ord(","), 0
     src.reshape(lines, width, _CELL)[:, -1, _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
@@ -428,7 +428,6 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     if other.size:  # one printf call; its space padding becomes NUL
         text = np.frombuffer(b"%-24.17g" * other.size % tuple(v[other].tolist()), np.uint8)
         src[other, :24] = np.where(text == 32, 0, text).reshape(-1, 24)
-    index = _LAYOUTS[layout]
+    index = _LAYOUTS.take(layout, axis=0)
     index += np.arange(0, src.size, _CELL)[:, None]
-    out = src.ravel().take(index)
-    return out[out != 0].tobytes()
+    return src.ravel().take(index).tobytes().translate(None, b"\0")

@@ -27,6 +27,7 @@ from blockgibbs import (
     marginal,
     marginal_xy_kernel,
     marginal_z_kernel,
+    nu_xz,
     nu_z,
     ooo_kernel,
     pi_star,
@@ -232,6 +233,25 @@ def test_tv_curve_memory_does_not_grow_with_nmax(n):
 
     short, long = peak(1000), peak(4000)
     assert abs(long - short) < 1024, (short, long)
+
+
+def test_tv_curve_forms_the_step_0_distances_in_one_temporary():
+    # entry 0 sums |bank - target| by row; with the abs taken in place the
+    # difference is the one bank-sized array a call makes. A separate abs
+    # held a second one: 16.0 MiB for this 8 MiB bank, against 8.8 MiB.
+    pmf = random_pmf(Dims(32, 32, 32), seed=3, floor=1e-5)
+    k = marginal_xy_kernel(pmf)
+    bank = nu_xz(pmf)  # 1,024 x 1,024
+    target = flatten_to_codec(pmf, k.codec)
+    reads = ((None, target),)
+    tv_curve(k, bank, target, 3, reads)  # cached cores and first-call allocations
+    tracemalloc.start()
+    try:
+        tv_curve(k, bank, target, 3, reads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bank.nbytes, (peak, bank.nbytes)
 
 
 def test_tv_curve_rejects_shapes_that_would_broadcast(corpus):

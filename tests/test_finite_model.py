@@ -59,6 +59,8 @@ def test_pmf_rejects_negative_and_bad_mass():
         JointPmf3(Dims(2, 1, 1), np.array([[[1.2]], [[-0.2]]]))
     with pytest.raises(ValueError):
         JointPmf3(Dims(2, 1, 1), np.array([[[0.6]], [[0.6]]]))  # mass 1.2
+    with pytest.raises(ValueError, match=r"^tensor shape \(2, 2, 1\) does not match dims \(2, 1, 1\)$"):
+        JointPmf3(Dims(2, 1, 1), np.full((2, 2, 1), 0.25))
     # a NaN mass sum passes both drift checks, so finiteness is checked first
     for bad, index in ((np.nan, 0), (np.inf, 2), (-np.inf, 3)):
         p = np.full((2, 2, 1), 0.25)
@@ -290,6 +292,8 @@ def test_product_pmf_basics():
     np.testing.assert_allclose(pmf.p.ravel(), [0.5, 0.5])
     with pytest.raises(ValueError):
         product_pmf([0.5, 0.6], [1.0], [1.0])
+    with pytest.raises(ValueError, match="^py must be a 1-D probability vector$"):
+        product_pmf([0.5, 0.5], [[1.0]], [1.0])  # normalized, but 2-D
 
 
 def test_product_pmf_marginals_recover_factors(product_222):

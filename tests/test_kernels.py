@@ -59,6 +59,17 @@ def test_codec_labels_and_bounds(pmf_322):
         codec.encode((2, 0, 0))  # ny = 2
     with pytest.raises(ValueError):
         codec.decode(codec.size)
+    with pytest.raises(ValueError, match="^state tuple has wrong length$"):
+        codec.encode((1, 0))
+    for labels, sizes, message in (
+        (("X", "Y"), (2,), "labels and sizes must be nonempty and equal length"),
+        ((), (), "labels and sizes must be nonempty and equal length"),
+        (("X", "X"), (2, 2), "labels must be distinct members of"),
+        (("X", "W"), (2, 2), "labels must be distinct members of"),
+        (("X", "Y"), (2, 0), "all sizes must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            StateCodec(labels, sizes)
 
 
 def test_codec_flatten_matches_encode(pmf_322):

@@ -215,6 +215,10 @@ def test_domain_type_validation(data, hyper):
         run_chain("block", (1.0, 0.0, np.zeros(data.m - 1)), data, hyper, n=1, seed=0)
     with pytest.raises(ValueError, match="variant"):
         run_chain("sideways", default_init(data), data, hyper, n=1, seed=0)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        run_chain("block", default_init(data), data, hyper, n=0, seed=0)
+    with pytest.raises(ValueError, match="^need at least 2 components$"):
+        ig_params(np.array([1.0]), hyper)
 
 
 @pytest.mark.parametrize(
@@ -672,6 +676,41 @@ def test_trajectory_csv_matches_the_csv_module_off_the_fixed_notation(tmp_path, 
                 + [format(t, ".17g") for t in traj.theta[k]]
             )
     assert path.read_bytes() == ref.read_bytes()
+
+
+def printf_csv(traj) -> bytes:
+    """The reference trajectory.csv: header, then ``b"%.17g"`` cells."""
+    m = traj.theta.shape[1]
+    lines = [",".join(["iter", "A", "mu"] + [f"theta_{i}" for i in range(1, m + 1)]).encode()]
+    for k in range(traj.A.size):
+        cells = [traj.A[k], traj.mu[k], *traj.theta[k]]
+        lines.append(b",".join([b"%d" % k] + [b"%.17g" % v for v in cells]))
+    return b"\r\n".join(lines) + b"\r\n"
+
+
+def test_trajectory_csv_prints_rows_wider_than_a_pass(tmp_path):
+    # at m >= 4,094, 4096 // (m + 3) is 0: every pass is one row of m + 3 cells
+    data = RemData(np.random.default_rng(12).normal(size=4100), V=1.0)
+    traj = run_chain("block", default_init(data), data, RemHyper(2.0, 2.0), n=3, seed=4)
+    path = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    assert path.read_bytes() == printf_csv(traj)
+
+
+def test_trajectory_csv_switches_between_array_and_printf_passes(tmp_path, data, hyper):
+    # m = 6 gives passes of 455 rows; theta scaled by 1e-6 puts 6 of a row's 9
+    # cells below 1e-4 in the second and fourth passes, which printf then
+    # writes whole, between passes formatted by array arithmetic
+    traj = run_chain("block", default_init(data), data, hyper, n=1400, seed=21)
+    theta = traj.theta.copy()
+    scaled = np.zeros(traj.A.size, dtype=bool)
+    scaled[455:910] = scaled[1365:] = True
+    theta[scaled] *= 1e-6
+    assert (np.abs(theta[scaled]) < 1e-4).all() and (np.abs(theta[~scaled]) >= 1e-4).all()
+    traj = traj._replace(theta=theta)
+    path = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    assert path.read_bytes() == printf_csv(traj)
 
 
 def test_trajectory_csv_memory_does_not_grow_with_n(tmp_path):

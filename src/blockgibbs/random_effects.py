@@ -314,14 +314,6 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
             fh.write(_csv_lines(cells))
 
 
-# ``_csv_lines`` lays out each cell from a row of _CELL source bytes: columns
-# 0-19 hold three '0's and the cell's 17 significant digits, then '.', NUL,
-# the sign ('-' or NUL), one spare byte and the cell's two separator bytes.
-_CELL = 28
-_DOT, _NUL, _SIGN, _SEP = 20, 21, 22, 24
-_FALLBACK = 21 * 21  # the layout row after those of 21 exponents x 21 fraction lengths
-
-
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     """For i in [0, 10**4): the 4 bytes of "%04d" % i as one uint32, and the
     number of trailing zeros of those digits (4 for i = 0)."""
@@ -335,26 +327,30 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _QUADS, _QUAD_ZEROS = _quad_tables()
 
-
-def _fixed_layouts() -> np.ndarray:
-    """Row (x + 4) * 21 + keep lists the source columns of a cell printed in
-    fixed notation with decimal exponent x in [-4, 16] and ``keep`` fraction
-    digits, NUL-padded; row ``_FALLBACK`` takes the cell's first 24 bytes as
-    they are. Every row ends with the two separator columns."""
-    table = np.full((_FALLBACK + 1, 26), _NUL, dtype=np.intp)
-    digits = list(range(3, 20))
-    for x in range(-4, 17):
-        whole, fraction = (
-            (digits[: x + 1], digits[x + 1 :]) if x >= 0 else ([0], [0] * (-x - 1) + digits))
-        for keep in range(len(fraction) + 1):
-            body = [_SIGN, *whole] + ([_DOT, *fraction[:keep]] if keep else [])
-            table[(x + 4) * 21 + keep, : len(body)] = body
-    table[_FALLBACK, :24] = np.arange(24)
-    table[:, 24:] = (_SEP, _SEP + 1)
-    return table
+_NEGATIVE = 21 * 21  # the layouts of 21 exponents x 21 fraction lengths, then their negatives
+_FALLBACK = 2 * _NEGATIVE
 
 
-_LAYOUTS = _fixed_layouts()
+def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_csv_lines`` writes a cell into 32 bytes, "0000" and q's five 4-digit
+    groups (the 17 digits are bytes 7-23), then NULs. With decimal exponent d
+    and ``keep`` fraction digits it reads row (d + 4) * 21 + keep (+ _NEGATIVE
+    if negative), and a printf cell row _FALLBACK, of three tables built in
+    place in uint8: the bytes p = d + 8 to 23, which move one later to open
+    byte p for the dot; the bytes printed after the move; and '.', '-', ','."""
+    moved, shown, marks = np.zeros((3, _FALLBACK + 1, 32), dtype=np.uint8)
+    mv, sh, mk = (t[:_FALLBACK].reshape(2, 21, 21, 32) for t in (moved, shown, marks))  # sign, d + 4, keep
+    for d in range(-4, 17):
+        p, whole = d + 8, min(7, d + 7)  # the whole part from byte whole: "0" for d < 0, else d + 1 digits
+        mv[:, d + 4, :, p:24] = sh[:, d + 4, :, whole:p] = 0xFF
+        mk[:, d + 4, 1:, p], mk[1, d + 4, :, whole - 1] = ord("."), ord("-")
+        for keep in range(1, 17 - d):
+            sh[:, d + 4, keep, p : p + keep + 1] = 0xFF
+    shown[_FALLBACK, :24], marks[:, 30] = 0xFF, ord(",")
+    return moved.view(np.uint64), shown.view(np.uint64), marks.view(np.uint64)
+
+
+_MOVED, _SHOWN, _MARKS = _layout_tables()
 
 
 def _split(a):
@@ -384,14 +380,14 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     the fraction's trailing zeros dropped. Every other cell (zeros,
     subnormals, exponent form, non-finite values) is printf's own; where
     such cells are more than half of the array, printf writes every cell.
-    Each cell goes through a fixed-width row, gathered with ``take``, and
-    one ``bytes.translate`` deletes the NULs that pad it at the end.
+    Each cell is a 32-byte row of four uint64 words: its bytes from p on move
+    one byte later in one shift of the flat buffer, an AND and an OR with rows
+    of _layout_tables leave the printed bytes, and ``translate`` drops the NULs.
     """
     lines, width = cells.shape
     v = cells.ravel()
     a = np.abs(v)
-    fixed = (a >= 1e-4) & (a < 1e17)  # false for NaN; no double lies in [10**-4, 1e-4)
-    other = np.flatnonzero(~fixed)
+    other = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))  # NaN too; no double lies in [10**-4, 1e-4)
     if 2 * other.size > v.size:  # then printf alone is faster than the array work
         return (b",".join([b"%.17g"] * width) + b"\r\n") * lines % tuple(v.tolist())
     a[other] = 1.0
@@ -407,6 +403,7 @@ def _csv_lines(cells: np.ndarray) -> bytes:
             break
         d += off
     q = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    del a, high, low, p, e, high_k, low_k, off
     quads = np.empty((5, v.size), dtype=np.intp)  # q's 4-digit groups, high first
     for j, place in enumerate((10**16, 10**12, 10**8, 10**4)):
         quads[j] = q // place
@@ -417,17 +414,20 @@ def _csv_lines(cells: np.ndarray) -> bytes:
     for j in (3, 2, 1):  # the first group is q's leading digit, never 0
         zeros += run * _QUAD_ZEROS.take(quads[j])
         run &= quads[j] == 0
-    src = np.empty((v.size, _CELL), dtype=np.uint8)
-    src.view(np.uint32)[:, :5] = _QUADS.take(quads).T
-    src[:, _DOT], src[:, _NUL], src[:, _SIGN] = ord("."), 0, (v < 0) * np.uint8(ord("-"))
-    src[:, _SEP], src[:, _SEP + 1] = ord(","), 0
-    src.reshape(lines, width, _CELL)[:, -1, _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
-    fraction = 16 - d
-    keep = fraction - np.minimum(zeros, fraction)
-    layout = np.where(fixed, (d + 4) * 21 + keep, _FALLBACK)
+    row = np.zeros((v.size, 32), dtype=np.uint8)
+    row.view(np.uint32)[:, 0], row.view(np.uint32)[:, 1:6] = _QUADS[0], _QUADS.take(quads).T
+    layout = (d + 4) * 21 + np.maximum(16 - d - zeros, 0) + (v < 0) * _NEGATIVE
+    layout[other] = _FALLBACK
     if other.size:  # one printf call; its space padding becomes NUL
         text = np.frombuffer(b"%-24.17g" * other.size % tuple(v[other].tolist()), np.uint8)
-        src[other, :24] = np.where(text == 32, 0, text).reshape(-1, 24)
-    index = _LAYOUTS.take(layout, axis=0)
-    index += np.arange(0, src.size, _CELL)[:, None]
-    return src.ravel().take(index).tobytes().translate(None, b"\0")
+        row[other, :24] = np.where(text == 32, 0, text).reshape(-1, 24)
+    # the spent digit groups take each mask in turn; "clip" writes to out unbuffered
+    words, mask = row.view(np.uint64), quads.reshape(-1)[: row.size // 8].view(np.uint64).reshape(-1, 4)
+    rest = np.bitwise_and(words, _MOVED.take(layout, axis=0, out=mask, mode="clip"), out=mask)
+    words ^= rest
+    row.reshape(-1)[1:] |= rest.view(np.uint8).reshape(-1)[:-1]  # rest ends each row in NUL: no byte crosses cells
+    words &= _SHOWN.take(layout, axis=0, out=mask, mode="clip")
+    words |= _MARKS.take(layout, axis=0, out=mask, mode="clip")
+    row.reshape(lines, width, 32)[:, -1, 30:] = (ord("\r"), ord("\n"))
+    del quads, mask, rest, layout
+    return words.tobytes().translate(None, b"\0")

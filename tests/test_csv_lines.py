@@ -1,15 +1,20 @@
 """The trajectory writer's float formatter against printf.
 
 ``random_effects._csv_lines`` formats fixed-notation cells by array
-arithmetic and hands every other cell to printf (every cell, where those
-are most of them), so each test compares its bytes with ``b"%.17g" % v``
-joined by ',' and ended by CRLF: on any float Hypothesis draws, on any bit
-pattern read as a double, on a table of the values where the arithmetic
-can go wrong (exponent boundaries, integer-valued floats, rounding ties),
-and on either side of the switch to printf for every cell.
+arithmetic, placing each cell's bytes with 64-bit word masks by its layout
+(decimal exponent, fraction length and sign), and hands every other cell to
+printf (every cell, where those are most of them). So each test compares
+its bytes with ``b"%.17g" % v`` joined by ',' and ended by CRLF: on any
+float Hypothesis draws, on any bit pattern read as a double, on a table of
+the values where the arithmetic can go wrong (exponent boundaries,
+integer-valued floats, rounding ties), on either side of the switch to
+printf for every cell, and on one cell of every layout the array path can
+reach, mid-line, at a line's end and before a printf cell. One more test
+bounds the memory of one pass.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -94,3 +99,64 @@ def test_either_side_of_the_printf_share_prints_as_printf():
     off = [0.0, -1e-5, 1e20, 5e-324, math.nan, -math.inf, 1e-300, -0.0, 1e17, 2e-4 / 3]
     for k in range(11):
         assert_matches_printf(off[:k] + plain[k:])
+
+
+def layout_values():
+    """One positive double for each layout row the array path can reach:
+    printf writes it in fixed notation with decimal exponent d in [-4, 16]
+    and ``keep`` fraction digits. Below 1 the first nonzero digit is
+    fraction digit -d, so keep >= -d there: 221 layouts in all. Each is the
+    first value lead 0...0 last x 10**(d - s + 1), s = keep + d + 1
+    significant digits, that prints so."""
+    out = []
+    for d in range(-4, 17):
+        for keep in range(max(0, -d), 17 - d):
+            s = keep + d + 1
+            candidates = (float(f"{lead}{'0' * (s - 2)}{last}e{d - s + 1}") if s > 1 else float(f"{lead}e{d}")
+                          for lead in range(1, 10) for last in range(1, 10))
+            out.append(next(x for x in candidates if fixed_shape(x) == (d, keep)))
+    return out
+
+
+def fixed_shape(x):
+    """(decimal exponent, fraction digits) of a positive double as printf
+    writes it, or None in exponent form."""
+    text = "%.17g" % x
+    if "e" in text:
+        return None
+    whole, _, fraction = text.partition(".")
+    if whole != "0":
+        return len(whole) - 1, len(fraction)
+    return len(fraction.lstrip("0")) - len(fraction) - 1, len(fraction)
+
+
+def test_every_layout_row_prints_as_printf():
+    # each sign of each reachable (exponent, fraction length) layout, mid-row
+    # and as a line's last cell; then each printf cell as the last cell of a
+    # line the array path writes, behind a cell of every layout
+    values = layout_values()
+    assert len(values) == 221
+    cells = values + [-v for v in values]
+    assert_matches_printf(cells)
+    for special in (0.0, 1e-5, math.inf, math.nan):
+        # one printf cell in three, so the array path writes every line
+        lines = np.column_stack([cells, cells[::-1], np.full(len(cells), special)])
+        assert _csv_lines(lines) == printf_lines(lines.tolist())
+
+
+def test_one_pass_holds_under_200_bytes_a_cell():
+    # one 61 x 67 pass of the sim-wide writer: the byte rows, the digit
+    # groups and the output together; a cells x 26 int64 index of source
+    # bytes alone held 208 bytes a cell
+    rng = np.random.default_rng(9)
+    cells = rng.normal(size=(61, 67)) * 10.0 ** rng.integers(-3, 4, size=(61, 67))
+    cells[:, 0] = np.arange(61)
+    _csv_lines(cells)
+    tracemalloc.start()
+    try:
+        text = _csv_lines(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == printf_lines(cells.tolist())
+    assert peak < 200 * cells.size, peak
